@@ -12,8 +12,8 @@ Options may come from a JSON config file (--config) whose optional
 "command" key must agree with the subcommand; explicit flags win over
 the file.  All outputs are deterministic for a fixed config and seed,
 byte for byte.  The environment variable FRACSPHERE_TOL (default 1e-10)
-sets the deficit gate used by verify and euclid.  Exit status is
-nonzero exactly when an asserted bound fails.
+sets the deficit gate used by verify and euclid.  Exit status is 1
+when an asserted bound fails and 2 on bad input.
 """
 
 import argparse
@@ -83,20 +83,18 @@ def cmd_constants(args):
     if rows is None:
         rows = [{"n": cfg.get("n", 1), "s": cfg.get("s", 0.5), "q": cfg.get("q")}]
     kmax = int(cfg.get("kmax") or 8)
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     lines = [CONSTANTS_HEADER]
     tables = ["n,s,q,k,gamma,delta,eps"]
-    try:
-        for row in rows:
-            ps = derive_params(row["n"], row["s"], row.get("q"))
-            lines.append(constants_row(ps))
-            gamma, delta, eps = _spectral_columns(ps, kmax)
-            for k in range(kmax + 1):
-                tables.append("%d,%s,%s,%d,%.17g,%.17g,%.17g"
-                              % (ps.n, repr(ps.s), repr(ps.q), k,
-                                 gamma[k], delta[k], eps[k]))
-    except ValueError as exc:
-        print(f"constants: {exc}", file=sys.stderr)
-        return 1
+    for row in rows:
+        ps = derive_params(row["n"], row["s"], row.get("q"))
+        lines.append(constants_row(ps))
+        gamma, delta, eps = _spectral_columns(ps, kmax)
+        for k in range(kmax + 1):
+            tables.append("%d,%s,%s,%d,%.17g,%.17g,%.17g"
+                          % (ps.n, repr(ps.s), repr(ps.q), k,
+                             gamma[k], delta[k], eps[k]))
     _write(cfg.get("out"), "\n".join(lines) + "\n\n" + "\n".join(tables) + "\n")
     return 0
 
@@ -168,10 +166,10 @@ def _scan_constant_landscape(cfg):
     for s in s_grid:
         vals = []
         for q in q_grid:
-            q_star = float("inf") if s == n else 2.0 * n / (n - s)
-            if not 1.0 <= q or (s < 0.0 and q >= q_star) or (0.0 < s < n and q > q_star):
-                continue
-            ps = derive_params(n, s, q)
+            try:
+                ps = derive_params(n, s, q)
+            except ValueError:
+                continue        # (q, s) outside the family
             vals.append(ps.constant)
             lines.append("%.17g,%.17g,%.17g" % (q, s, ps.constant))
         if vals:
@@ -197,11 +195,15 @@ def cmd_flow(args):
     out = cfg.get("out") or "flow_out.csv"
     _write(out, res.csv())
     _write(os.path.splitext(out)[0] + ".json", res.summary() + "\n")
-    tol = tolerance()
-    bad = res.entropy > res.bound * (1.0 + 1e-9) + tol
-    if bad.any():
-        j = int(np.argmax(bad))
-        print(f"flow: FAIL entropy exceeds bound at t={res.times[j]}",
+    # every gate reads "not (value within bound)", so NaN fails it
+    within = res.entropy <= res.bound * (1.0 + 1e-9) + tolerance()
+    if not within.all():
+        j = int(np.argmin(within))
+        print(f"flow: FAIL entropy {res.entropy[j]:.3e} not within bound "
+              f"{res.bound[j]:.3e} at t={res.times[j]}", file=sys.stderr)
+        return 1
+    if not res.mass_drift <= 1e-8:     # mass is conserved to roundoff
+        print(f"flow: FAIL mass drift {res.mass_drift:.3e} above 1e-8",
               file=sys.stderr)
         return 1
     print(f"flow: fitted rate {res.fitted_rate:.6f}, theoretical "
@@ -307,7 +309,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"fracsphere {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

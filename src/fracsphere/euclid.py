@@ -314,10 +314,8 @@ def thm16_deficit(f, ps, M=8192, descriptor=""):
 
     a, b = thm16_coefficients(ps)
     rhs = a * hdot + b * w2
-    d = rhs - lhs
     tail = float((ck ** 2 + dk ** 2).sum())
-    return InequalityReport(
-        kind="line_interpolation", n=n, s=s, q=q, lhs=lhs, rhs=rhs, deficit=d,
-        relative_deficit=d / max(1.0, abs(rhs)),
-        field_descriptor=descriptor or json.dumps({"family": "unnamed_callable"}),
-        equality_case=tail <= 1e-24 * c0 ** 2)
+    return InequalityReport.from_sides(
+        "line_interpolation", ps, q, lhs, rhs,
+        descriptor or json.dumps({"family": "unnamed_callable"}),
+        tail <= 1e-24 * c0 ** 2)

@@ -85,12 +85,17 @@ def quadratic_form(fld, eigenvalues):
     return float((eigenvalues[:fld.coeffs.size] * fld.coeffs ** 2).sum())
 
 
-def _moment_gap(values, weights, q):
-    """sum of w * (|F|^q - 1): the pointwise expm1/log form keeps full
-    relative accuracy when F is uniformly close to 1, where forming the
-    moment first and subtracting 1 would cancel away every digit."""
+def difference_quotient(fld, ps, rule):
+    """(||F||_q^2 - ||F||_2^2) / (q - 2) at q = ps.q, from the moment gaps
+    ||F||_q^q - 1 and ||F||_2^2 - 1.  Forming |F|^q - 1 pointwise by
+    expm1/log keeps full relative accuracy when F is uniformly close to 1,
+    where forming the norms first would cancel away every digit."""
+    v = synthesize(fld, rule)
+    w = rule.prob_weights
     with np.errstate(divide="ignore"):
-        return float((weights * np.expm1(q * np.log(np.abs(values)))).sum())
+        dq = float((w * np.expm1(ps.q * np.log(np.abs(v)))).sum())
+    d2 = float((w * (v - 1.0) * (v + 1.0)).sum())
+    return float(np.expm1((2.0 / ps.q) * np.log1p(dq)) - d2) / (ps.q - 2.0)
 
 
 def entropy2(fld, rule=None):
@@ -135,18 +140,8 @@ def quotient(fld, ps, numerator_eigs=None, rule=None):
         numerator_eigs = operator_eigenvalue(ps, "L", fld.kmax)
     if rule is None:
         rule = default_rule(fld.n, fld.kmax)
-    num = quadratic_form(fld, numerator_eigs)
-    if ps.q == 2.0:
-        den = entropy2(fld, rule)
-    else:
-        # (||F||_q^2 - ||F||_2^2)/(q - 2) assembled from the moment gaps
-        # so near-constant fields keep their tiny denominator accurate
-        v = synthesize(fld, rule)
-        w = rule.prob_weights
-        dq = _moment_gap(v, w, ps.q)
-        d2 = float((w * (v - 1.0) * (v + 1.0)).sum())
-        den = (np.expm1((2.0 / ps.q) * np.log1p(dq)) - d2) / (ps.q - 2.0)
-    return num / den
+    den = entropy2(fld, rule) if ps.q == 2.0 else difference_quotient(fld, ps, rule)
+    return quadratic_form(fld, numerator_eigs) / den
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import field_from_descriptor
-from .spectrum import delta_sequence
+from .spectrum import Q_WINDOW, delta_sequence, derive_params
 
 
 @dataclass
@@ -70,27 +70,30 @@ class FlowResult:
         return "\n".join(lines) + "\n"
 
     def summary(self):
+        """Strict JSON: a rate that could not be fitted, or any other
+        value that is not finite, is written as null."""
+        def num(x):
+            return x if math.isfinite(x) else None
         return json.dumps({
-            "fitted_rate": self.fitted_rate,
-            "mass_drift": self.mass_drift,
+            "fitted_rate": num(self.fitted_rate),
+            "mass_drift": num(self.mass_drift),
             "q": self.config.q,
-            "ratio": self.ratio,
+            "ratio": num(self.ratio),
             "s": self.config.s,
             "samples": int(self.times.size),
             "theoretical_rate": self.theoretical_rate,
-        }, sort_keys=True)
+        }, sort_keys=True, allow_nan=False)
 
 
 class FlowOps:
     """Grid, analysis matrices and the spatial operator for one config."""
 
     def __init__(self, cfg):
-        from .spectrum import derive_params
         if cfg.n != 1:
             raise ValueError("the flow is implemented on the circle (n = 1)")
         if not 0.0 < cfg.s <= 1.0:
             raise ValueError("flow order must satisfy 0 < s <= 1")
-        if abs(cfg.q - 2.0) <= 1e-8:
+        if abs(cfg.q - 2.0) <= Q_WINDOW:
             raise ValueError("the entropy E_q degenerates at q = 2")
         self.cfg = cfg
         self.ps = derive_params(1, cfg.s, cfg.q)
@@ -209,7 +212,7 @@ def run_flow(cfg):
 
 def entropy_eq(u, q):
     """Entropy of a nodal density under uniform weights (standalone helper)."""
-    if abs(q - 2.0) <= 1e-8:
+    if abs(q - 2.0) <= Q_WINDOW:
         raise ValueError("the entropy functional degenerates at q = 2")
     u = np.asarray(u, dtype=float)
     return (u.mean() ** (2.0 / q) - (u ** (2.0 / q)).mean()) / (q - 2.0)

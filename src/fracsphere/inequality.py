@@ -2,9 +2,9 @@
 
 Every inequality in the family has the shape lhs <= rhs with rhs built
 from a diagonal quadratic form and lhs from Lebesgue norms (or the
-relative entropy at the q = 2 endpoint).  deficit() evaluates both
-sides for a concrete zonal field and returns a report whose deficit
-(rhs - lhs) must be nonnegative up to quadrature roundoff.
+relative entropy at the q = 2 endpoint).  deficit() looks the kind up in
+the table KINDS and evaluates both sides for a concrete zonal field; the
+report's deficit (rhs - lhs) must be nonnegative up to quadrature roundoff.
 
 Also here: kernel eigenvalues by quadrature against the closed form
 (the classical Funk-Hecke identity), the sharpness probe along the
@@ -14,16 +14,16 @@ the stability arguments.
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
-from .field import (ZonalField, default_rule, descriptor_of, entropy2,
+from .field import (ZonalField, descriptor_of, difference_quotient, entropy2,
                     field_from_descriptor, is_constant, lq_norm,
                     quadratic_form, quotient, synthesize, analyze)
 from .specfun import gegenbauer, gegenbauer_at_one, gauss_jacobi, log_gamma, sphere_rule
-from .spectrum import derive_params, gamma_k, operator_eigenvalue
-
-Q_ENTROPY_WINDOW = 1e-8
+from .spectrum import Q_WINDOW, derive_params, gamma_k, operator_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,14 @@ class InequalityReport:
     relative_deficit: float
     field_descriptor: str
     equality_case: bool = False
+
+    @classmethod
+    def from_sides(cls, kind, ps, q, lhs, rhs, descriptor, equality):
+        """Report of lhs <= rhs: deficit rhs - lhs, relative to max(1, |rhs|)."""
+        d = rhs - lhs
+        return cls(kind=kind, n=ps.n, s=ps.s, q=q, lhs=lhs, rhs=rhs, deficit=d,
+                   relative_deficit=d / max(1.0, abs(rhs)),
+                   field_descriptor=descriptor, equality_case=equality)
 
 
 REPORT_HEADER = "kind,n,s,q,lhs,rhs,deficit,relative_deficit,field_descriptor"
@@ -59,116 +67,36 @@ def reports_json(reports):
     return json.dumps([vars(r) for r in reports], sort_keys=True)
 
 
-def _make_report(kind, ps, q, lhs, rhs, fld, equality):
-    d = rhs - lhs
-    return InequalityReport(
-        kind=kind, n=ps.n, s=ps.s, q=q, lhs=lhs, rhs=rhs, deficit=d,
-        relative_deficit=d / max(1.0, abs(rhs)),
-        field_descriptor=descriptor_of(fld), equality_case=equality)
+# ---------------------------------------------------------------------------
+# the inequality kinds
 
 
-def _diff_quotient(fld, q, rule):
-    return (lq_norm(fld, q, rule) ** 2 - lq_norm(fld, 2.0, rule) ** 2) / (q - 2.0)
+def _quotient_plus_remainder(fld, ps, rule):
+    eps = operator_eigenvalue(ps, "R", fld.kmax)
+    return difference_quotient(fld, ps, rule) + quadratic_form(fld, eps)
 
 
-def deficit(fld, ps, kind):
-    """Evaluate one inequality of the family for a concrete field.
-
-    kind is one of interpolation, sobolev, hls, poincare, logsob,
-    logsob_critical, s0_subcritical, improved.  Exponents within 1e-8 of
-    2 are redirected to the entropy form of the same inequality: the
-    difference quotient loses every significant digit there, while its
-    limit is exactly the entropy functional.
-    """
-    n, s, q = ps.n, ps.s, ps.q
-    K = fld.kmax
-    rule = sphere_rule(n, max(160, 6 * (K + 1)))
-    near2 = abs(q - 2.0) <= Q_ENTROPY_WINDOW
-
-    if kind == "interpolation" and near2:
-        kind = "logsob"
-    if kind == "s0_subcritical" and near2:
-        kind = "logsob_critical"
-
-    if kind == "interpolation":
-        if not 0.0 < s <= n:
-            raise ValueError("interpolation needs s in (0, n]")
-        lhs = _diff_quotient(fld, q, rule)
-        rhs = ps.constant * quadratic_form(fld, operator_eigenvalue(ps, "L", K))
-        return _make_report(kind, ps, q, lhs, rhs, fld, is_constant(fld))
-
-    if kind == "sobolev":
-        if not 0.0 < s < n:
-            raise ValueError("the critical-exponent form needs s in (0, n)")
-        lhs = lq_norm(fld, ps.q_star, rule) ** 2
-        rhs = quadratic_form(fld, operator_eigenvalue(ps, "K", K))
-        return _make_report(kind, ps, ps.q_star, lhs, rhs, fld, is_constant(fld))
-
-    if kind == "hls":
-        if not s < 0.0:
-            raise ValueError("the dual (negative-order) form needs s < 0")
-        lhs = _diff_quotient(fld, q, rule)
-        rhs = ps.constant * quadratic_form(fld, operator_eigenvalue(ps, "L", K))
-        return _make_report(kind, ps, q, lhs, rhs, fld, is_constant(fld))
-
-    if kind == "poincare":
-        if s == 0.0:
-            raise ValueError("use the s = 0 kinds for the derivative operator")
-        # variance is exact in coefficients, no quadrature involved
-        lhs = float((fld.coeffs[1:] ** 2).sum())
-        rhs = ps.constant * quadratic_form(fld, operator_eigenvalue(ps, "L", K))
-        eq = bool(np.all(fld.coeffs[2:] == 0.0))
-        return _make_report(kind, ps, q, lhs, rhs, fld, eq)
-
-    if kind == "logsob":
-        if not 0.0 < s <= n:
-            raise ValueError("the entropy form needs s in (0, n]")
-        lhs = entropy2(fld, rule)
-        rhs = ps.constant * quadratic_form(fld, operator_eigenvalue(ps, "L", K))
-        return _make_report(kind, ps, 2.0, lhs, rhs, fld, is_constant(fld))
-
-    if kind == "logsob_critical":
-        if s != 0.0:
-            raise ValueError("the critical entropy form needs s = 0")
-        lhs = entropy2(fld, rule)
-        rhs = 0.5 * n * quadratic_form(fld, operator_eigenvalue(ps, "K0prime", K))
-        return _make_report(kind, ps, 2.0, lhs, rhs, fld, is_constant(fld))
-
-    if kind == "s0_subcritical":
-        if s != 0.0 or not q < 2.0:
-            raise ValueError("the subcritical s = 0 form needs s = 0, q in [1, 2)")
-        lhs = _diff_quotient(fld, q, rule)
-        rhs = 0.5 * n * quadratic_form(fld, operator_eigenvalue(ps, "K0prime", K))
-        return _make_report(kind, ps, q, lhs, rhs, fld, is_constant(fld))
-
-    if kind == "improved":
-        if not 0.0 < s < n:
-            raise ValueError("the improved form needs s in (0, n)")
-        if near2:
-            raise ValueError("no entropy version of the improved form; use q != 2")
-        if q >= ps.q_star:
-            raise ValueError("the improved form needs a subcritical exponent")
-        lhs = (_diff_quotient(fld, q, rule)
-               + quadratic_form(fld, operator_eigenvalue(ps, "R", K)))
-        rhs = ps.constant * quadratic_form(fld, operator_eigenvalue(ps, "L", K))
-        return _make_report(kind, ps, q, lhs, rhs, fld, is_constant(fld))
-
-    raise ValueError(f"unknown inequality kind {kind!r}")
+def _variance(fld, ps, rule):
+    return float((fld.coeffs[1:] ** 2).sum())   # exact in coefficients
 
 
-def deficit_square(fld, ps):
-    """Squared-deficit comparison at the critical exponent.
+def _critical_norm(fld, ps, rule):
+    return lq_norm(fld, ps.q_star, rule) ** 2
 
-    With G = sign(F) |F|^(q*-1), the quantity ||G||_p^2 - <G, K^-1 G> is
-    dominated by ||F||_q*^(2(q*-2)) (<F, K F> - ||F||_q*^2).  Both sides
-    vanish to second order at the optimizers, hence the looser roundoff
-    tolerance (1e-8) quoted for this report.
-    """
-    n, s = ps.n, ps.s
-    if not 0.0 < s < n:
-        raise ValueError("the squared-deficit form needs s in (0, n)")
-    K = fld.kmax
-    rule = sphere_rule(n, max(256, 16 * (K + 1)))
+
+def _entropy(fld, ps, rule):
+    return entropy2(fld, rule)
+
+
+def _form(lhs, operator, factor):
+    """sides of lhs(F) <= factor(ps) * <F, operator F>."""
+    def sides(fld, ps, rule):
+        eigs = operator_eigenvalue(ps, operator, fld.kmax)
+        return lhs(fld, ps, rule), factor(ps) * quadratic_form(fld, eigs)
+    return sides
+
+
+def _square_sides(fld, ps, rule):
     w = rule.prob_weights
     fvals = synthesize(fld, rule)
     gvals = np.sign(fvals) * np.abs(fvals) ** (ps.q_star - 1.0)
@@ -177,11 +105,85 @@ def deficit_square(fld, ps):
     norm_g_p = norm_qstar ** (ps.q_star / ps.p)
 
     kg = len(rule) // 2 - 1
-    g = analyze(n, gvals, rule, kg)
+    g = analyze(ps.n, gvals, rule, kg)
     lhs = norm_g_p ** 2 - quadratic_form(g, operator_eigenvalue(ps, "K_inv", kg))
     rhs = norm_qstar ** (2.0 * (ps.q_star - 2.0)) * (
-        quadratic_form(fld, operator_eigenvalue(ps, "K", K)) - norm_qstar ** 2)
-    return _make_report("square", ps, ps.q_star, lhs, rhs, fld, is_constant(fld))
+        quadratic_form(fld, operator_eigenvalue(ps, "K", fld.kmax)) - norm_qstar ** 2)
+    return lhs, rhs
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One inequality of the family: sides(fld, ps, rule) gives (lhs, rhs)
+    where admits(ps) holds, and the report carries exponent(ps)."""
+    admits: Callable
+    message: str                # of the ValueError where admits(ps) fails
+    sides: Callable
+    exponent: Callable
+    entropy_kind: str = None    # the kind evaluated within Q_WINDOW of q = 2
+    equality: Callable = is_constant
+    nodes: tuple = (160, 6)     # the rule has max(m0, r * (K + 1)) nodes
+
+
+_Q, _Q_STAR, _SHARP = attrgetter("q"), attrgetter("q_star"), attrgetter("constant")
+KINDS = {
+    "interpolation": Kind(lambda ps: 0.0 < ps.s <= ps.n, "interpolation needs s in (0, n]",
+                          _form(difference_quotient, "L", _SHARP), _Q,
+                          entropy_kind="logsob"),
+    "sobolev": Kind(lambda ps: 0.0 < ps.s < ps.n,
+                    "the critical-exponent form needs s in (0, n)",
+                    _form(_critical_norm, "K", lambda ps: 1.0), _Q_STAR),
+    "hls": Kind(lambda ps: ps.s < 0.0, "the dual (negative-order) form needs s < 0",
+                _form(difference_quotient, "L", _SHARP), _Q),
+    "poincare": Kind(lambda ps: ps.s != 0.0,
+                     "use the s = 0 kinds for the derivative operator",
+                     _form(_variance, "L", _SHARP), _Q,
+                     equality=lambda fld: bool(np.all(fld.coeffs[2:] == 0.0))),
+    "logsob": Kind(lambda ps: 0.0 < ps.s <= ps.n, "the entropy form needs s in (0, n]",
+                   _form(_entropy, "L", _SHARP), lambda ps: 2.0),
+    "logsob_critical": Kind(lambda ps: ps.s == 0.0, "the critical entropy form needs s = 0",
+                            _form(_entropy, "K0prime", lambda ps: 0.5 * ps.n),
+                            lambda ps: 2.0),
+    "s0_subcritical": Kind(lambda ps: ps.s == 0.0 and ps.q < 2.0,
+                           "the subcritical s = 0 form needs s = 0, q in [1, 2)",
+                           _form(difference_quotient, "K0prime", lambda ps: 0.5 * ps.n),
+                           _Q, entropy_kind="logsob_critical"),
+    "improved": Kind(lambda ps: (0.0 < ps.s < ps.n and ps.q < ps.q_star
+                                 and abs(ps.q - 2.0) > Q_WINDOW),
+                     "the improved form needs s in (0, n) and q < q_star, q != 2",
+                     _form(_quotient_plus_remainder, "L", _SHARP), _Q),
+    # G = sign(F) |F|^(q*-1): ||G||_p^2 - <G, K^-1 G> against
+    # ||F||_q*^(2(q*-2)) (<F, K F> - ||F||_q*^2); both vanish to second
+    # order at the optimizers, hence the looser 1e-8 roundoff gate
+    "square": Kind(lambda ps: 0.0 < ps.s < ps.n,
+                   "the squared-deficit form needs s in (0, n)",
+                   _square_sides, _Q_STAR, nodes=(256, 16)),
+}
+
+
+def deficit(fld, ps, kind):
+    """Report of one inequality of the family, a key of KINDS, for a
+    concrete field.  A difference-quotient lhs comes from the stable
+    field.difference_quotient.  Within Q_WINDOW of q = 2 that quotient
+    loses every digit while its limit is the entropy, so interpolation and
+    s0_subcritical become logsob and logsob_critical there.  Raises
+    ValueError for an unknown kind or parameters the kind does not admit."""
+    form = KINDS.get(kind)
+    if form is None:
+        raise ValueError(f"unknown inequality kind {kind!r}")
+    if form.entropy_kind and abs(ps.q - 2.0) <= Q_WINDOW:
+        kind, form = form.entropy_kind, KINDS[form.entropy_kind]
+    if not form.admits(ps):
+        raise ValueError(form.message)
+    rule = sphere_rule(fld.n, max(form.nodes[0], form.nodes[1] * (fld.kmax + 1)))
+    lhs, rhs = form.sides(fld, ps, rule)
+    return InequalityReport.from_sides(kind, ps, form.exponent(ps), lhs, rhs,
+                                       descriptor_of(fld), form.equality(fld))
+
+
+def deficit_square(fld, ps):
+    """The squared-deficit comparison at the critical exponent."""
+    return deficit(fld, ps, "square")
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +347,13 @@ RANDOM_CASES = (
 )
 
 
-def _dispatch(kind, fld, ps):
-    if kind == "square":
-        return deficit_square(fld, ps)
-    return deficit(fld, ps, kind)
-
-
 def equality_suite():
     """Reports for exact equality cases; every deficit is zero up to
     quadrature roundoff and each report carries the equality flag."""
     out = []
     for kind, n, s, q, desc in EQUALITY_CASES:
         ps = derive_params(n, s, q)
-        out.append(_dispatch(kind, field_from_descriptor(desc, n), ps))
+        out.append(deficit(field_from_descriptor(desc, n), ps, kind))
     return out
 
 
@@ -372,5 +368,5 @@ def random_suite(seed, count):
                 "kmax": kmaxes[i % len(kmaxes)],
                 "seed": seed + i, "scale": 0.4}
         ps = derive_params(n, s, q)
-        out.append(_dispatch(kind, field_from_descriptor(desc, n), ps))
+        out.append(deficit(field_from_descriptor(desc, n), ps, kind))
     return out

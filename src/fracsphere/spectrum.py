@@ -20,6 +20,10 @@ from .specfun import log_gamma
 
 _INF = float("inf")
 
+# |q - 2| <= Q_WINDOW counts as q = 2: a quotient over q - 2 is pure noise
+# there, while its q = 2 limit is off from the truth by only O(|q - 2|).
+Q_WINDOW = 1e-8
+
 
 @dataclass(frozen=True)
 class ParameterSet:
@@ -67,7 +71,7 @@ def derive_params(n, s, q=None):
             raise ValueError("q has no default for s = n or s < 0")
     q = float(q)
 
-    if q < 1.0:
+    if not q >= 1.0:        # NaN fails too
         raise ValueError(f"exponent q must be >= 1, got {q}")
     if s < 0.0:
         if q >= q_star:
@@ -160,18 +164,13 @@ def sharp_constant(n, s):
     return ps.constant
 
 
-Q_LIMIT_WINDOW = 1e-8
-
-
 def slope(n, q, k):
     """(gamma_k(n/q) - 1)/(q - 2), with the q = 2 limit (n/4) alpha_k(n/2)."""
     return float(slope_sequence(n, q, k)[k])
 
 
 def slope_sequence(n, q, kmax):
-    # within the window the raw quotient is pure cancellation noise while
-    # the limit value differs from the truth by only ~|q-2| * O(k^2)
-    if abs(q - 2.0) <= Q_LIMIT_WINDOW:
+    if abs(q - 2.0) <= Q_WINDOW:
         return 0.25 * n * alpha_sequence(n, 0.5 * n, kmax)
     return (gamma_sequence(n, n / q, kmax) - 1.0) / (q - 2.0)
 
@@ -239,6 +238,8 @@ def monotonicity_scan(n_values, q_grid, kmax):
     Returns the number checked, violations, the smallest increment and
     where it occurred.
     """
+    if kmax < 2:
+        raise ValueError(f"the scan needs degrees up to kmax >= 2, got {kmax}")
     q_grid = np.sort(np.asarray(q_grid, dtype=float))
     min_gap = _INF
     argmin = ()

@@ -8,10 +8,12 @@ shell user would hit them.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fracsphere import cli
 from fracsphere.cli import main
+from fracsphere.flow import FlowResult
 from fracsphere.inequality import REPORT_HEADER
 from fracsphere.spectrum import CONSTANTS_HEADER
 
@@ -75,9 +77,22 @@ def test_constants_endpoint_order_gamma_nan(capsys):
 
 def test_constants_rejects_bad_exponent(capsys):
     rc, out, err = run(capsys, ["constants", "--n", "3", "--s", "2", "--q", "10"])
-    assert rc == 1
+    assert rc == 2
     assert out == ""
-    assert err.startswith("constants:")
+    assert err.startswith("fracsphere constants:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--kmax", "-1"],
+    ["scan", "--kmax", "1"],
+    ["flow", "--q", "2"],
+    ["euclid", "--s", "1.0", "--mode", "thm16"],
+])
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    rc, out, err = run(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"fracsphere {argv[0]}: ") and err.count("\n") == 1
 
 
 def test_constants_out_file(tmp_path, capsys):
@@ -196,6 +211,18 @@ def test_scan_constant_landscape(tmp_path, capsys):
     assert by_s[3.0].pop() == pytest.approx(1.0 / 6.0, rel=1e-13)
 
 
+def test_scan_landscape_skips_inadmissible_pairs(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s_grid": [0.0, 1.5], "q_grid": [1.5, 3.0]}))
+    path = tmp_path / "landscape.csv"
+    rc, _, _ = run(capsys, ["scan", "--config", str(cfg), "--mode", "s_grid",
+                            "--n", "3", "--out", str(path)])
+    assert rc == 0
+    rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+    # q = 3 exceeds the s = 0 ceiling q <= 2
+    assert rows == [["1.5", "0"], ["1.5", "1.5"], ["3", "1.5"]]
+
+
 # -------------------------------------------------------------------- flow
 
 def test_flow_writes_csv_and_summary(tmp_path, capsys):
@@ -226,6 +253,32 @@ def test_flow_deterministic_bytes(tmp_path, capsys):
     run(capsys, args + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_flow_blow_up_fails_with_strict_json(tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    rc, _, err = run(capsys, ["flow", "--dt", "0.05", "--s", "1", "--kmax", "128",
+                              "--out", str(path)])
+    assert rc == 1
+    assert "FAIL" in err
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    summary = json.loads((tmp_path / "run.json").read_text(), parse_constant=refuse)
+    assert summary["fitted_rate"] is None and summary["ratio"] is None
+
+
+def test_flow_mass_drift_fails(tmp_path, capsys, monkeypatch):
+    # entropy inside its bound, mass drifting: the mass gate alone fails
+    def drifting(cfg):
+        t = np.array([0.0, 1.0])
+        return FlowResult(config=cfg, times=t, entropy=np.array([1e-4, 1e-5]),
+                          mass=np.array([1.0, 1.0 + 1e-6]), bound=np.array([1e-4, 1e-4]),
+                          fitted_rate=2.0, theoretical_rate=2.0)
+    monkeypatch.setattr(cli, "run_flow", drifting)
+    rc, _, err = run(capsys, ["flow", "--out", str(tmp_path / "run.csv")])
+    assert rc == 1
+    assert "mass drift" in err
 
 
 # ------------------------------------------------------------------ euclid

@@ -1,14 +1,17 @@
 """Deficit reports, kernel eigenvalues, probes, Taylor remainder bounds."""
 
 import json
+import re
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracsphere.field import ZonalField, field_from_descriptor, quadratic_form
-from fracsphere.inequality import (EQUALITY_CASES, RANDOM_CASES, REPORT_HEADER,
-                                   InequalityReport, deficit, deficit_square,
-                                   equality_suite, funk_hecke_mu,
+from fracsphere.inequality import (EQUALITY_CASES, KINDS, RANDOM_CASES,
+                                   REPORT_HEADER, InequalityReport, deficit,
+                                   deficit_square, equality_suite, funk_hecke_mu,
                                    linearization_probe, random_suite,
                                    report_row, reports_csv, reports_json,
                                    taylor_bounds, taylor_case_constant,
@@ -88,16 +91,52 @@ def test_near_optimizer_deficit_vanishes_fast():
 
 def test_kind_parameter_mismatches_raise():
     fld = ZonalField(2, [1.0, 0.1])
-    with pytest.raises(ValueError):
-        deficit(fld, derive_params(2, -1.0, 1.1), "interpolation")
-    with pytest.raises(ValueError):
-        deficit(fld, derive_params(2, 1.0, 3.0), "hls")
-    with pytest.raises(ValueError):
-        deficit(fld, derive_params(2, 1.0, 3.0), "logsob_critical")
-    with pytest.raises(ValueError):
+    # one parameter set outside each kind's admissible range
+    outside = {
+        "interpolation": derive_params(2, -1.0, 1.1),
+        "sobolev": derive_params(2, 2.0, 3.0),
+        "hls": derive_params(2, 1.0, 3.0),
+        "poincare": derive_params(2, 0.0, 2.0),
+        "logsob": derive_params(2, -1.0, 1.1),
+        "logsob_critical": derive_params(2, 1.0, 3.0),
+        "s0_subcritical": derive_params(2, 1.0, 1.5),
+        "improved": derive_params(2, 1.0, 4.0),
+        "square": derive_params(2, 2.0, 3.0),
+    }
+    assert set(outside) == set(KINDS)
+    for kind, ps in outside.items():
+        with pytest.raises(ValueError, match=re.escape(KINDS[kind].message)):
+            deficit(fld, ps, kind)
+    with pytest.raises(ValueError, match="unknown inequality kind"):
         deficit(fld, derive_params(2, 1.0, 3.0), "no_such_kind")
-    with pytest.raises(ValueError):
-        deficit(fld, derive_params(2, 0.0, 2.0), "poincare")
+
+
+def _s3_probe_lhs(c):
+    """(||F||_4^2 - ||F||_2^2) / 2 at 50 digits for F = c0 + c1 Y_1 + c2 Y_2
+    on S^3, where the latitude z follows the semicircle law, Y_k = U_k
+    and E[z^(2j)] = Catalan(j) / 4^j."""
+    with mpmath.workdps(50):
+        c0, c1, c2 = (mpmath.mpf(float(v)) for v in c)
+        f = [c0 - c2, 2 * c1, 4 * c2]       # U_1 = 2z, U_2 = 4z^2 - 1
+        f2 = [sum(f[i] * f[k - i] for i in range(3) if 0 <= k - i < 3)
+              for k in range(5)]
+        f4 = [sum(f2[i] * f2[k - i] for i in range(5) if 0 <= k - i < 5)
+              for k in range(9)]
+        m4 = sum(a * mpmath.binomial(k, k // 2) / (k // 2 + 1) / 2 ** k
+                 for k, a in enumerate(f4) if k % 2 == 0)
+        return float((mpmath.sqrt(m4) - (c0 ** 2 + c1 ** 2 + c2 ** 2)) / 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-8.0, max_value=-2.0))
+def test_near_constant_quotient_matches_50_digits(log_eps):
+    # F = 1 + eps (Y_1 + 0.3 Y_2): the quotient is O(eps^2) while each
+    # norm is 1 + O(eps), so a plain difference of norms cancels
+    eps = 10.0 ** log_eps
+    fld = ZonalField(3, [1.0, eps, 0.3 * eps])
+    r = deficit(fld, derive_params(3, 2.0, 4.0), "interpolation")
+    assert r.lhs == pytest.approx(_s3_probe_lhs(fld.coeffs), rel=1e-6)
+    assert r.deficit >= 0.0
 
 
 def test_exponents_near_two_redirect_to_entropy():
@@ -160,6 +199,11 @@ def test_square_nonnegative_off_optimum():
     # sign-changing fields are fine: G carries the sign
     r2 = deficit_square(ZonalField(1, [0.1, 1.0]), ps)
     assert r2.relative_deficit >= -1e-8
+
+
+def test_square_kind_is_deficit_square():
+    fld, ps = ZonalField(2, [1.0, 0.3, -0.2]), derive_params(2, 1.0)
+    assert deficit(fld, ps, "square") == deficit_square(fld, ps)
 
 
 def test_square_needs_interior_order():

@@ -59,6 +59,7 @@ def test_admissible_combinations(n, s, q):
     (1, -0.5, 4.0 / 3.0),      # the dual critical exponent itself
     (3, 2.0, 6.5),             # above q_star
     (2, 1.0, 0.5),             # q < 1
+    (2, 1.0, float("nan")),    # NaN is not an exponent
     (2, 0.0, 2.5),             # s = 0 needs q <= 2
     (2, 2.5, 3.0),             # s > n
     (2, -2.0, 1.1),            # s <= -n
