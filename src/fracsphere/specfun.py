@@ -201,9 +201,12 @@ def gauss_jacobi(m, a, b):
         lo = np.where(exact, x, np.where(shrink_hi, lo, x))
         flo = np.where(exact | shrink_hi, flo, pm)
         xn = np.where(exact, x, x - pm / dp)
-        bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-        xn = np.where(bad & ~exact, 0.5 * (lo + hi), xn)
-        done = np.abs(xn - x) <= 1e-16 * (1.0 + np.abs(xn))
+        # a converged root sits on a bracket end, where its last Newton
+        # step of a few ulps may land outside: test the step before the
+        # bracket, or the safeguard bisects away from the root again
+        done = np.abs(xn - x) <= 1e-14 * (1.0 + np.abs(x))
+        bad = ~done & ((xn <= lo) | (xn >= hi) | ~np.isfinite(xn))
+        xn = np.where(bad, 0.5 * (lo + hi), xn)
         x = xn
         if done.all():
             break
