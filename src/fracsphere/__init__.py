@@ -15,14 +15,13 @@ __version__ = "0.1.0"
 
 from .specfun import (QuadratureRule, gamma_ratio, gauss_jacobi, gegenbauer,
                       log_gamma, sphere_rule)
-from .spectrum import (ParameterSet, alpha_k, delta_k, derive_params, gamma_k,
-                       monotonicity_scan, operator_eigenvalue, sharp_constant,
-                       slope)
+from .spectrum import (ParameterSet, derive_params, monotonicity_scan,
+                       operator_eigenvalue, sharp_constant)
 from .field import (ZonalField, analyze, entropy2, field_from_descriptor,
                     lq_norm, quadratic_form, quotient, synthesize)
 from .inequality import (InequalityReport, deficit, deficit_square,
                          funk_hecke_mu, linearization_probe, taylor_remainder)
-from .flow import FlowConfig, FlowResult, entropy_eq, run_flow
+from .flow import FlowConfig, FlowResult, run_flow
 from .euclid import (EuclidParams, GridField, eigen_residual,
                      frac_laplacian_oracle, pushforward, thm16_deficit,
                      weighted_norm)

@@ -1,19 +1,26 @@
 """Command line front end.
 
-Five subcommands:
+Five subcommands.  OPTIONS lists what each reads, its flags and then its
+config-only keys; all five also take --config and --out:
 
   constants   derived parameters plus gamma/delta/eps columns up to K
+              --n --s --q --kmax; rows
   verify      deficit reports for equality cases plus seeded random fields
+              --count --seed
   scan        slope monotonicity scan, or the (q, s) constant landscape
+              --n --kmax --mode; q_grid s_grid
   flow        entropy decay of the fast-diffusion flow on the circle
+              --s --q --kmax --dt --t-max; sample_every init
   euclid      line-side checks: eigen-residuals, optimizer deficit, profile
+              --s --q --mode; L N kmax
 
-Options may come from a JSON config file (--config) whose optional
-"command" key must agree with the subcommand; explicit flags win over
-the file.  All outputs are deterministic for a fixed config and seed,
-byte for byte.  The environment variable FRACSPHERE_TOL (default 1e-10)
-sets the deficit gate used by verify and euclid.  Exit status is 1
-when an asserted bound fails and 2 on bad input.
+--config names a JSON file of options; explicit flags win over it.  A
+file that cannot be read, a "command" key naming another subcommand or a
+key the subcommand does not read is bad input.  All outputs are
+deterministic for a fixed config and seed, byte for byte.  The
+environment variable FRACSPHERE_TOL (default 1e-10) sets the deficit gate
+used by verify and euclid.  Exit status is 1 when an asserted bound
+fails and 2 on bad input.
 """
 
 import argparse
@@ -46,25 +53,62 @@ def _write(path, text):
             fh.write(text)
 
 
-def _merge(file_cfg, args, keys):
-    """Config-file values first, explicit flags override."""
-    out = dict(file_cfg)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
+def _one_of(*names):
+    def mode(value):
+        if value not in names:
+            raise ValueError(f"unknown mode {value!r}, expected one of {names}")
+        return value
+    return mode
 
 
-def _load_config(path, command):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    named = cfg.get("command")
-    if named is not None and named != command:
-        raise SystemExit(f"config names command {named!r}, invoked as {command!r}")
-    return cfg
+# subcommand -> option -> (type, default, has a flag); the rest are config-only
+FLAG, CONFIG = True, False
+OPTIONS = {
+    "constants": {"n": (int, 1, FLAG), "s": (float, 0.5, FLAG), "q": (float, None, FLAG),
+                  "kmax": (int, 8, FLAG), "rows": (list, None, CONFIG),
+                  "out": (str, None, FLAG)},
+    "verify": {"count": (int, 200, FLAG), "seed": (int, 0, FLAG), "out": (str, None, FLAG)},
+    # n defaults to 5 for lemma22 and 3 for s_grid, q_grid to each mode's grid
+    "scan": {"n": (int, None, FLAG), "kmax": (int, 50, FLAG),
+             "mode": (_one_of("lemma22", "s_grid"), "lemma22", FLAG),
+             "q_grid": (list, None, CONFIG), "s_grid": (list, None, CONFIG),
+             "out": (str, None, FLAG)},
+    "flow": {"s": (float, 0.5, FLAG), "q": (float, 4.0, FLAG), "kmax": (int, 32, FLAG),
+             "dt": (float, 1e-3, FLAG), "t_max": (float, 6.0, FLAG),
+             "sample_every": (int, 50, CONFIG),
+             "init": (dict, {"family": "one_plus_eps_y1", "eps": 0.01}, CONFIG),
+             "out": (str, "flow_out.csv", FLAG)},
+    "euclid": {"s": (float, 0.5, FLAG), "q": (float, None, FLAG),
+               "mode": (_one_of("eigen", "thm16", "all"), "all", FLAG),
+               "L": (float, 60.0, CONFIG), "N": (int, 2 ** 15, CONFIG),
+               "kmax": (int, 4, CONFIG), "out": (str, "euclid_out.csv", FLAG)},
+}
+
+
+def resolve(command, args):
+    """The options of one subcommand: table defaults, overlaid by the
+    config file, overlaid by the flags, each converted to its type.
+    Raises ValueError for a config file that cannot be read, names
+    another subcommand or holds a key the subcommand does not read."""
+    table = OPTIONS[command]
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from None
+        if not isinstance(cfg, dict):
+            raise ValueError("the config must be a JSON object")
+        named = cfg.pop("command", None)
+        if named not in (None, command):
+            raise ValueError(f"config names command {named!r}, invoked as {command!r}")
+        unknown = sorted(set(cfg) - set(table))
+        if unknown:
+            raise ValueError(f"config keys not read by {command}: {', '.join(unknown)}")
+    cfg.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
+    return {key: default if cfg.get(key) is None else typ(cfg[key])
+            for key, (typ, default, _) in table.items()}
 
 
 def _spectral_columns(ps, kmax):
@@ -76,13 +120,11 @@ def _spectral_columns(ps, kmax):
     return gamma, delta, eps
 
 
-def cmd_constants(args):
-    cfg = _merge(_load_config(args.config, "constants"), args,
-                 ("n", "s", "q", "kmax", "out"))
-    rows = cfg.get("rows")
+def cmd_constants(opt):
+    rows = opt["rows"]
     if rows is None:
-        rows = [{"n": cfg.get("n", 1), "s": cfg.get("s", 0.5), "q": cfg.get("q")}]
-    kmax = int(cfg.get("kmax") or 8)
+        rows = [{"n": opt["n"], "s": opt["s"], "q": opt["q"]}]
+    kmax = opt["kmax"]
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     lines = [CONSTANTS_HEADER]
@@ -95,17 +137,14 @@ def cmd_constants(args):
             tables.append("%d,%s,%s,%d,%.17g,%.17g,%.17g"
                           % (ps.n, repr(ps.s), repr(ps.q), k,
                              gamma[k], delta[k], eps[k]))
-    _write(cfg.get("out"), "\n".join(lines) + "\n\n" + "\n".join(tables) + "\n")
+    _write(opt["out"], "\n".join(lines) + "\n\n" + "\n".join(tables) + "\n")
     return 0
 
 
-def cmd_verify(args):
-    cfg = _merge(_load_config(args.config, "verify"), args,
-                 ("count", "seed", "out"))
+def cmd_verify(opt):
     tol = tolerance()
-    reports = equality_suite() + random_suite(int(cfg.get("seed", 0)),
-                                              int(cfg.get("count", 200)))
-    _write(cfg.get("out"), reports_csv(reports))
+    reports = equality_suite() + random_suite(opt["seed"], opt["count"])
+    _write(opt["out"], reports_csv(reports))
     ok = True
     for r in reports:
         gate = max(tol, 1e-8) if r.kind == "square" else tol
@@ -122,45 +161,45 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def cmd_scan(args):
-    cfg = _merge(_load_config(args.config, "scan"), args,
-                 ("n", "kmax", "mode", "out"))
-    if cfg.get("mode", "lemma22") == "s_grid":
-        return _scan_constant_landscape(cfg)
-    nmax = int(cfg.get("n") or 5)
-    kmax = int(cfg.get("kmax") or 50)
-    q_grid = cfg.get("q_grid")
+def cmd_scan(opt):
+    if opt["mode"] == "s_grid":
+        return _scan_constant_landscape(opt)
+    nmax = 5 if opt["n"] is None else opt["n"]
+    q_grid = opt["q_grid"]
     if q_grid is None:
         q_grid = [1.01] + [round(1.1 + 0.1 * i, 10) for i in range(189)]
-    rep = monotonicity_scan(range(1, nmax + 1), q_grid, kmax)
+    rep = monotonicity_scan(range(1, nmax + 1), q_grid, opt["kmax"])
     summary = json.dumps({
         "argmin": list(rep.argmin),
         "checked": rep.checked,
-        "kmax": kmax,
+        "kmax": opt["kmax"],
         "min_gap": rep.min_gap,
         "n_max": nmax,
         "q_count": len(q_grid),
         "violations": rep.violations,
-    }, sort_keys=True)
-    _write(cfg.get("out"), summary + "\n")
+    }, sort_keys=True, allow_nan=False)
+    _write(opt["out"], summary + "\n")
     print(f"scan: {rep.checked} increments, {rep.violations} violations, "
           f"min gap {rep.min_gap:.6e}")
     return 0 if rep.violations == 0 else 1
 
 
-def _scan_constant_landscape(cfg):
+def _scan_constant_landscape(opt):
     """CSV of the sharp constant over a (q, s) grid.
 
     The constant depends on s only; emitting it against a q grid makes
     the independence visible in the artifact, and the command asserts it
-    by comparing rows across q at fixed s.
+    by comparing rows across q at fixed s.  A grid without one admissible
+    pair (any grid when n < 1) checks nothing and is rejected.
     """
-    n = int(cfg.get("n") or 3)
-    s_grid = cfg.get("s_grid")
+    n = 3 if opt["n"] is None else opt["n"]
+    s_grid = opt["s_grid"]
     if s_grid is None:
         s_grid = [round(f * n, 10) for f in
                   (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0)]
-    q_grid = cfg.get("q_grid") or [1.2, 1.5, 2.0, 3.0, 4.0]
+    q_grid = opt["q_grid"]
+    if q_grid is None:
+        q_grid = [1.2, 1.5, 2.0, 3.0, 4.0]
     lines = ["q,s,C"]
     spread = 0.0
     for s in s_grid:
@@ -174,25 +213,16 @@ def _scan_constant_landscape(cfg):
             lines.append("%.17g,%.17g,%.17g" % (q, s, ps.constant))
         if vals:
             spread = max(spread, max(vals) - min(vals))
-    _write(cfg.get("out"), "\n".join(lines) + "\n")
+    if len(lines) == 1:
+        raise ValueError(f"no admissible (q, s) pair in the grid for n = {n}")
+    _write(opt["out"], "\n".join(lines) + "\n")
     print(f"scan: constant landscape n={n}, worst spread across q {spread:.3e}")
     return 0 if spread == 0.0 else 1
 
 
-def cmd_flow(args):
-    cfg = _merge(_load_config(args.config, "flow"), args,
-                 ("s", "q", "out", "dt", "t_max", "kmax"))
-    fc = FlowConfig(
-        s=float(cfg.get("s", 0.5)),
-        q=float(cfg.get("q", 4.0)),
-        kmax=int(cfg.get("kmax") or 32),
-        dt=float(cfg.get("dt") or 1e-3),
-        t_max=float(cfg.get("t_max") or 6.0),
-        sample_every=int(cfg.get("sample_every", 50)),
-        init=cfg.get("init", {"family": "one_plus_eps_y1", "eps": 0.01}),
-    )
-    res = run_flow(fc)
-    out = cfg.get("out") or "flow_out.csv"
+def cmd_flow(opt):
+    out = opt.pop("out")
+    res = run_flow(FlowConfig(**opt))    # the other flow options are FlowConfig fields
     _write(out, res.csv())
     _write(os.path.splitext(out)[0] + ".json", res.summary() + "\n")
     # every gate reads "not (value within bound)", so NaN fails it
@@ -212,23 +242,17 @@ def cmd_flow(args):
     return 0
 
 
-def cmd_euclid(args):
-    cfg = _merge(_load_config(args.config, "euclid"), args,
-                 ("s", "q", "mode", "out", "seed"))
-    mode = cfg.get("mode", "all")
-    if mode not in ("eigen", "thm16", "all"):
-        print(f"euclid: unknown mode {mode!r}", file=sys.stderr)
-        return 2
-    s = float(cfg.get("s", 0.5))
-    ps_probe = derive_params(1, s)
-    q = cfg.get("q")
-    q = 0.5 * (2.0 + ps_probe.q_star) if q is None else float(q)
+def cmd_euclid(opt):
+    mode, s, q, kmax = opt["mode"], opt["s"], opt["q"], opt["kmax"]
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    if q is None:
+        q = 0.5 * (2.0 + derive_params(1, s).q_star)
     ps = derive_params(1, s, q)
-    eu = EuclidParams(n=1, s=s, L=float(cfg.get("L", 60.0)),
-                      N=int(cfg.get("N", 2 ** 15)))
-    kmax = int(cfg.get("kmax") or 4)
+    eu = EuclidParams(n=1, s=s, L=opt["L"], N=opt["N"])
     tol = tolerance()
     summary = {"q": q, "s": s}
+    parts = []      # of the verdict line
     ok = True
 
     if mode in ("eigen", "all"):
@@ -236,6 +260,7 @@ def cmd_euclid(args):
                      for k in range(kmax + 1)}
         summary["eigen_residuals"] = residuals
         worst = max(residuals.values())
+        parts.append(f"worst eigen-residual {worst:.3e}")
         if worst > 1e-3:
             print(f"euclid: FAIL eigen-residual {worst:.3e} exceeds 1e-3",
                   file=sys.stderr)
@@ -244,16 +269,15 @@ def cmd_euclid(args):
     if mode in ("thm16", "all"):
         report = thm16_deficit(lambda x: f_star(s, x), ps,
                                descriptor=json.dumps({"family": "pullback_fstar"}))
-        summary["deficit"] = report.deficit
-        summary["lhs"] = report.lhs
-        summary["rhs"] = report.rhs
+        summary.update(deficit=report.deficit, lhs=report.lhs, rhs=report.rhs)
+        parts.append(f"optimizer deficit {report.deficit:.3e}")
         if report.deficit < -max(tol, 1e-8):
             print(f"euclid: FAIL optimizer deficit {report.deficit:.3e}",
                   file=sys.stderr)
             ok = False
 
     gf = grid_field(lambda x: f_star(s, x), eu)
-    out = cfg.get("out") or "euclid_out.csv"
+    out = opt["out"]
     lines = ["x,value"]
     lines.extend(f"{float(x)!r},{float(v)!r}" for x, v in zip(gf.x, gf.values))
     _write(out, "\n".join(lines) + "\n")
@@ -261,12 +285,6 @@ def cmd_euclid(args):
            json.dumps(summary, sort_keys=True) + "\n")
 
     if ok:
-        parts = []
-        if "eigen_residuals" in summary:
-            parts.append(f"worst eigen-residual "
-                         f"{max(summary['eigen_residuals'].values()):.3e}")
-        if "deficit" in summary:
-            parts.append(f"optimizer deficit {summary['deficit']:.3e}")
         print("euclid: " + ", ".join(parts))
     return 0 if ok else 1
 
@@ -275,42 +293,21 @@ def build_parser():
     p = argparse.ArgumentParser(prog="fracsphere", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    specs = {
-        "constants": cmd_constants,
-        "verify": cmd_verify,
-        "scan": cmd_scan,
-        "flow": cmd_flow,
-        "euclid": cmd_euclid,
-    }
-    for name, fn in specs.items():
-        sp = sub.add_parser(name)
+    for name, table in OPTIONS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)    # no --s for --seed
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--s", type=float)
-        sp.add_argument("--q", type=float)
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
-        if name == "constants":
-            sp.add_argument("--kmax", type=int)
-        if name == "verify":
-            sp.add_argument("--count", type=int)
-        if name == "scan":
-            sp.add_argument("--kmax", type=int)
-            sp.add_argument("--mode", choices=("lemma22", "s_grid"))
-        if name == "flow":
-            sp.add_argument("--dt", type=float)
-            sp.add_argument("--t-max", dest="t_max", type=float)
-            sp.add_argument("--kmax", type=int)
-        if name == "euclid":
-            sp.add_argument("--mode", choices=("eigen", "thm16", "all"))
-        sp.set_defaults(func=fn)
+        for key, (typ, _, flag) in table.items():
+            if flag:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    commands = {"constants": cmd_constants, "verify": cmd_verify, "scan": cmd_scan,
+                "flow": cmd_flow, "euclid": cmd_euclid}
     try:
-        return args.func(args)
+        return commands[args.command](resolve(args.command, args))
     except ValueError as exc:
         print(f"fracsphere {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -95,6 +95,11 @@ class FlowOps:
             raise ValueError("flow order must satisfy 0 < s <= 1")
         if abs(cfg.q - 2.0) <= Q_WINDOW:
             raise ValueError("the entropy E_q degenerates at q = 2")
+        if cfg.kmax < 1 or cfg.sample_every < 1:
+            raise ValueError(f"kmax and sample_every must be >= 1, got "
+                             f"{cfg.kmax} and {cfg.sample_every}")
+        if not (cfg.dt > 0.0 and cfg.t_max > 0.0):     # NaN fails too
+            raise ValueError(f"dt and t_max must be > 0, got {cfg.dt} and {cfg.t_max}")
         self.cfg = cfg
         self.ps = derive_params(1, cfg.s, cfg.q)
         self.q = cfg.q
@@ -208,11 +213,3 @@ def run_flow(cfg):
     return FlowResult(config=cfg, times=times, entropy=ent, mass=mass,
                       bound=bound, fitted_rate=fitted,
                       theoretical_rate=rate_theory)
-
-
-def entropy_eq(u, q):
-    """Entropy of a nodal density under uniform weights (standalone helper)."""
-    if abs(q - 2.0) <= Q_WINDOW:
-        raise ValueError("the entropy functional degenerates at q = 2")
-    u = np.asarray(u, dtype=float)
-    return (u.mean() ** (2.0 / q) - (u ** (2.0 / q)).mean()) / (q - 2.0)

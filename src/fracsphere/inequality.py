@@ -23,7 +23,7 @@ from .field import (ZonalField, descriptor_of, difference_quotient, entropy2,
                     field_from_descriptor, is_constant, lq_norm,
                     quadratic_form, quotient, synthesize, analyze)
 from .specfun import gegenbauer, gegenbauer_at_one, gauss_jacobi, log_gamma, sphere_rule
-from .spectrum import Q_WINDOW, derive_params, gamma_k, operator_eigenvalue
+from .spectrum import Q_WINDOW, derive_params, gamma_sequence, operator_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ def report_row(r):
 
 def reports_csv(reports):
     return "\n".join([REPORT_HEADER] + [report_row(r) for r in reports]) + "\n"
-
-
-def reports_json(reports):
-    return json.dumps([vars(r) for r in reports], sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +118,7 @@ class Kind:
     exponent: Callable
     entropy_kind: str = None    # the kind evaluated within Q_WINDOW of q = 2
     equality: Callable = is_constant
-    nodes: tuple = (160, 6)     # the rule has max(m0, r * (K + 1)) nodes
+    nodes: tuple = (160, 6)     # the rule has max(m0, r * (K + 1)) nodes; None: no rule
 
 
 _Q, _Q_STAR, _SHARP = attrgetter("q"), attrgetter("q_star"), attrgetter("constant")
@@ -137,7 +133,7 @@ KINDS = {
                 _form(difference_quotient, "L", _SHARP), _Q),
     "poincare": Kind(lambda ps: ps.s != 0.0,
                      "use the s = 0 kinds for the derivative operator",
-                     _form(_variance, "L", _SHARP), _Q,
+                     _form(_variance, "L", _SHARP), _Q, nodes=None,
                      equality=lambda fld: bool(np.all(fld.coeffs[2:] == 0.0))),
     "logsob": Kind(lambda ps: 0.0 < ps.s <= ps.n, "the entropy form needs s in (0, n]",
                    _form(_entropy, "L", _SHARP), lambda ps: 2.0),
@@ -175,7 +171,9 @@ def deficit(fld, ps, kind):
         kind, form = form.entropy_kind, KINDS[form.entropy_kind]
     if not form.admits(ps):
         raise ValueError(form.message)
-    rule = sphere_rule(fld.n, max(form.nodes[0], form.nodes[1] * (fld.kmax + 1)))
+    rule = None
+    if form.nodes is not None:
+        rule = sphere_rule(fld.n, max(form.nodes[0], form.nodes[1] * (fld.kmax + 1)))
     lhs, rhs = form.sides(fld, ps, rule)
     return InequalityReport.from_sides(kind, ps, form.exponent(ps), lhs, rhs,
                                        descriptor_of(fld), form.equality(fld))
@@ -208,7 +206,7 @@ def funk_hecke_mu(n, lam, k):
         raise ValueError("kernel order lam must lie in (0, n)")
     log_a = (log_gamma(float(n)) + log_gamma(0.5 * (n - lam))
              - lam * np.log(2.0) - log_gamma(0.5 * n) - log_gamma(n - 0.5 * lam))
-    closed = float(np.exp(log_a)) * gamma_k(n, n - 0.5 * lam, k)
+    closed = float(np.exp(log_a) * gamma_sequence(n, n - 0.5 * lam, k)[k])
 
     rule = gauss_jacobi(k + 12, 0.5 * (n - 2.0 - lam), 0.5 * (n - 2.0))
     gk = gegenbauer(k, 0.5 * (n - 1.0), rule.nodes) / gegenbauer_at_one(k, 0.5 * (n - 1.0))
@@ -360,6 +358,8 @@ def equality_suite():
 def random_suite(seed, count):
     """Deterministic batch of seeded band-limited random fields cycling
     through every inequality kind."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     out = []
     kmaxes = (4, 8, 16)
     for i in range(count):

@@ -11,7 +11,6 @@ computed by the product recurrence gamma_k / gamma_{k-1}
 of large intermediate values.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +111,6 @@ def gamma_sequence(n, x, kmax):
     return out
 
 
-def gamma_k(n, x, k):
-    return float(gamma_sequence(n, x, k)[k])
-
-
 def delta_sequence(n, s, kmax):
     """Eigenvalues delta_k = (gamma_k((n-s)/2) - 1) / kappa of the
     Dirichlet-form operator; the s = n endpoint is taken in the limit,
@@ -132,10 +127,6 @@ def delta_sequence(n, s, kmax):
     return (gamma_sequence(n, x, kmax) - 1.0) * inv_kappa
 
 
-def delta_k(n, s, k):
-    return float(delta_sequence(n, s, k)[k])
-
-
 def alpha_sequence(n, x, kmax):
     """alpha_k(x) = sum_{j<k} [1/(n+j-x) + 1/(j+x)], the negative
     logarithmic derivative of gamma_k at x."""
@@ -144,10 +135,6 @@ def alpha_sequence(n, x, kmax):
         j = np.arange(kmax, dtype=float)
         out[1:] = np.cumsum(1.0 / (n + j - x) + 1.0 / (j + x))
     return out
-
-
-def alpha_k(n, x, k):
-    return float(alpha_sequence(n, x, k)[k])
 
 
 def sharp_constant(n, s):
@@ -164,12 +151,9 @@ def sharp_constant(n, s):
     return ps.constant
 
 
-def slope(n, q, k):
-    """(gamma_k(n/q) - 1)/(q - 2), with the q = 2 limit (n/4) alpha_k(n/2)."""
-    return float(slope_sequence(n, q, k)[k])
-
-
 def slope_sequence(n, q, kmax):
+    """(gamma_k(n/q) - 1)/(q - 2) for k = 0..kmax, with the q = 2 limit
+    (n/4) alpha_k(n/2)."""
     if abs(q - 2.0) <= Q_WINDOW:
         return 0.25 * n * alpha_sequence(n, 0.5 * n, kmax)
     return (gamma_sequence(n, n / q, kmax) - 1.0) / (q - 2.0)
@@ -234,12 +218,16 @@ def monotonicity_scan(n_values, q_grid, kmax):
     """Check that k >= 2 slopes are strictly increasing along q.
 
     Scans consecutive pairs of the (sorted) q grid for every dimension in
-    n_values and every degree 2..kmax, counting non-positive increments.
-    Returns the number checked, violations, the smallest increment and
-    where it occurred.
+    n_values and every degree 2..kmax, counting increments that are not
+    positive, NaN included.  Returns the number checked, violations, the
+    smallest increment and where it occurred.  An empty dimension range or
+    a grid of fewer than two exponents checks nothing and is rejected.
     """
     if kmax < 2:
         raise ValueError(f"the scan needs degrees up to kmax >= 2, got {kmax}")
+    if len(n_values) == 0 or len(q_grid) < 2:
+        raise ValueError(f"the scan needs a dimension and two exponents, got "
+                         f"{len(n_values)} and {len(q_grid)}")
     q_grid = np.sort(np.asarray(q_grid, dtype=float))
     min_gap = _INF
     argmin = ()
@@ -249,8 +237,8 @@ def monotonicity_scan(n_values, q_grid, kmax):
         table = np.vstack([slope_sequence(n, q, kmax) for q in q_grid])
         gaps = np.diff(table[:, 2:], axis=0)
         checked += gaps.size
-        violations += int(np.count_nonzero(gaps <= 0.0))
-        j, k = np.unravel_index(np.argmin(gaps), gaps.shape)
+        violations += int(np.count_nonzero(~(gaps > 0.0)))
+        j, k = np.unravel_index(np.nanargmin(gaps), gaps.shape)
         if gaps[j, k] < min_gap:
             min_gap = float(gaps[j, k])
             argmin = (n, float(q_grid[j]), float(q_grid[j + 1]), int(k + 2))
@@ -268,24 +256,3 @@ CONSTANTS_HEADER = "n,s,q,q_star,p,lambda,kappa,C"
 def constants_row(ps):
     vals = (ps.n, ps.s, ps.q, ps.q_star, ps.p, ps.lam, ps.kappa, ps.constant)
     return ",".join("%.17g" % v for v in vals)
-
-
-@dataclass(frozen=True)
-class SpectrumTable:
-    params: ParameterSet
-    kmax: int
-    columns: dict
-
-    def to_csv(self):
-        kinds = sorted(self.columns)
-        lines = ["k," + ",".join(kinds)]
-        for k in range(self.kmax + 1):
-            lines.append("%d," % k
-                         + ",".join("%.17g" % self.columns[kind][k]
-                                    for kind in kinds))
-        return "\n".join(lines) + "\n"
-
-
-def spectrum_table(ps, kinds, kmax):
-    cols = {kind: operator_eigenvalue(ps, kind, kmax) for kind in kinds}
-    return SpectrumTable(params=ps, kmax=kmax, columns=cols)

@@ -7,6 +7,9 @@ shell user would hit them.
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +90,15 @@ def test_constants_rejects_bad_exponent(capsys):
     ["scan", "--kmax", "1"],
     ["flow", "--q", "2"],
     ["euclid", "--s", "1.0", "--mode", "thm16"],
+    # an explicit 0 or negative value is never replaced by a default
+    ["scan", "--kmax", "0"],
+    ["scan", "--n", "0"],
+    ["scan", "--n", "-1"],
+    ["scan", "--mode", "s_grid", "--n", "-2"],
+    ["flow", "--dt", "0"],
+    ["flow", "--t-max", "0"],
+    ["flow", "--kmax", "0"],
+    ["verify", "--count", "-1"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     rc, out, err = run(capsys, argv + ["--out", str(tmp_path / "out")])
@@ -118,13 +130,72 @@ def test_constants_config_rows(tmp_path, capsys):
     assert {line.split(",")[0] for line in table[1:]} == {"1", "3"}
 
 
+def test_constants_kmax_zero_writes_degree_zero_only(capsys):
+    rc, out, _ = run(capsys, ["constants", "--kmax", "0"])
+    assert rc == 0
+    table = out.split("\n\n")[1].splitlines()
+    assert [line.split(",")[3] for line in table[1:]] == ["0"]
+
+
+# flags that a subcommand accepted at one time and never read
+@pytest.mark.parametrize("command,flag", [
+    ("constants", "--seed"),
+    ("verify", "--n"), ("verify", "--s"), ("verify", "--q"),
+    ("scan", "--s"), ("scan", "--q"), ("scan", "--seed"),
+    ("flow", "--n"), ("flow", "--seed"),
+    ("euclid", "--n"), ("euclid", "--seed"),
+])
+def test_unread_flag_exits_2(command, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "3", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```\w*\n(.*?)```", readme, re.S)
+    commands = [shlex.split(line)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("fracsphere ")]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fracsphere {shlex.join(argv)}")
+
+
 # ------------------------------------------------------------ config files
 
-def test_config_command_mismatch_raises(tmp_path):
+def test_config_command_mismatch_raises(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "verify"}))
-    with pytest.raises(SystemExit, match="verify"):
-        main(["constants", "--config", str(cfg)])
+    rc, out, err = run(capsys, ["constants", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "'verify'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,content,message", [
+    ("verify", None, "cannot read config"),
+    ("verify", {"command": "verify", "count": 3, "kmax": 4},
+     "config keys not read by verify: kmax"),
+    ("constants", [1, 2], "must be a JSON object"),
+    ("scan", {"mode": "bogus"}, "unknown mode 'bogus'"),
+    ("flow", {"sample_every": 0}, "sample_every must be >= 1"),
+    ("euclid", {"kmax": -1}, "kmax must be >= 0"),
+])
+def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(json.dumps(content))
+    rc, out, err = run(capsys, [command, "--config", str(cfg),
+                                "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"fracsphere {command}: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -192,6 +263,17 @@ def test_scan_monotonicity_mode(tmp_path, capsys):
     n_min, q_lo, q_hi, k_min = summary["argmin"]
     assert 1 <= n_min <= 2 and 2 <= k_min <= 10
     assert (q_lo, q_hi) in ((1.5, 2.0), (2.0, 2.5), (2.5, 3.0))
+
+
+def test_scan_nan_exponent_is_a_violation(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"q_grid": [1.5, 3.0, NaN]}')
+    path = tmp_path / "scan.json"
+    rc, _, _ = run(capsys, ["scan", "--config", str(cfg), "--n", "2",
+                            "--kmax", "5", "--out", str(path)])
+    assert rc == 1
+    # one of the two increments per dimension and degree is NaN
+    assert json.loads(path.read_text())["violations"] == 2 * 4
 
 
 def test_scan_constant_landscape(tmp_path, capsys):

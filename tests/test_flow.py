@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from fracsphere.flow import (ENTROPY_FLOOR, FlowConfig, FlowOps, entropy_eq,
-                             fit_rate, rk4_step, run_flow)
-from fracsphere.spectrum import delta_k, sharp_constant
+from fracsphere.flow import (ENTROPY_FLOOR, FlowConfig, FlowOps, fit_rate,
+                             rk4_step, run_flow)
+from fracsphere.spectrum import delta_sequence, sharp_constant
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +18,11 @@ def short_run():
 
 # ---------------------------------------------------------------------------
 # entropy functional
+
+
+def entropy_eq(u, q):
+    """The flow's entropy of a nodal density under uniform weights."""
+    return FlowOps(FlowConfig(q=q)).entropy(np.asarray(u, dtype=float))
 
 
 def test_entropy_of_constant_density():
@@ -64,6 +69,10 @@ def test_config_validation():
         FlowOps(FlowConfig(s=1.5))
     with pytest.raises(ValueError):
         FlowOps(FlowConfig(q=2.0))
+    for bad in ({"kmax": 0}, {"dt": 0.0}, {"dt": -1e-3}, {"dt": math.nan},
+                {"t_max": 0.0}, {"sample_every": 0}):
+        with pytest.raises(ValueError, match="must be"):
+            FlowOps(FlowConfig(**bad))
 
 
 def test_initial_profile_must_be_positive():
@@ -88,7 +97,7 @@ def test_single_mode_decay_at_q_one(s, k):
     for _ in range(500):
         u = rk4_step(ops, u, 1e-3)
     decay = ops.cos_coeffs(u)[k] / a0
-    assert decay == pytest.approx(math.exp(-delta_k(1, s, k) * 0.5), rel=1e-4)
+    assert decay == pytest.approx(math.exp(-delta_sequence(1, s, k)[k] * 0.5), rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

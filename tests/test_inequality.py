@@ -1,6 +1,5 @@
 """Deficit reports, kernel eigenvalues, probes, Taylor remainder bounds."""
 
-import json
 import re
 
 import mpmath
@@ -13,7 +12,7 @@ from fracsphere.inequality import (EQUALITY_CASES, KINDS, RANDOM_CASES,
                                    REPORT_HEADER, InequalityReport, deficit,
                                    deficit_square, equality_suite, funk_hecke_mu,
                                    linearization_probe, random_suite,
-                                   report_row, reports_csv, reports_json,
+                                   report_row, reports_csv,
                                    taylor_bounds, taylor_case_constant,
                                    taylor_remainder)
 from fracsphere.spectrum import derive_params, remainder_sequence
@@ -364,13 +363,20 @@ def test_report_csv_shape(equality_reports):
     assert float(fields[4]) == equality_reports[0].lhs
 
 
-def test_report_json_roundtrip(equality_reports):
-    text = reports_json(equality_reports)
-    data = json.loads(text)
-    assert len(data) == len(equality_reports)
-    assert data[0]["kind"] == equality_reports[0].kind
-    assert data[0]["deficit"] == equality_reports[0].deficit
-    assert text == reports_json(equality_reports)
+def test_poincare_builds_no_rule(monkeypatch):
+    # its lhs is the variance of the coefficients; no integral is taken
+    def refuse(n, m):
+        raise AssertionError(f"built a {m}-node rule")
+    monkeypatch.setattr("fracsphere.inequality.sphere_rule", refuse)
+    fld = field_from_descriptor({"coeffs": [[0, 1.0], [1, 0.6], [2, 0.2]]}, 3)
+    r = deficit(fld, derive_params(3, 2.0), "poincare")
+    assert r.lhs == pytest.approx(0.4) and r.deficit > 0.0
+
+
+def test_random_suite_rejects_negative_count():
+    assert random_suite(seed=0, count=0) == []
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        random_suite(seed=0, count=-1)
 
 
 def test_report_is_frozen(equality_reports):

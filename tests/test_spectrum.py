@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from fracsphere.specfun import gamma_ratio
 from fracsphere.spectrum import (CONSTANTS_HEADER, ParameterSet, ScanReport,
-                                 alpha_k, alpha_sequence, constants_row,
-                                 delta_k, delta_sequence, derive_params,
-                                 gamma_k, gamma_sequence, monotonicity_scan,
+                                 alpha_sequence, constants_row, delta_sequence,
+                                 derive_params, gamma_sequence, monotonicity_scan,
                                  operator_eigenvalue, remainder_sequence,
-                                 sharp_constant, slope, slope_sequence,
-                                 spectrum_table)
+                                 sharp_constant, slope_sequence)
 
 # ---------------------------------------------------------------------------
 # derive_params
@@ -100,11 +98,11 @@ def test_kappa_reflection(n, frac):
 
 def test_gamma_identities():
     for n in (1, 2, 3, 5):
-        assert gamma_k(n, 0.3 * n, 0) == 1.0
+        assert gamma_sequence(n, 0.3 * n, 0)[0] == 1.0
         for q in (1.5, 3.0, 7.0):
-            assert gamma_k(n, n / q, 1) == pytest.approx(q - 1.0, rel=1e-14)
+            assert gamma_sequence(n, n / q, 1)[1] == pytest.approx(q - 1.0, rel=1e-14)
         for k in (1, 2, 10, 40):
-            assert gamma_k(n, 0.5 * n, k) == pytest.approx(1.0, rel=1e-14)
+            assert gamma_sequence(n, 0.5 * n, k)[k] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gamma_at_endpoint_x_equals_n():
@@ -126,7 +124,7 @@ def test_gamma_recurrence_matches_gamma_quotient(n, frac, k):
     # product recurrence vs the literal Gamma(x)Gamma(n-x+k)/(Gamma(n-x)Gamma(x+k))
     x = frac * n
     direct = gamma_ratio(x, x + k) * gamma_ratio(n - x + k, n - x)
-    assert gamma_k(n, x, k) == pytest.approx(direct, rel=1e-12)
+    assert gamma_sequence(n, x, k)[k] == pytest.approx(direct, rel=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -136,14 +134,15 @@ def test_gamma_recurrence_matches_gamma_quotient(n, frac, k):
 def test_gamma_reflection_product(n, frac, k):
     # gamma_k(x) * gamma_k(n - x) = 1
     x = frac * n
-    assert gamma_k(n, x, k) * gamma_k(n, n - x, k) == pytest.approx(1.0, rel=1e-12)
+    product = gamma_sequence(n, x, k)[k] * gamma_sequence(n, n - x, k)[k]
+    assert product == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gamma_strict_convexity_on_grid():
     # positive second divided differences across (0, n)
     for n, k in [(1, 2), (3, 1), (3, 5), (4, 12)]:
         xs = np.linspace(0.05 * n, 0.95 * n, 41)
-        vals = np.array([gamma_k(n, float(x), k) for x in xs])
+        vals = np.array([gamma_sequence(n, float(x), k)[k] for x in xs])
         second = np.diff(vals, 2)
         assert np.all(second > 0.0), (n, k)
 
@@ -155,40 +154,42 @@ def test_gamma_strict_convexity_on_grid():
 def test_delta_is_polynomial_for_s_two():
     for n in (3, 4, 5):
         for k in range(21):
-            assert delta_k(n, 2.0, k) == pytest.approx(k * (k + n - 1.0), rel=1e-12, abs=1e-12)
+            assert delta_sequence(n, 2.0, k)[k] == pytest.approx(k * (k + n - 1.0),
+                                                                 rel=1e-12, abs=1e-12)
 
 
 def test_delta_frozen_fractional():
     # Gamma(1.75)/Gamma(1.25) - Gamma(0.75)/Gamma(0.25), frozen from mpmath
-    assert delta_k(1, 0.5, 1) == pytest.approx(0.67597824006728473, rel=1e-13)
-    assert delta_k(1, 0.5, 2) == pytest.approx(1.0815651841076556, rel=1e-13)
+    assert delta_sequence(1, 0.5, 1)[1] == pytest.approx(0.67597824006728473, rel=1e-13)
+    assert delta_sequence(1, 0.5, 2)[2] == pytest.approx(1.0815651841076556, rel=1e-13)
 
 
 def test_delta_endpoint_s_equals_n():
     # limit delta_k = Gamma(n+k)/Gamma(k)
-    assert delta_k(1, 1.0, 3) == pytest.approx(3.0, rel=1e-14)
-    assert delta_k(2, 2.0, 4) == pytest.approx(20.0, rel=1e-13)
+    assert delta_sequence(1, 1.0, 3)[3] == pytest.approx(3.0, rel=1e-14)
+    assert delta_sequence(2, 2.0, 4)[4] == pytest.approx(20.0, rel=1e-13)
     assert delta_sequence(3, 3.0, 2)[0] == 0.0
 
 
 def test_delta_zero_at_degree_zero():
     for n, s in [(1, 0.5), (2, 1.0), (3, 2.0), (3, 3.0)]:
-        assert delta_k(n, s, 0) == 0.0
+        assert delta_sequence(n, s, 0)[0] == 0.0
 
 
 def test_alpha_single_term():
     for n in (1, 2, 4):
         for x in (0.3 * n, 0.5 * n, 0.8 * n):
-            assert alpha_k(n, x, 1) == pytest.approx(1.0 / (n - x) + 1.0 / x, rel=1e-14)
+            assert alpha_sequence(n, x, 1)[1] == pytest.approx(1.0 / (n - x) + 1.0 / x,
+                                                               rel=1e-14)
 
 
 def test_alpha_at_half_n():
     # alpha_k(n/2) = sum_{j<k} 4/(n+2j)
-    assert alpha_k(2, 1.0, 1) == pytest.approx(2.0, rel=1e-14)
-    assert alpha_k(2, 1.0, 2) == pytest.approx(3.0, rel=1e-14)
+    assert alpha_sequence(2, 1.0, 1)[1] == pytest.approx(2.0, rel=1e-14)
+    assert alpha_sequence(2, 1.0, 2)[2] == pytest.approx(3.0, rel=1e-14)
     n = 3
-    assert alpha_k(n, 1.5, 4) == pytest.approx(sum(4.0 / (n + 2 * j) for j in range(4)),
-                                               rel=1e-14)
+    assert alpha_sequence(n, 1.5, 4)[4] == pytest.approx(
+        sum(4.0 / (n + 2 * j) for j in range(4)), rel=1e-14)
 
 
 def test_alpha_positive_and_increasing():
@@ -283,7 +284,7 @@ def test_sharp_constant_rejects_zero_order():
 def test_spectral_gap_identity(n, frac):
     # delta_1(x_crit) * C = 1 for every admissible order
     s = frac * n
-    assert delta_k(n, s, 1) * sharp_constant(n, s) == pytest.approx(1.0, rel=1e-12)
+    assert delta_sequence(n, s, 1)[1] * sharp_constant(n, s) == pytest.approx(1.0, rel=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -303,32 +304,32 @@ def test_sharp_constant_critical_form(n, frac):
 def test_slope_degree_one_is_unity():
     for n in (1, 3, 5):
         for q in (1.2, 3.0, 4.0, 11.0):
-            assert slope(n, q, 1) == pytest.approx(1.0, rel=1e-12)
+            assert slope_sequence(n, q, 1)[1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_slope_limit_at_two():
-    assert slope(2, 2.0, 1) == pytest.approx(1.0, rel=1e-14)
+    assert slope_sequence(2, 2.0, 1)[1] == pytest.approx(1.0, rel=1e-14)
     # the window hands the limit value to nearby grid points as well
-    assert slope(2, 2.0 + 1e-12, 5) == slope(2, 2.0, 5)
+    assert slope_sequence(2, 2.0 + 1e-12, 5)[5] == slope_sequence(2, 2.0, 5)[5]
 
 
 def test_slope_matches_definition_at_critical():
     ps = derive_params(3, 2.0)
     k = 4
-    expected = (gamma_k(3, ps.x_crit, k) - 1.0) / (ps.q_star - 2.0)
-    assert slope(3, ps.q_star, k) == pytest.approx(expected, rel=1e-14)
+    expected = (gamma_sequence(3, ps.x_crit, k)[k] - 1.0) / (ps.q_star - 2.0)
+    assert slope_sequence(3, ps.q_star, k)[k] == pytest.approx(expected, rel=1e-14)
 
 
 def test_slope_limit_consistent_with_difference_quotient():
     # symmetric secant through q = 2 pm h approaches the stored limit
     n, k = 3, 6
     h = 1e-5
-    secant = 0.5 * (slope(n, 2.0 + h, k) + slope(n, 2.0 - h, k))
-    assert secant == pytest.approx(slope(n, 2.0, k), rel=1e-8)
+    secant = 0.5 * (slope_sequence(n, 2.0 + h, k)[k] + slope_sequence(n, 2.0 - h, k)[k])
+    assert secant == pytest.approx(slope_sequence(n, 2.0, k)[k], rel=1e-8)
 
 
 def test_slope_increases_between_four_and_six():
-    assert slope(3, 6.0, 2) > slope(3, 4.0, 2)
+    assert slope_sequence(3, 6.0, 2)[2] > slope_sequence(3, 4.0, 2)[2]
 
 
 def test_remainder_positive_and_zero_below_two():
@@ -341,6 +342,12 @@ def test_remainder_positive_and_zero_below_two():
 def test_remainder_needs_interior_order():
     with pytest.raises(ValueError):
         remainder_sequence(derive_params(1, -0.5, 1.2), 8)
+
+
+def test_monotonicity_scan_rejects_scans_that_check_nothing():
+    for n_values, q_grid in (([], [1.5, 3.0]), ([2], [1.5]), ([2], [])):
+        with pytest.raises(ValueError, match="needs a dimension and two exponents"):
+            monotonicity_scan(n_values, q_grid, 10)
 
 
 def test_monotonicity_scan_small_grid():
@@ -370,16 +377,6 @@ def test_constants_row_roundtrip():
     assert len(fields) == len(CONSTANTS_HEADER.split(","))
     assert float(fields[0]) == 3.0
     assert float(fields[7]) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-
-def test_spectrum_table_csv():
-    ps = derive_params(2, 1.0, 3.0)
-    table = spectrum_table(ps, ("L", "K"), 3)
-    lines = table.to_csv().strip().split("\n")
-    assert lines[0] == "k,K,L"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == 1.0 and float(first[2]) == 0.0
 
 
 def test_parameter_set_is_frozen():
