@@ -15,12 +15,14 @@ config-only keys; all five also take --config and --out:
               --s --q --mode; L N kmax
 
 --config names a JSON file of options; explicit flags win over it.  A
-file that cannot be read, a "command" key naming another subcommand or a
-key the subcommand does not read is bad input.  All outputs are
-deterministic for a fixed config and seed, byte for byte.  The
-environment variable FRACSPHERE_TOL (default 1e-10) sets the deficit gate
-used by verify and euclid.  Exit status is 1 when an asserted bound
-fails and 2 on bad input.
+file that cannot be read, a "command" key naming another subcommand, a
+key the subcommand does not read, a non-integral value for an integer
+option and an --out path that is a directory or lies in a directory
+that does not exist are bad input.  All outputs are deterministic for a
+fixed config and seed, byte for byte.  The environment variable
+FRACSPHERE_TOL (default 1e-10) sets the deficit gate used by verify and
+euclid.  Exit status is 1 when an asserted bound fails and 2 on bad
+input.
 """
 
 import argparse
@@ -89,7 +91,9 @@ def resolve(command, args):
     """The options of one subcommand: table defaults, overlaid by the
     config file, overlaid by the flags, each converted to its type.
     Raises ValueError for a config file that cannot be read, names
-    another subcommand or holds a key the subcommand does not read."""
+    another subcommand or holds a key the subcommand does not read, for
+    a value of the wrong type and for an --out path that cannot be
+    written as a file."""
     table = OPTIONS[command]
     cfg = {}
     if args.config is not None:
@@ -107,8 +111,25 @@ def resolve(command, args):
         if unknown:
             raise ValueError(f"config keys not read by {command}: {', '.join(unknown)}")
     cfg.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
-    return {key: default if cfg.get(key) is None else typ(cfg[key])
-            for key, (typ, default, _) in table.items()}
+    opt = {key: default if cfg.get(key) is None else _typed(key, typ, cfg[key])
+           for key, (typ, default, _) in table.items()}
+    out = opt["out"]
+    if out is not None:                 # checked before the work runs
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"the directory of --out {out} does not exist")
+        if os.path.isdir(out):
+            raise ValueError(f"--out {out} is a directory")
+    return opt
+
+
+def _typed(key, typ, value):
+    """value converted to the option's type; 2.5 is not an int."""
+    if typ is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    try:
+        return typ(value)
+    except TypeError:
+        raise ValueError(f"{key} cannot be read as {typ.__name__}: {value!r}") from None
 
 
 def _spectral_columns(ps, kmax):

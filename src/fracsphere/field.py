@@ -161,6 +161,12 @@ def field_from_descriptor(desc, n):
     """
     if isinstance(desc, str):
         desc = json.loads(desc)
+
+    def key(name):
+        if name not in desc:
+            raise ValueError(f"field descriptor {desc!r} has no key {name!r}")
+        return desc[name]
+
     if "coeffs" in desc:
         pairs = desc["coeffs"]
         kmax = max(int(k) for k, _ in pairs)
@@ -170,13 +176,13 @@ def field_from_descriptor(desc, n):
         return ZonalField(n=n, coeffs=c)
     fam = desc.get("family")
     if fam == "one_plus_eps_y1":
-        return ZonalField(n=n, coeffs=[1.0, float(desc["eps"])])
+        return ZonalField(n=n, coeffs=[1.0, float(key("eps"))])
     if fam == "pullback_fstar":
         return ZonalField(n=n, coeffs=[1.0])
     if fam == "random_band_limited":
-        kmax = int(desc["kmax"])
+        kmax = int(key("kmax"))
         scale = float(desc.get("scale", 0.3))
-        rng = np.random.default_rng(int(desc["seed"]))
+        rng = np.random.default_rng(int(key("seed")))
         c = rng.standard_normal(kmax + 1)
         c *= scale / max(1.0, np.abs(c).max())
         c[0] += 1.0

@@ -99,12 +99,20 @@ def test_constants_rejects_bad_exponent(capsys):
     ["flow", "--t-max", "0"],
     ["flow", "--kmax", "0"],
     ["verify", "--count", "-1"],
+    # refused before the work runs, so nothing is written
+    ["flow", "--out", "{tmp}/missing/flow.csv"],
+    ["verify", "--count", "2", "--out", "{tmp}/missing/reports.csv"],
+    ["constants", "--out", "{tmp}"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
-    rc, out, err = run(capsys, argv + ["--out", str(tmp_path / "out")])
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    rc, out, err = run(capsys, argv)
     assert rc == 2
     assert out == ""
     assert err.startswith(f"fracsphere {argv[0]}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_constants_out_file(tmp_path, capsys):
@@ -185,6 +193,11 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     ("scan", {"mode": "bogus"}, "unknown mode 'bogus'"),
     ("flow", {"sample_every": 0}, "sample_every must be >= 1"),
     ("euclid", {"kmax": -1}, "kmax must be >= 0"),
+    ("constants", {"kmax": 2.5}, "kmax must be an integer, got 2.5"),
+    ("flow", {"init": 5}, "init cannot be read as dict: 5"),
+    ("flow", {"init": {"family": "one_plus_eps_y1"}}, "has no key 'eps'"),
+    ("flow", {"init": {"coeffs": [[0, 1.0], [40, 0.01]]}},
+     "init has degree 40 > kmax = 32"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -271,6 +271,16 @@ def test_descriptor_families():
         field_from_descriptor({"family": "nope"}, 2)
 
 
+@pytest.mark.parametrize("desc,missing", [
+    ({"family": "one_plus_eps_y1"}, "eps"),
+    ({"family": "random_band_limited", "seed": 1}, "kmax"),
+    ({"family": "random_band_limited", "kmax": 4}, "seed"),
+])
+def test_descriptor_missing_key_is_named(desc, missing):
+    with pytest.raises(ValueError, match=f"has no key '{missing}'"):
+        field_from_descriptor(desc, 2)
+
+
 def test_random_band_limited_is_deterministic():
     desc = {"family": "random_band_limited", "kmax": 6, "seed": 11, "scale": 0.4}
     a = field_from_descriptor(desc, 2)

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracsphere
+from fracsphere.field import field_from_descriptor
 from fracsphere.flow import (ENTROPY_FLOOR, FlowConfig, FlowOps, fit_rate,
                              rk4_step, run_flow)
 from fracsphere.spectrum import delta_sequence, sharp_constant
@@ -79,6 +84,112 @@ def test_initial_profile_must_be_positive():
     ops = FlowOps(FlowConfig(init={"coeffs": [[0, 0.5], [1, 1.0]]}))
     with pytest.raises(ValueError):
         ops.init_values()
+
+
+def test_init_degree_above_kmax_is_rejected():
+    ops = FlowOps(FlowConfig(kmax=32, init={"coeffs": [[0, 1.0], [40, 0.01]]}))
+    with pytest.raises(ValueError, match=r"init has degree 40 > kmax = 32"):
+        ops.init_values()
+
+
+# ---------------------------------------------------------------------------
+# the Fourier multipliers against the dense cosine/sine-matrix reference
+
+
+class DenseFlow:
+    """FlowOps by explicit cosine/sine sums over the m midpoints,
+    O(kmax m) per right-hand side: an independent reference for the
+    Fourier-multiplier form.  The angles k theta_i are reduced mod 2 pi
+    in integer arithmetic, so the matrices are accurate to roundoff at
+    every k."""
+
+    def __init__(self, ops):
+        m, kmax = ops.m, ops.cfg.kmax
+        self.ops, self.m, self.kmax, self.q = ops, m, kmax, ops.q
+
+        def basis(fn, k):
+            turns = np.outer(k, 2 * np.arange(m) + 1) % (4 * m)
+            return math.sqrt(2.0) * fn(np.pi * turns / (2 * m))
+
+        self.cosb = basis(np.cos, np.arange(kmax + 1))
+        self.cosb[0] = 1.0
+        self.ks = np.arange(1, 2 * kmax + 1)
+        self.sinb = basis(np.sin, self.ks)
+        self.cosb_wide = basis(np.cos, self.ks)
+        self.grad_mult = -self.q * ops.delta[1:] / self.ks[:kmax]
+
+    def init_values(self):
+        fld = field_from_descriptor(self.ops.cfg.init, 1)
+        return (fld.coeffs @ self.cosb[:fld.coeffs.size]) ** self.q
+
+    def cos_coeffs(self, v):
+        return self.cosb @ v / self.m
+
+    def rhs(self, u):
+        u = np.maximum(u, self.ops.cfg.clamp_floor)
+        a = self.cos_coeffs(u ** (1.0 / self.q))
+        dpsi = (self.grad_mult * a[1:]) @ self.sinb[:self.kmax]
+        flux = u ** (1.0 - 1.0 / self.q) * dpsi
+        b = self.sinb @ flux / self.m
+        return (b * self.ks) @ self.cosb_wide
+
+    def dissipation(self, u):
+        a = self.cos_coeffs(np.maximum(u, self.ops.cfg.clamp_floor) ** (1.0 / self.q))
+        return 2.0 * float((self.ops.delta * a * a).sum())
+
+
+def positive_profile(kmax, seed):
+    """1 + sum_k c_k sqrt(2) cos k theta with |c_k| <= 0.3 / k^2, so the
+    perturbation is below 0.3 sqrt(2) pi^2 / 6 < 0.7 everywhere."""
+    rng = np.random.default_rng(seed)
+    return {"coeffs": [[0, 1.0]] + [[k, 0.3 * rng.uniform(-1.0, 1.0) / k ** 2]
+                                    for k in range(1, kmax + 1)]}
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kmax", [1, 8, 32, 256])
+@pytest.mark.parametrize("seed,q", [(0, 4.0), (1, 1.5), (2, 3.0)])
+def test_fourier_multipliers_match_dense_reference(kmax, seed, q):
+    ops = FlowOps(FlowConfig(q=q, kmax=kmax, init=positive_profile(kmax, seed)))
+    ref = DenseFlow(ops)
+    u = ops.init_values()
+    assert rel_err(u, ref.init_values()) <= 1e-12
+    assert rel_err(ops.cos_coeffs(u), ref.cos_coeffs(u)) <= 1e-12
+    du = ops.rhs(u)
+    assert rel_err(du, ref.rhs(u)) <= 1e-12
+    assert abs(du.mean()) <= 1e-15
+    assert ops.dissipation(u) == pytest.approx(ref.dissipation(u), rel=1e-12)
+
+
+def test_flow_ops_hold_only_grid_sized_arrays():
+    ops = FlowOps(FlowConfig(kmax=256))
+    held = sum(v.nbytes for v in vars(ops).values() if hasattr(v, "nbytes"))
+    assert held < 100_000
+
+
+def test_wide_flow_at_kmax_1024():
+    ops = FlowOps(FlowConfig(kmax=1024))
+    u = ops.init_values()
+    mass, entropy = [ops.mass(u)], [ops.entropy(u)]
+    for _ in range(100):
+        u = rk4_step(ops, u, 1e-3)
+        mass.append(ops.mass(u))
+        entropy.append(ops.entropy(u))
+    assert np.abs(np.asarray(mass) - mass[0]).max() <= 1e-12
+    assert np.all(np.diff(entropy) < 0.0)
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # flow and euclid reach np.fft at call time; loading it eagerly
+    # would cost every command that never transforms anything
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fracsphere.__file__)))
+    code = "import sys, fracsphere; print('numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
