@@ -4,7 +4,8 @@ Five subcommands.  OPTIONS lists what each reads, its flags and then its
 config-only keys; all five also take --config and --out:
 
   constants   derived parameters plus gamma/delta/eps columns up to K
-              --n --s --q --kmax; rows
+              --n --s --q --kmax; rows (a non-empty list of objects with
+              numeric n, s and an optional q; not combined with n, s, q)
   verify      deficit reports for equality cases plus seeded random fields
               --count --seed
   scan        slope monotonicity scan, or the (q, s) constant landscape
@@ -36,6 +37,7 @@ from .euclid import (EuclidParams, eigen_residual, f_star, grid_field,
                      thm16_deficit)
 from .flow import FlowConfig, run_flow
 from .inequality import equality_suite, random_suite, reports_csv
+from .specfun import rule_cache_info
 from .spectrum import (CONSTANTS_HEADER, constants_row, delta_sequence,
                        derive_params, gamma_sequence, monotonicity_scan,
                        remainder_sequence)
@@ -66,7 +68,8 @@ def _one_of(*names):
 # subcommand -> option -> (type, default, has a flag); the rest are config-only
 FLAG, CONFIG = True, False
 OPTIONS = {
-    "constants": {"n": (int, 1, FLAG), "s": (float, 0.5, FLAG), "q": (float, None, FLAG),
+    # n and s default to 1 and 0.5 (q to derive_params' choice) without rows
+    "constants": {"n": (int, None, FLAG), "s": (float, None, FLAG), "q": (float, None, FLAG),
                   "kmax": (int, 8, FLAG), "rows": (list, None, CONFIG),
                   "out": (str, None, FLAG)},
     "verify": {"count": (int, 200, FLAG), "seed": (int, 0, FLAG), "out": (str, None, FLAG)},
@@ -144,7 +147,14 @@ def _spectral_columns(ps, kmax):
 def cmd_constants(opt):
     rows = opt["rows"]
     if rows is None:
-        rows = [{"n": opt["n"], "s": opt["s"], "q": opt["q"]}]
+        rows = [{"n": 1 if opt["n"] is None else opt["n"],
+                 "s": 0.5 if opt["s"] is None else opt["s"], "q": opt["q"]}]
+    elif any(opt[key] is not None for key in ("n", "s", "q")):
+        raise ValueError("rows cannot be combined with n, s or q")
+    elif not rows:
+        raise ValueError("rows is empty")
+    for i, row in enumerate(rows):
+        _check_row(i, row)
     kmax = opt["kmax"]
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
@@ -162,9 +172,26 @@ def cmd_constants(opt):
     return 0
 
 
+def _check_row(i, row):
+    """A rows entry is an object with numeric n and s, an optional
+    numeric q and no other key."""
+    if not isinstance(row, dict):
+        raise ValueError(f"rows[{i}] must be an object, got {row!r}")
+    unknown = sorted(set(row) - {"n", "s", "q"})
+    if unknown:
+        raise ValueError(f"rows[{i}] has keys other than n, s, q: {', '.join(unknown)}")
+    for key in ("n", "s", "q"):
+        value = row.get(key)
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (numeric or key == "q" and value is None):
+            raise ValueError(f"rows[{i}]: {key} must be a number, got {value!r}")
+
+
 def cmd_verify(opt):
     tol = tolerance()
+    before = rule_cache_info()
     reports = equality_suite() + random_suite(opt["seed"], opt["count"])
+    after = rule_cache_info()
     _write(opt["out"], reports_csv(reports))
     ok = True
     for r in reports:
@@ -178,7 +205,9 @@ def cmd_verify(opt):
                   f"deficit {r.deficit:.3e}", file=sys.stderr)
             ok = False
     worst = min(r.relative_deficit for r in reports)
-    print(f"verify: {len(reports)} reports, min relative deficit {worst:.3e}")
+    print(f"verify: {len(reports)} reports, min relative deficit {worst:.3e}, "
+          f"quadrature rules {after.misses - before.misses} built, "
+          f"{after.hits - before.hits} reused")
     return 0 if ok else 1
 
 

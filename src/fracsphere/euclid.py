@@ -43,6 +43,10 @@ class EuclidParams:
             raise ValueError("the line transport is implemented for n = 1")
         if not 0.0 < self.s < 1.0:
             raise ValueError("need 0 < s < n = 1")
+        if not self.N >= 2:
+            raise ValueError(f"grid size N must be >= 2, got {self.N}")
+        if not 0.0 < self.L < np.inf:      # NaN fails too
+            raise ValueError(f"half-width L must be finite and > 0, got {self.L}")
 
     @property
     def mu(self):

@@ -4,10 +4,14 @@ Everything downstream (spectral sequences, quadrature on the sphere,
 kernel eigenvalues) reduces to three primitives kept here: a Lanczos
 log-gamma on the positive half line, Gegenbauer polynomials by their
 three-term recurrence, and Gauss-Jacobi nodes/weights found by Newton
-iteration on the Jacobi recurrence.
+iteration on the Jacobi recurrence from asymptotic initial angles.
+Each Gauss-Jacobi rule is built once per process and shared, read-only,
+by every caller; rule_cache_info() reports how often one was built or
+reused.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,9 +160,21 @@ def _jacobi_deriv(m, a, b, x, pm, pm1):
 def gauss_jacobi(m, a, b):
     """m-point Gauss-Jacobi rule for the weight (1-z)^a (1+z)^b, a, b > -1.
 
-    Roots are bracketed by a sign scan on a fine Chebyshev-angle grid and
-    then polished with safeguarded Newton steps on the Jacobi recurrence.
-    The last Newton step and the weight formula
+    Each rule is built once per process and memoised by (m, a, b): every
+    caller gets the same object, with read-only nodes and weights.  Bad
+    input raises ValueError and never reaches the cache.
+
+    Newton starts from the Gatteschi-Pittaluga angles (Hale & Townsend,
+    SIAM J. Sci. Comput. 35, 2013), exact for a = b = +-1/2,
+
+        theta_k = phi_k + ((1/4 - a^2) cot(phi_k/2)
+                           - (1/4 - b^2) tan(phi_k/2)) / (4 rho^2),
+        phi_k = (k + a/2 - 1/4) pi / rho,   rho = m + (a+b+1)/2,
+
+    at x_k = cos(theta_k).  The midpoints between consecutive guesses and
+    +-1 bracket one root each, which one recurrence sweep confirms
+    (RuntimeError otherwise); the brackets safeguard the Newton steps on
+    the Jacobi recurrence.  The last Newton step and the weight formula
 
         w_i = 2^(a+b+1) * Gamma(m+a+1) Gamma(m+b+1)
               / (Gamma(m+a+b+1) m! (1 - x_i^2) P_m'(x_i)^2)
@@ -171,25 +187,26 @@ def gauss_jacobi(m, a, b):
     gracefully to roughly that level.)  Weights are then rescaled so the
     total mass matches the closed-form moment exactly.
     """
-    if m < 1:
-        raise ValueError("need at least one node")
-    if a <= -1.0 or b <= -1.0:
-        raise ValueError("Jacobi exponents must exceed -1")
+    if not (m >= 1 and float(m).is_integer()):     # NaN and inf fail too
+        raise ValueError(f"need a positive integer number of nodes, got {m!r}")
+    if not (-1.0 < a < np.inf and -1.0 < b < np.inf):    # NaN fails too
+        raise ValueError("Jacobi exponents must be finite and exceed -1")
+    return _build_rule(int(m), float(a), float(b))
 
-    # offset Chebyshev-angle scan grid: an aligned grid would land exactly
-    # on roots for half-integer exponents and defeat the sign test
-    theta = (np.arange(8 * m) + 0.3183098861837907) * np.pi / (8 * m)
-    grid = np.concatenate([[-1.0], np.cos(theta)[::-1], [1.0]])
-    vals, _ = _jacobi_eval(m, a, b, grid)
-    vals = np.where(vals == 0.0, 1e-300, vals)
-    sgn = np.sign(vals)
-    idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    if idx.size != m:
-        raise RuntimeError(f"bracketing found {idx.size} roots, expected {m}")
 
-    lo, hi = grid[idx].copy(), grid[idx + 1].copy()
-    flo = vals[idx].copy()
-    x = 0.5 * (lo + hi)
+@lru_cache(maxsize=None)
+def _build_rule(m, a, b):
+    rho = m + 0.5 * (a + b + 1.0)
+    phi = (np.arange(1, m + 1) + 0.5 * a - 0.25) * np.pi / rho
+    t = np.tan(0.5 * phi)
+    theta = phi + ((0.25 - a * a) / t - (0.25 - b * b) * t) / (4.0 * rho * rho)
+    x = np.cos(theta)[::-1]
+    ends = np.concatenate([[-1.0], 0.5 * (x[:-1] + x[1:]), [1.0]])
+    vals, _ = _jacobi_eval(m, a, b, ends)
+    if not np.all(vals[:-1] * vals[1:] < 0):
+        raise RuntimeError(f"asymptotic brackets miss roots of P_{m}^({a}, {b})")
+
+    lo, hi, flo = ends[:-1], ends[1:], vals[:-1]
     for _ in range(60):
         pm, pm1 = _jacobi_eval(m, a, b, x)
         dp = _jacobi_deriv(m, a, b, x, pm, pm1)
@@ -227,8 +244,16 @@ def gauss_jacobi(m, a, b):
     mu0 = np.exp((a + b + 1.0) * np.log(2.0) + log_gamma(a + 1.0)
                  + log_gamma(b + 1.0) - log_gamma(a + b + 2.0))
     w *= np.longdouble(mu0) / w.sum()
-    return QuadratureRule(a=a, b=b, nodes=xe.astype(float),
-                          weights=w.astype(float), normalization=1.0 / mu0)
+    nodes, weights = xe.astype(float), w.astype(float)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(a=a, b=b, nodes=nodes, weights=weights,
+                          normalization=1.0 / mu0)
+
+
+def rule_cache_info():
+    """Cache statistics of the Gauss-Jacobi rules of this process:
+    hits (rules reused), misses (rules built), maxsize, currsize."""
+    return _build_rule.cache_info()
 
 
 def sphere_rule(n, m):

@@ -138,6 +138,17 @@ def test_constants_config_rows(tmp_path, capsys):
     assert {line.split(",")[0] for line in table[1:]} == {"1", "3"}
 
 
+@pytest.mark.parametrize("flags", [["--n", "3"], ["--s", "2"], ["--q", "1.5"],
+                                   ["--n", "3", "--s", "2"]])
+def test_constants_rows_refuse_flags(flags, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rows": [{"n": 1, "s": 0.5}]}))
+    rc, out, err = run(capsys, ["constants", "--config", str(cfg), *flags])
+    assert rc == 2
+    assert out == ""
+    assert err == "fracsphere constants: rows cannot be combined with n, s or q\n"
+
+
 def test_constants_kmax_zero_writes_degree_zero_only(capsys):
     rc, out, _ = run(capsys, ["constants", "--kmax", "0"])
     assert rc == 0
@@ -198,6 +209,20 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     ("flow", {"init": {"family": "one_plus_eps_y1"}}, "has no key 'eps'"),
     ("flow", {"init": {"coeffs": [[0, 1.0], [40, 0.01]]}},
      "init has degree 40 > kmax = 32"),
+    ("constants", {"rows": [{"n": 1, "s": 0.5}, {"s": 0.5}]},
+     "rows[1]: n must be a number, got None"),
+    ("constants", {"rows": [[3, 2.0]]}, "rows[0] must be an object, got [3, 2.0]"),
+    ("constants", {"rows": [{"n": 3, "s": "2"}]}, "rows[0]: s must be a number, got '2'"),
+    ("constants", {"rows": [{"n": 3, "s": 2.0, "q": [4]}]},
+     "rows[0]: q must be a number, got [4]"),
+    ("constants", {"rows": [{"n": 3, "s": 2.0, "Q": 4}]},
+     "rows[0] has keys other than n, s, q: Q"),
+    ("constants", {"rows": []}, "rows is empty"),
+    ("constants", {"rows": [{"n": 1, "s": 0.5}], "n": 3},
+     "rows cannot be combined with n, s or q"),
+    ("euclid", {"N": 0}, "grid size N must be >= 2, got 0"),
+    ("euclid", {"L": 0}, "half-width L must be finite and > 0, got 0.0"),
+    ("euclid", {"L": float("inf")}, "half-width L must be finite and > 0, got inf"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -240,6 +265,17 @@ def test_verify_small_batch(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == REPORT_HEADER
     assert len(lines) == 19          # 12 equality cases + 6 random
+
+
+def test_verify_summary_counts_rules_built_and_reused(tmp_path, capsys):
+    pattern = r"quadrature rules (\d+) built, (\d+) reused\n"
+    argv = ["verify", "--count", "4", "--seed", "5", "--out", str(tmp_path / "r.csv")]
+    first = re.search(pattern, run(capsys, argv)[1])
+    second = re.search(pattern, run(capsys, argv)[1])
+    requests = int(first[1]) + int(first[2])
+    assert requests > 0
+    # the second run in this process reuses every rule the first one used
+    assert (int(second[1]), int(second[2])) == (0, requests)
 
 
 def test_verify_deterministic_bytes(tmp_path, capsys):

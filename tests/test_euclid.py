@@ -28,6 +28,10 @@ def test_params_validation():
         EuclidParams(1, 0.0)
     with pytest.raises(ValueError):
         EuclidParams(1, 1.0)
+    for bad in ({"N": 0}, {"N": 1}, {"L": 0.0}, {"L": -5.0},
+                {"L": float("inf")}, {"L": float("nan")}):
+        with pytest.raises(ValueError):
+            EuclidParams(1, 0.5, **bad)
     eu = EuclidParams(1, 0.5, L=30.0, N=2 ** 10)
     assert eu.mu == 0.25
     assert eu.h == pytest.approx(60.0 / 1024)

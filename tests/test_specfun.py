@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracsphere import specfun
+from fracsphere.inequality import equality_suite, random_suite
 from fracsphere.specfun import (QuadratureRule, gamma_ratio, gauss_jacobi,
                                 gegenbauer, gegenbauer_all, gegenbauer_at_one,
-                                log_gamma, sphere_rule)
+                                log_gamma, rule_cache_info, sphere_rule)
 
 # ---------------------------------------------------------------------------
 # log_gamma
@@ -276,12 +278,132 @@ def test_doubling_convergence_on_smooth_integrand():
 
 
 def test_rejects_inadmissible_exponents():
+    before = rule_cache_info()
+    for m, a, b in [(8, -1.0, 0.0), (8, 0.0, -1.5), (0, 0.0, 0.0), (-3, 0.0, 0.0),
+                    (2.5, 0.0, 0.0), (float("inf"), 0.0, 0.0), (float("nan"), 0.0, 0.0),
+                    (8, float("nan"), 0.0), (8, 0.0, float("inf"))]:
+        with pytest.raises(ValueError):
+            gauss_jacobi(m, a, b)
+    # nothing invalid reaches the rule cache
+    after = rule_cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+# ---------------------------------------------------------------------------
+# one rule per key and process
+
+
+def test_rules_are_shared_per_key():
+    assert gauss_jacobi(24, 0.25, 1.5) is gauss_jacobi(24, 0.25, 1.5)
+    assert gauss_jacobi(np.int64(24), 0.25, 1.5) is gauss_jacobi(24, 0.25, 1.5)
+    assert sphere_rule(2, 160) is gauss_jacobi(160, 0, 0)
+    assert sphere_rule(3, 64) is gauss_jacobi(64.0, 0.5, 0.5)
+    assert gauss_jacobi(24, 0.25, 1.5) is not gauss_jacobi(24, 1.5, 0.25)
+
+
+def test_rule_arrays_are_read_only():
+    rule = gauss_jacobi(12, 0.5, 0.5)
     with pytest.raises(ValueError):
-        gauss_jacobi(8, -1.0, 0.0)
+        rule.nodes[0] = 0.0
     with pytest.raises(ValueError):
-        gauss_jacobi(8, 0.0, -1.5)
+        rule.weights[:] = 1.0
     with pytest.raises(ValueError):
-        gauss_jacobi(0, 0.0, 0.0)
+        rule.nodes *= 2.0
+    assert rule.prob_weights.flags.writeable     # a fresh array per call
+
+
+def test_suites_build_each_distinct_rule_once(monkeypatch):
+    keys = []
+    cached = specfun._build_rule
+
+    def recording(*key):
+        keys.append(key)
+        return cached(*key)
+
+    monkeypatch.setattr(specfun, "_build_rule", recording)
+    cached.cache_clear()
+    equality_suite() + random_suite(0, 30)
+    info = cached.cache_info()
+    assert len(keys) > len(set(keys)) > 1
+    assert info.misses == info.currsize == len(set(keys))
+    assert info.hits == len(keys) - len(set(keys))
+
+
+def _scan_seeded_rule(m, a, b):
+    """Reference builder: roots bracketed by a sign scan on an 8m-point
+    Chebyshev-angle grid, then the same safeguarded Newton solve,
+    extended-precision polish and weights as gauss_jacobi."""
+    theta = (np.arange(8 * m) + 0.3183098861837907) * np.pi / (8 * m)
+    grid = np.concatenate([[-1.0], np.cos(theta)[::-1], [1.0]])
+    vals, _ = specfun._jacobi_eval(m, a, b, grid)
+    vals = np.where(vals == 0.0, 1e-300, vals)
+    sgn = np.sign(vals)
+    idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    assert idx.size == m
+    lo, hi, flo = grid[idx], grid[idx + 1], vals[idx]
+    x = 0.5 * (lo + hi)
+    for _ in range(60):
+        pm, pm1 = specfun._jacobi_eval(m, a, b, x)
+        dp = specfun._jacobi_deriv(m, a, b, x, pm, pm1)
+        exact = pm == 0.0
+        shrink_hi = pm * flo < 0
+        hi = np.where(exact, x, np.where(shrink_hi, x, hi))
+        lo = np.where(exact, x, np.where(shrink_hi, lo, x))
+        flo = np.where(exact | shrink_hi, flo, pm)
+        xn = np.where(exact, x, x - pm / dp)
+        done = np.abs(xn - x) <= 1e-14 * (1.0 + np.abs(x))
+        bad = ~done & ((xn <= lo) | (xn >= hi) | ~np.isfinite(xn))
+        x = np.where(bad, 0.5 * (lo + hi), xn)
+        if done.all():
+            break
+    xe = x.astype(np.longdouble)
+    for _ in range(2):
+        pm, pm1 = specfun._jacobi_eval(m, a, b, xe)
+        xe = xe - pm / specfun._jacobi_deriv(m, a, b, xe, pm, pm1)
+    pm, pm1 = specfun._jacobi_eval(m, a, b, xe)
+    dp = specfun._jacobi_deriv(m, a, b, xe, pm, pm1)
+    logc = (log_gamma(m + a + 1.0) + log_gamma(m + b + 1.0)
+            - log_gamma(m + a + b + 1.0) - log_gamma(m + 1.0)
+            + (a + b + 1.0) * np.log(2.0))
+    w = np.exp(np.longdouble(logc)) / ((1.0 - xe * xe) * dp * dp)
+    mu0 = np.exp((a + b + 1.0) * np.log(2.0) + log_gamma(a + 1.0)
+                 + log_gamma(b + 1.0) - log_gamma(a + b + 2.0))
+    w *= np.longdouble(mu0) / w.sum()
+    return xe.astype(float), w.astype(float)
+
+
+# sphere rules (a = b = (n-2)/2) at the sizes of field, deficit and
+# square; funk_hecke_mu's k + 12 nodes at ((n-2-lam)/2, (n-2)/2); and
+# exponents near both ends of the admissible range
+REFERENCE_GRID = (
+    [(m, e, e) for m in (1, 2, 5, 33, 128, 160, 256, 272)
+     for e in (-0.5, 0.0, 0.5, 1.0)]
+    + [(976, 0.0, 0.0), (976, 0.5, 0.5)]
+    + [(m, 0.5 * (n - 2.0 - lam), 0.5 * (n - 2.0)) for m in (12, 16, 20)
+       for n in (2, 3) for lam in (0.5, 1.0, 1.5, n - 0.25, n - 0.1)]
+    + [(7, -0.99, 10.0), (40, 10.0, -0.99), (64, 1.5, 2.0), (16, -0.25, 0.0)]
+)
+
+
+def test_asymptotic_seed_matches_scan_reference():
+    for m, a, b in REFERENCE_GRID:
+        rule = gauss_jacobi(m, a, b)
+        nodes, weights = _scan_seeded_rule(m, a, b)
+        np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=4e-16,
+                                   err_msg=str((m, a, b)))
+        np.testing.assert_allclose(rule.weights, weights, rtol=1e-14, atol=0,
+                                   err_msg=str((m, a, b)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9, 64])
+def test_chebyshev_seeds_are_the_exact_nodes(m):
+    # a = b = -1/2 and +1/2: the asymptotic angles are (k - 1/2) pi / m
+    # and k pi / (m + 1), the Chebyshev nodes of the first and second kind
+    k = np.arange(1, m + 1)
+    first = np.cos((k - 0.5) * np.pi / m)[::-1]
+    second = np.cos(k * np.pi / (m + 1))[::-1]
+    np.testing.assert_allclose(gauss_jacobi(m, -0.5, -0.5).nodes, first, atol=2e-16)
+    np.testing.assert_allclose(gauss_jacobi(m, 0.5, 0.5).nodes, second, atol=2e-16)
 
 
 # ---------------------------------------------------------------------------
