@@ -21,13 +21,14 @@ key the subcommand does not read, a non-integral value for an integer
 option and an --out path that is a directory or lies in a directory
 that does not exist are bad input.  All outputs are deterministic for a
 fixed config and seed, byte for byte.  The environment variable
-FRACSPHERE_TOL (default 1e-10) sets the deficit gate used by verify and
-euclid.  Exit status is 1 when an asserted bound fails and 2 on bad
-input.
+FRACSPHERE_TOL (default 1e-10; finite and >= 0, else bad input) sets the
+deficit gate of verify, flow and euclid.  Exit status is 1 when an
+asserted bound fails and 2 on bad input.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -46,7 +47,16 @@ DEFAULT_TOL = 1e-10
 
 
 def tolerance():
-    return float(os.environ.get("FRACSPHERE_TOL", DEFAULT_TOL))
+    """The deficit gate FRACSPHERE_TOL, a finite number >= 0; a NaN or
+    infinite gate would pass every check and a negative one fail them."""
+    raw = os.environ.get("FRACSPHERE_TOL")
+    try:
+        tol = DEFAULT_TOL if raw is None else float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"FRACSPHERE_TOL must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def _write(path, text):
@@ -271,12 +281,13 @@ def _scan_constant_landscape(opt):
 
 
 def cmd_flow(opt):
+    tol = tolerance()
     out = opt.pop("out")
     res = run_flow(FlowConfig(**opt))    # the other flow options are FlowConfig fields
     _write(out, res.csv())
     _write(os.path.splitext(out)[0] + ".json", res.summary() + "\n")
     # every gate reads "not (value within bound)", so NaN fails it
-    within = res.entropy <= res.bound * (1.0 + 1e-9) + tolerance()
+    within = res.entropy <= res.bound * (1.0 + 1e-9) + tol
     if not within.all():
         j = int(np.argmin(within))
         print(f"flow: FAIL entropy {res.entropy[j]:.3e} not within bound "
@@ -293,6 +304,7 @@ def cmd_flow(opt):
 
 
 def cmd_euclid(opt):
+    tol = tolerance()
     mode, s, q, kmax = opt["mode"], opt["s"], opt["q"], opt["kmax"]
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
@@ -300,7 +312,6 @@ def cmd_euclid(opt):
         q = 0.5 * (2.0 + derive_params(1, s).q_star)
     ps = derive_params(1, s, q)
     eu = EuclidParams(n=1, s=s, L=opt["L"], N=opt["N"])
-    tol = tolerance()
     summary = {"q": q, "s": s}
     parts = []      # of the verdict line
     ok = True

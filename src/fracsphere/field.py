@@ -6,11 +6,16 @@ L2 norm against the uniform probability measure.  Synthesis and
 analysis go through Gauss-Jacobi quadrature in the latitude variable,
 which is exact for the polynomial integrands involved as long as the
 rule is large enough (analysis requires at least 2*kmax + 2 nodes; the
-helpers below default to more).
+helpers below default to more).  lq_quotient is the one kernel of the
+quotient (||F||_q^2 - ||F||_2^2)/(q - 2) and of its q = 2 limit, the
+entropy: difference_quotient, entropy2, quotient, every deficit kind and
+the flow's entropy call it.
 """
 
 import json
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -85,36 +90,46 @@ def quadratic_form(fld, eigenvalues):
     return float((eigenvalues[:fld.coeffs.size] * fld.coeffs ** 2).sum())
 
 
+def lq_quotient(values, weights, q):
+    """(||F||_q^2 - ||F||_2^2) / (q - 2) of nodal values F against
+    quadrature weights; at q = 2 its limit, the entropy F^2 log(|F|/||F||_2).
+
+    With B = sum w F^2, g = F / sqrt(B), delta = q - 2, G = sum w (g-1)(g+1),
+    h = sum w g^2 log|g| exprel(delta log|g|) / (1 + G) (zero where F = 0)
+    and k = (2/q) log1p(delta h) / delta - log1p(G) / q, the quotient is
+    B (1 + G) k exprel(delta k), exprel(x) = expm1(x) / x.  No step
+    subtracts two O(1) moments or divides by q - 2, so q = 2 is no special
+    case; and G cancels the rounding of sum w = 1 to first order, which
+    keeps full relative accuracy on fields close to a constant.
+    """
+    b = float((weights * values * values).sum())
+    if b == 0.0:
+        raise ValueError("the L^q quotient and the entropy of the zero field are undefined")
+    delta = q - 2.0
+    g = values / math.sqrt(b)
+    g2 = g * g
+    with np.errstate(divide="ignore", invalid="ignore"):   # log 0, masked below
+        lg = np.log(np.abs(g))
+        x = delta * lg
+        terms = np.where(g2 > 0.0, g2 * lg * np.where(x == 0.0, 1.0, np.expm1(x) / x), 0.0)
+    gap = float((weights * (g - 1.0) * (g + 1.0)).sum())
+    h = float((weights * terms).sum()) / (1.0 + gap)
+    dh = delta * h
+    k = 2.0 / q * (h * math.log1p(dh) / dh if dh else h) - math.log1p(gap) / q
+    dk = delta * k
+    return b * (1.0 + gap) * (math.expm1(dk) / delta if dk else k)
+
+
 def difference_quotient(fld, ps, rule):
-    """(||F||_q^2 - ||F||_2^2) / (q - 2) at q = ps.q, from the moment gaps
-    ||F||_q^q - 1 and ||F||_2^2 - 1.  Forming |F|^q - 1 pointwise by
-    expm1/log keeps full relative accuracy when F is uniformly close to 1,
-    where forming the norms first would cancel away every digit."""
-    v = synthesize(fld, rule)
-    w = rule.prob_weights
-    with np.errstate(divide="ignore"):
-        dq = float((w * np.expm1(ps.q * np.log(np.abs(v)))).sum())
-    d2 = float((w * (v - 1.0) * (v + 1.0)).sum())
-    return float(np.expm1((2.0 / ps.q) * np.log1p(dq)) - d2) / (ps.q - 2.0)
+    """lq_quotient of the field on the nodes of rule at q = ps.q."""
+    return lq_quotient(synthesize(fld, rule), rule.prob_weights, ps.q)
 
 
 def entropy2(fld, rule=None):
-    """Relative entropy integral F^2 log(|F| / ||F||_2) d(mu).
-
-    The integrand is extended by zero where F vanishes (t log t -> 0),
-    so fields with zeros are fine; the identically zero field is not.
-    """
+    """Relative entropy F^2 log(|F| / ||F||_2) d(mu), lq_quotient at q = 2."""
     if rule is None:
         rule = default_rule(fld.n, fld.kmax)
-    w = rule.prob_weights
-    v = synthesize(fld, rule)
-    v2 = v * v
-    if float((w * v2).sum()) <= 0.0:
-        raise ValueError("entropy of the zero field is undefined")
-    d2 = float((w * (v - 1.0) * (v + 1.0)).sum())    # ||F||_2^2 - 1, stably
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vlog = np.where(v2 > 0.0, v2 * np.log(np.abs(v)), 0.0)
-    return float((w * vlog).sum() - 0.5 * (1.0 + d2) * np.log1p(d2))
+    return lq_quotient(synthesize(fld, rule), rule.prob_weights, 2.0)
 
 
 CONSTANT_FIELD_THRESHOLD = 1e-24
@@ -140,8 +155,7 @@ def quotient(fld, ps, numerator_eigs=None, rule=None):
         numerator_eigs = operator_eigenvalue(ps, "L", fld.kmax)
     if rule is None:
         rule = default_rule(fld.n, fld.kmax)
-    den = entropy2(fld, rule) if ps.q == 2.0 else difference_quotient(fld, ps, rule)
-    return quadratic_form(fld, numerator_eigs) / den
+    return quadratic_form(fld, numerator_eigs) / difference_quotient(fld, ps, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +182,7 @@ def field_from_descriptor(desc, n):
         return desc[name]
 
     if "coeffs" in desc:
-        pairs = desc["coeffs"]
-        kmax = max(int(k) for k, _ in pairs)
-        c = np.zeros(kmax + 1)
-        for k, v in pairs:
-            c[int(k)] = float(v)
-        return ZonalField(n=n, coeffs=c)
+        return ZonalField(n=n, coeffs=_coeff_vector(desc["coeffs"]))
     fam = desc.get("family")
     if fam == "one_plus_eps_y1":
         return ZonalField(n=n, coeffs=[1.0, float(key("eps"))])
@@ -188,6 +197,24 @@ def field_from_descriptor(desc, n):
         c[0] += 1.0
         return ZonalField(n=n, coeffs=c)
     raise ValueError(f"unrecognized field descriptor: {desc!r}")
+
+
+def _coeff_vector(pairs):
+    """Coefficients from a non-empty list of [k, c] number pairs whose
+    degrees k are distinct non-negative integers."""
+    if not (isinstance(pairs, list) and pairs):
+        raise ValueError(f"coeffs must be a non-empty list of [k, c] pairs, got {pairs!r}")
+    out = {}
+    for k, c in pairs:
+        integral = isinstance(k, Real) and not isinstance(k, bool) and float(k).is_integer()
+        if not (integral and k >= 0):
+            raise ValueError(f"coeffs degree {k!r} is not a non-negative integer")
+        if int(k) in out:
+            raise ValueError(f"coeffs repeats degree {int(k)}")
+        out[int(k)] = float(c)
+    vec = np.zeros(max(out) + 1)
+    vec[list(out)] = list(out.values())
+    return vec
 
 
 def descriptor_of(fld):

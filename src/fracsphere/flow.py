@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import field_from_descriptor
+from .field import field_from_descriptor, lq_quotient
 from .spectrum import Q_WINDOW, delta_sequence, derive_params
 
 
@@ -156,9 +156,8 @@ class FlowOps:
         return _multiply(np.concatenate((flux, -flux[::-1])), self.mdiv)
 
     def entropy(self, u):
-        mean_u = u.mean()
-        return (mean_u ** (2.0 / self.q)
-                - (self._clamp(u) ** (2.0 / self.q)).mean()) / (self.q - 2.0)
+        """E_q[u]: the L^q quotient of w = u^(1/q) under the uniform weights."""
+        return lq_quotient(self._clamp(u) ** (1.0 / self.q), 1.0 / u.size, self.q)
 
     def mass(self, u):
         return u.mean()

@@ -1,10 +1,12 @@
 """Deficit reports for the sharp inequality family.
 
 Every inequality in the family has the shape lhs <= rhs with rhs built
-from a diagonal quadratic form and lhs from Lebesgue norms (or the
-relative entropy at the q = 2 endpoint).  deficit() looks the kind up in
-the table KINDS and evaluates both sides for a concrete zonal field; the
-report's deficit (rhs - lhs) must be nonnegative up to quadrature roundoff.
+from a diagonal quadratic form and lhs from Lebesgue norms, mostly the
+quotient (||F||_q^2 - ||F||_2^2)/(q - 2) of field.lq_quotient, whose
+q = 2 value is the relative entropy of the logarithmic kinds.  deficit()
+looks the kind up in the table KINDS and evaluates both sides for a
+concrete zonal field; the report's deficit (rhs - lhs) must be
+nonnegative up to quadrature roundoff.
 
 Also here: kernel eigenvalues by quadrature against the closed form
 (the classical Funk-Hecke identity), the sharpness probe along the
@@ -116,7 +118,6 @@ class Kind:
     message: str                # of the ValueError where admits(ps) fails
     sides: Callable
     exponent: Callable
-    entropy_kind: str = None    # the kind evaluated within Q_WINDOW of q = 2
     equality: Callable = is_constant
     nodes: tuple = (160, 6)     # the rule has max(m0, r * (K + 1)) nodes; None: no rule
 
@@ -124,8 +125,7 @@ class Kind:
 _Q, _Q_STAR, _SHARP = attrgetter("q"), attrgetter("q_star"), attrgetter("constant")
 KINDS = {
     "interpolation": Kind(lambda ps: 0.0 < ps.s <= ps.n, "interpolation needs s in (0, n]",
-                          _form(difference_quotient, "L", _SHARP), _Q,
-                          entropy_kind="logsob"),
+                          _form(difference_quotient, "L", _SHARP), _Q),
     "sobolev": Kind(lambda ps: 0.0 < ps.s < ps.n,
                     "the critical-exponent form needs s in (0, n)",
                     _form(_critical_norm, "K", lambda ps: 1.0), _Q_STAR),
@@ -142,8 +142,7 @@ KINDS = {
                             lambda ps: 2.0),
     "s0_subcritical": Kind(lambda ps: ps.s == 0.0 and ps.q < 2.0,
                            "the subcritical s = 0 form needs s = 0, q in [1, 2)",
-                           _form(difference_quotient, "K0prime", lambda ps: 0.5 * ps.n),
-                           _Q, entropy_kind="logsob_critical"),
+                           _form(difference_quotient, "K0prime", lambda ps: 0.5 * ps.n), _Q),
     "improved": Kind(lambda ps: (0.0 < ps.s < ps.n and ps.q < ps.q_star
                                  and abs(ps.q - 2.0) > Q_WINDOW),
                      "the improved form needs s in (0, n) and q < q_star, q != 2",
@@ -159,16 +158,13 @@ KINDS = {
 
 def deficit(fld, ps, kind):
     """Report of one inequality of the family, a key of KINDS, for a
-    concrete field.  A difference-quotient lhs comes from the stable
-    field.difference_quotient.  Within Q_WINDOW of q = 2 that quotient
-    loses every digit while its limit is the entropy, so interpolation and
-    s0_subcritical become logsob and logsob_critical there.  Raises
-    ValueError for an unknown kind or parameters the kind does not admit."""
+    concrete field.  Every quotient and entropy lhs comes from
+    field.lq_quotient, one formula for every q, so a kind keeps its name
+    and exponent as q approaches 2.  Raises ValueError for an unknown kind
+    or parameters the kind does not admit."""
     form = KINDS.get(kind)
     if form is None:
         raise ValueError(f"unknown inequality kind {kind!r}")
-    if form.entropy_kind and abs(ps.q - 2.0) <= Q_WINDOW:
-        kind, form = form.entropy_kind, KINDS[form.entropy_kind]
     if not form.admits(ps):
         raise ValueError(form.message)
     rule = None

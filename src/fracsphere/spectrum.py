@@ -19,8 +19,9 @@ from .specfun import log_gamma
 
 _INF = float("inf")
 
-# |q - 2| <= Q_WINDOW counts as q = 2: a quotient over q - 2 is pure noise
-# there, while its q = 2 limit is off from the truth by only O(|q - 2|).
+# |q - 2| <= Q_WINDOW counts as q = 2 in slope_sequence (its closed-form
+# limit), in the improved kind's admissibility and in the flow's q = 2
+# rejection; the L^q quotient itself (field.lq_quotient) needs no window.
 Q_WINDOW = 1e-8
 
 

@@ -223,6 +223,15 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     ("euclid", {"N": 0}, "grid size N must be >= 2, got 0"),
     ("euclid", {"L": 0}, "half-width L must be finite and > 0, got 0.0"),
     ("euclid", {"L": float("inf")}, "half-width L must be finite and > 0, got inf"),
+    ("flow", {"init": {"coeffs": []}}, "coeffs must be a non-empty list of [k, c] pairs"),
+    ("flow", {"init": {"coeffs": [[0, 1.0], [-1, 0.5]]}},
+     "coeffs degree -1 is not a non-negative integer"),
+    ("flow", {"init": {"coeffs": [[0, 1.0], [1.5, 0.1]]}},
+     "coeffs degree 1.5 is not a non-negative integer"),
+    ("flow", {"init": {"coeffs": [[0, 1.0], [1, 0.1], [1, 0.2]]}}, "coeffs repeats degree 1"),
+    ("flow", {"init": {"coeffs": [[0, 1.0], ["1", 0.5]]}},
+     "coeffs degree '1' is not a non-negative integer"),
+    ("flow", {"init": {"coeffs": {"0": 1.0}}}, "coeffs must be a non-empty list"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -478,6 +487,22 @@ def test_tolerance_default(monkeypatch):
 def test_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("FRACSPHERE_TOL", "0.5")
     assert cli.tolerance() == 0.5
+
+
+@pytest.mark.parametrize("command", ["verify", "flow", "euclid"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+def test_bad_tolerance_exits_2_before_any_work(command, value, tmp_path, capsys, monkeypatch):
+    # a NaN or infinite gate would pass every check, a negative one fail them
+    monkeypatch.setenv("FRACSPHERE_TOL", value)
+    monkeypatch.setattr(cli, "run_flow", lambda cfg: pytest.fail("the flow ran"))
+    monkeypatch.setattr(cli, "equality_suite", lambda: pytest.fail("verify ran"))
+    monkeypatch.setattr(cli, "eigen_residual", lambda *a: pytest.fail("euclid ran"))
+    out = tmp_path / "out.csv"
+    rc, stdout, err = run(capsys, [command, "--out", str(out)])
+    assert rc == 2
+    assert stdout == "" and not out.exists()
+    assert err == (f"fracsphere {command}: FRACSPHERE_TOL must be a finite "
+                   f"number >= 0, got {value!r}\n")
 
 
 def test_verify_respects_loose_tolerance(tmp_path, capsys, monkeypatch):

@@ -3,14 +3,15 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsphere.field import (ZonalField, analyze, default_rule, descriptor_of,
                               entropy2, field_from_descriptor, is_constant,
-                              lq_norm, quadratic_form, quotient, synthesize,
-                              zonal_basis)
+                              lq_norm, lq_quotient, quadratic_form, quotient,
+                              synthesize, zonal_basis)
 from fracsphere.specfun import sphere_rule
 from fracsphere.spectrum import derive_params, operator_eigenvalue, sharp_constant
 
@@ -193,6 +194,51 @@ def test_entropy_handles_fields_with_zeros():
     # F = Y_1 vanishes at the equator; the integrand extends by zero
     val = entropy2(ZonalField(1, [0.0, 1.0]))
     assert np.isfinite(val)
+
+
+# ---------------------------------------------------------------------------
+# the L^q quotient
+
+
+def _lq_quotient_50_digits(values, weights, q):
+    """(||F||_q^2 - ||F||_2^2) / (q - 2) of the same nodal values at 50
+    digits, with the weights normalised to sum to exactly 1."""
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(float(x)) for x in weights]
+        total = mpmath.fsum(w)
+        v = [mpmath.mpf(float(x)) for x in values]
+        q = mpmath.mpf(q)
+        m2 = mpmath.fsum(a * b * b for a, b in zip(w, v)) / total
+        mq = mpmath.fsum(a * abs(b) ** q for a, b in zip(w, v)) / total
+        return float((mq ** (2 / q) - m2) / (q - 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 16),
+       st.floats(min_value=0.1, max_value=2.0), st.floats(min_value=-12.0, max_value=-1.0),
+       st.sampled_from([-1.0, 1.0]))
+def test_lq_quotient_near_two_matches_50_digits(n, seed, scale, log_delta, sign):
+    # q - 2 from +-1e-12 to +-0.1; scales above 1 give sign-changing fields
+    fld = field_from_descriptor({"family": "random_band_limited", "kmax": 8,
+                                 "seed": seed, "scale": scale}, n)
+    rule = sphere_rule(n, 160)
+    values = synthesize(fld, rule)
+    q = 2.0 + sign * 10.0 ** log_delta
+    ref = _lq_quotient_50_digits(values, rule.prob_weights, q)
+    assert lq_quotient(values, rule.prob_weights, q) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 6.0])
+def test_lq_quotient_extends_by_zero_where_the_field_vanishes(q):
+    v = np.array([0.0, 1.0, -2.0, 0.5])
+    w = np.array([0.25, 0.25, 0.25, 0.25])
+    b = float((w * v * v).sum())
+    if q == 2.0:
+        nz = v != 0.0
+        ref = float((w[nz] * v[nz] ** 2 * np.log(np.abs(v[nz]) / math.sqrt(b))).sum())
+    else:
+        ref = (float((w * np.abs(v) ** q).sum()) ** (2.0 / q) - b) / (q - 2.0)
+    assert lq_quotient(v, w, q) == pytest.approx(ref, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

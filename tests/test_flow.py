@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,6 +53,23 @@ def test_entropy_positive_for_q_below_two():
     u = 1.0 + 0.3 * np.cos(np.linspace(0.1, 3.0, 50))
     assert entropy_eq(u, 1.0) > 0.0
     assert entropy_eq(u, 4.0) > 0.0
+
+
+def test_late_entropy_matches_50_digits():
+    # near equilibrium E is ~5e-8 while both norms are ~1: their plain
+    # difference keeps only half of the digits
+    ops = FlowOps(FlowConfig(s=1.0, q=4.0, kmax=16,
+                             init={"family": "one_plus_eps_y1", "eps": 1e-3}))
+    u = ops.init_values()
+    for _ in range(1500):
+        u = rk4_step(ops, u, 1e-3)
+    with mpmath.workdps(50):
+        uu = [mpmath.mpf(float(x)) for x in u]
+        ref = ((mpmath.fsum(uu) / len(uu)) ** 0.5
+               - mpmath.fsum(mpmath.sqrt(x) for x in uu) / len(uu)) / 2
+    e = ops.entropy(u)
+    assert e < 1e-7
+    assert e == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 def test_entropy_rejects_q_two():

@@ -138,14 +138,32 @@ def test_near_constant_quotient_matches_50_digits(log_eps):
     assert r.deficit >= 0.0
 
 
-def test_exponents_near_two_redirect_to_entropy():
+@pytest.mark.parametrize("c", [0.7, 3.0])
+def test_scaled_near_constant_quotient_matches_50_digits(c):
+    # F = c (1 + eps (Y_1 + 0.3 Y_2)): the weights sum to 1 only up to
+    # rounding, which a quotient of size eps^2 c^2 must not see (abs=0:
+    # approx's default absolute 1e-12 would accept any lhs of this size)
+    fld = ZonalField(3, c * np.array([1.0, 1e-8, 0.3e-8]))
+    r = deficit(fld, derive_params(3, 2.0, 4.0), "interpolation")
+    assert r.lhs == pytest.approx(_s3_probe_lhs(fld.coeffs), rel=1e-6, abs=0.0)
+
+
+def test_quotient_kinds_are_continuous_through_two():
+    # no kind swap near q = 2: the report keeps its kind and exponent, and
+    # its lhs tends to the entropy of the logarithmic kind
     fld = ZonalField(2, [1.0, 0.2])
-    r = deficit(fld, derive_params(2, 1.0, 2.0 + 1e-12), "interpolation")
-    assert r.kind == "logsob" and r.q == 2.0
-    ref = deficit(fld, derive_params(2, 1.0, 2.0), "logsob")
-    assert r.deficit == pytest.approx(ref.deficit, rel=1e-12)
-    r0 = deficit(fld, derive_params(2, 0.0, 2.0), "s0_subcritical")
-    assert r0.kind == "logsob_critical"
+    at_two = deficit(fld, derive_params(2, 1.0, 2.0), "logsob")
+    assert deficit(fld, derive_params(2, 1.0, 2.0), "interpolation").lhs == at_two.lhs
+    for q in (2.0 - 1e-12, 2.0 + 1e-12):
+        r = deficit(fld, derive_params(2, 1.0, q), "interpolation")
+        assert r.kind == "interpolation" and r.q == q
+        assert r.lhs == pytest.approx(at_two.lhs, rel=1e-10)
+        assert r.deficit == pytest.approx(at_two.deficit, rel=1e-10)
+    q = 2.0 - 1e-12
+    r0 = deficit(fld, derive_params(2, 0.0, q), "s0_subcritical")
+    assert r0.kind == "s0_subcritical" and r0.q == q
+    critical = deficit(fld, derive_params(2, 0.0, 2.0), "logsob_critical").lhs
+    assert r0.lhs == pytest.approx(critical, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
