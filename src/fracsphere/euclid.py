@@ -7,17 +7,19 @@ oracle for the fractional Laplacian on a periodized grid, an
 eigenfunction residual check for the explicit diagonalization
 
     (-Lap)^(s/2) f_k = lam_k (1 + |x|^2)^(-s) f_k,
-    f_k = C_k(z) (1 + |x|^2)^(-mu),  z = (1-|x|^2)/(1+|x|^2),
+    f_k = T_k(z) (1 + |x|^2)^(-mu),  z = (1-|x|^2)/(1+|x|^2),
     lam_k = 2^s Gamma(k + (1+s)/2) / Gamma(k + (1-s)/2),
 
 and the two-endpoint interpolation deficit on the line.
 
-The Fourier oracle is a periodic surrogate: it zeroes the DC mode and
-bins |xi|^s coarsely near zero, which caps its accuracy around 1e-3 for
-slowly decaying fields.  It is used only for independent cross-checks;
-quantities needing 1e-6 or better (the deficit at the optimizer, the
-eigen-residuals) are computed by exact transport to the circle or by
-mean-corrected combinations designed to be insensitive to the DC loss.
+The Fourier oracle is a periodic surrogate on one real FFT pair (the
+symbol |xi|^s is real and even): it zeroes the DC mode and bins |xi|^s
+coarsely near zero, which caps its accuracy around 1e-3 for slowly
+decaying fields.  Quantities needing 1e-6 or better are computed by
+exact transport to the circle (the deficit at the optimizer) or by
+mean-corrected combinations insensitive to the DC loss (the
+eigen-residuals, whose profiles T_j(z) come from one pass of the
+Chebyshev recurrence).
 """
 
 import json
@@ -121,20 +123,12 @@ def euclid_eigenvalue(s, k, n=1):
                                    - log_gamma(k + 0.5 * (n - s))))
 
 
-def eigen_profile(s, k, x):
-    """f_k(x) = T_k(z) (1+x^2)^(-mu) with z = (1-x^2)/(1+x^2) (n = 1)."""
-    x = np.asarray(x, dtype=float)
-    z = (1.0 - x * x) / (1.0 + x * x)
-    mu = 0.5 * (1.0 - s)
-    return np.cos(k * np.arccos(np.clip(z, -1.0, 1.0))) * (1.0 + x * x) ** (-mu)
-
-
 DECAY_BOUND = 1e-8
 
 
 def _apply_multiplier(values, h, s):
-    xi = TWO_PI * np.fft.fftfreq(values.size, d=h)
-    return np.fft.ifft(np.abs(xi) ** s * np.fft.fft(values)).real
+    xi = TWO_PI * np.fft.rfftfreq(values.size, d=h)
+    return np.fft.irfft(xi ** s * np.fft.rfft(values), values.size)
 
 
 def frac_laplacian_oracle(gf, s):
@@ -151,11 +145,6 @@ def frac_laplacian_oracle(gf, s):
             f"edge is {edge / peak:.1e} of max|f| (bound {DECAY_BOUND:g}); "
             f"enlarge the window")
     return GridField(x=gf.x, values=_apply_multiplier(gf.values, gf.h, s))
-
-
-def dirichlet_oracle(gf, s):
-    """Grid estimate of int f (-Lap)^(s/2) f dx through the Fourier oracle."""
-    return float((gf.values * frac_laplacian_oracle(gf, s).values).sum() * gf.h)
 
 
 # ---------------------------------------------------------------------------
@@ -206,49 +195,52 @@ def weighted_norm(gf, q, beta=0.0):
 # eigenfunction residual
 
 
+def _chebyshev_rows(z, degrees):
+    """T_j(z) for each j in the ascending degrees, by the recurrence
+    T_(j+1) = 2 z T_j - T_(j-1) with only the two latest rows kept."""
+    rows, prev, cur, two_z = [], np.ones_like(z), z, 2.0 * z
+    for j in range(degrees[-1] + 1):
+        if j in degrees:
+            rows.append(prev)
+        prev, cur = cur, two_z * cur - prev
+    return rows
+
+
 def eigen_residual(s, k, L=60.0, N=2 ** 15):
     """Relative residual of the diagonalization identity on the grid.
 
     A single eigenfunction decays like |x|^(-2 mu) = |x|^(s-1), which is
-    not even integrable, so applying the periodic oracle to it directly
-    is hopeless: the DC loss and the window truncation drown the
-    identity.  Instead we test it on the four-term combination
-    g = sum c_j f_j over degrees j in {k, k+2, k+4, k+6} (all the same
-    parity, hence the same weight relation), with c chosen so that
+    not even integrable: on it the DC loss and the window truncation of
+    the periodic oracle drown the identity.  It is tested instead on
+    g = sum c_j f_j over the degrees j = k, k+2, k+4, k+6 (one parity,
+    hence one weight relation), with c chosen so that
 
         sum c_j = 0, sum c_j j^2 = 0, sum_i g(x_i) = 0:
 
     the first two conditions cancel the two leading tail orders of the
     profiles, the third removes the discrete mean the oracle cannot see.
     Both sides are compared mean-free.  A wrong eigenvalue at any of the
-    four degrees moves the residual by orders of magnitude, so the
-    identity is genuinely exercised degree by degree.
+    four degrees moves the residual by orders of magnitude.
 
-    The combination decays like x^(-(1-s)-4), enough for the residual
-    target but above the strict edge bound of the public oracle, so the
-    raw multiplier is applied directly; the mean corrections are exactly
-    the compensation that makes that safe.
+    g decays like x^(-(1-s)-4): enough for the residual target but above
+    the edge bound of the public oracle, so the raw multiplier is applied
+    directly; the mean corrections make that safe.
     """
     eu = EuclidParams(n=1, s=s, L=L, N=N)
     x = eu.grid()
-    js = np.array([k, k + 2, k + 4, k + 6])
-    profiles = [eigen_profile(s, int(j), x) for j in js]
-    raw_sums = np.array([p.sum() for p in profiles])
-    a = np.array([
-        [1.0, 1.0, 1.0],
-        [float(js[1] ** 2), float(js[2] ** 2), float(js[3] ** 2)],
-        [raw_sums[1], raw_sums[2], raw_sums[3]],
-    ])
-    rest = np.linalg.solve(a, -np.array([1.0, float(js[0] ** 2), raw_sums[0]]))
-    c = np.concatenate([[1.0], rest])
+    u = 1.0 + x * x
+    js = (k, k + 2, k + 4, k + 6)
+    envelope = u ** (-eu.mu)
+    profiles = [t * envelope for t in _chebyshev_rows((1.0 - x * x) / u, js)]
+    # the three conditions on c as rows of m, with c_0 = 1
+    m = np.array([[1.0] * 4, [j * j for j in js], [p.sum() for p in profiles]])
+    c = np.concatenate([[1.0], np.linalg.solve(m[:, 1:], -m[:, 0])])
     g = sum(ci * pi for ci, pi in zip(c, profiles))
-    lam = np.array([euclid_eigenvalue(s, int(j)) for j in js])
-    rhs = (1.0 + x * x) ** (-s) * sum(
-        ci * li * pi for ci, li, pi in zip(c, lam, profiles))
+    lam = np.array([euclid_eigenvalue(s, j) for j in js])
+    rhs = u ** (-s) * sum(ci * li * pi for ci, li, pi in zip(c, lam, profiles))
     lhs = _apply_multiplier(g, eu.h, s)
-    diff = (lhs - lhs.mean()) - (rhs - rhs.mean())
     rhs0 = rhs - rhs.mean()
-    return float(np.linalg.norm(diff) / np.linalg.norm(rhs0))
+    return float(np.linalg.norm(lhs - lhs.mean() - rhs0) / np.linalg.norm(rhs0))
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,9 @@ def quotient(fld, ps, numerator_eigs=None, rule=None):
 # descriptors: a compact JSON form naming how a test field was built
 
 
-def field_from_descriptor(desc, n):
-    """Build a field from its descriptor (dict or JSON string).
+def field_from_descriptor(desc, n, max_degree=None):
+    """Build a field from its descriptor (dict or JSON string).  A field
+    of degree above max_degree is refused before any coefficient exists.
 
     Supported families:
       {"coeffs": [[k, c], ...]}                  explicit coefficients
@@ -181,15 +182,21 @@ def field_from_descriptor(desc, n):
             raise ValueError(f"field descriptor {desc!r} has no key {name!r}")
         return desc[name]
 
+    def degree(k):
+        if max_degree is not None and k > max_degree:
+            raise ValueError(f"has degree {k} > kmax = {max_degree}")
+        return k
+
     if "coeffs" in desc:
-        return ZonalField(n=n, coeffs=_coeff_vector(desc["coeffs"]))
+        return ZonalField(n=n, coeffs=_coeff_vector(desc["coeffs"], degree))
     fam = desc.get("family")
     if fam == "one_plus_eps_y1":
+        degree(1)
         return ZonalField(n=n, coeffs=[1.0, float(key("eps"))])
     if fam == "pullback_fstar":
         return ZonalField(n=n, coeffs=[1.0])
     if fam == "random_band_limited":
-        kmax = int(key("kmax"))
+        kmax = degree(int(key("kmax")))
         scale = float(desc.get("scale", 0.3))
         rng = np.random.default_rng(int(key("seed")))
         c = rng.standard_normal(kmax + 1)
@@ -199,9 +206,9 @@ def field_from_descriptor(desc, n):
     raise ValueError(f"unrecognized field descriptor: {desc!r}")
 
 
-def _coeff_vector(pairs):
+def _coeff_vector(pairs, degree):
     """Coefficients from a non-empty list of [k, c] number pairs whose
-    degrees k are distinct non-negative integers."""
+    degrees k are distinct non-negative integers; degree(k) vets the top."""
     if not (isinstance(pairs, list) and pairs):
         raise ValueError(f"coeffs must be a non-empty list of [k, c] pairs, got {pairs!r}")
     out = {}
@@ -212,7 +219,7 @@ def _coeff_vector(pairs):
         if int(k) in out:
             raise ValueError(f"coeffs repeats degree {int(k)}")
         out[int(k)] = float(c)
-    vec = np.zeros(max(out) + 1)
+    vec = np.zeros(degree(max(out)) + 1)
     vec[list(out)] = list(out.values())
     return vec
 

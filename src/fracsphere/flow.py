@@ -131,9 +131,10 @@ class FlowOps:
                        * np.exp(-1j * np.pi * kc / (2 * m)))
 
     def init_values(self):
-        fld = field_from_descriptor(self.cfg.init, 1)
-        if fld.kmax > self.cfg.kmax:
-            raise ValueError(f"init has degree {fld.kmax} > kmax = {self.cfg.kmax}")
+        try:
+            fld = field_from_descriptor(self.cfg.init, 1, max_degree=self.cfg.kmax)
+        except ValueError as exc:
+            raise ValueError(f"init {exc}") from None
         spec = np.zeros(self.m + 1, dtype=complex)
         spec[:fld.kmax + 1] = fld.coeffs / self.to_cos[:fld.kmax + 1]
         w0 = np.fft.irfft(spec, 2 * self.m)[:self.m]

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracsphere.field
 from fracsphere import cli
 from fracsphere.cli import main
 from fracsphere.flow import FlowResult
@@ -503,6 +504,22 @@ def test_bad_tolerance_exits_2_before_any_work(command, value, tmp_path, capsys,
     assert stdout == "" and not out.exists()
     assert err == (f"fracsphere {command}: FRACSPHERE_TOL must be a finite "
                    f"number >= 0, got {value!r}\n")
+
+
+def test_huge_init_degree_exits_2_without_allocating(tmp_path, capsys, monkeypatch):
+    # the 8 GB coefficient vector of degree 1e9 is never requested
+    class NoNumpy:
+        def __getattr__(self, name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"numpy.{name} called before the degree check")
+            return refuse
+    monkeypatch.setattr(fracsphere.field, "np", NoNumpy())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"init": {"coeffs": [[0, 1.0], [10 ** 9, 1.0]]}}))
+    rc, out, err = run(capsys, ["flow", "--config", str(cfg),
+                                "--out", str(tmp_path / "flow.csv")])
+    assert rc == 2 and out == ""
+    assert err == "fracsphere flow: init has degree 1000000000 > kmax = 32\n"
 
 
 def test_verify_respects_loose_tolerance(tmp_path, capsys, monkeypatch):

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from fracsphere.euclid import (EuclidParams, GridField, dirichlet_oracle,
-                               eigen_profile, eigen_residual,
+from fracsphere import euclid
+from fracsphere.euclid import (EuclidParams, GridField, _chebyshev_rows,
+                               eigen_residual,
                                euclid_eigenvalue, f_star,
                                frac_laplacian_oracle, grid_field, jacobian,
                                pushforward, sphere_area, stereo_angle,
@@ -15,6 +16,20 @@ from fracsphere.euclid import (EuclidParams, GridField, dirichlet_oracle,
                                thm16_deficit, weighted_norm)
 from fracsphere.field import ZonalField, lq_norm
 from fracsphere.spectrum import derive_params, gamma_sequence
+
+
+def eigen_profile(s, k, x):
+    """Oracle f_k(x) = cos(k arccos z) (1+x^2)^(-mu), z = (1-x^2)/(1+x^2):
+    each degree from its own arccos, independent of the recurrence."""
+    x = np.asarray(x, dtype=float)
+    z = (1.0 - x * x) / (1.0 + x * x)
+    mu = 0.5 * (1.0 - s)
+    return np.cos(k * np.arccos(np.clip(z, -1.0, 1.0))) * (1.0 + x * x) ** (-mu)
+
+
+def dirichlet_oracle(gf, s):
+    """Grid estimate of int f (-Lap)^(s/2) f dx through the Fourier oracle."""
+    return float((gf.values * frac_laplacian_oracle(gf, s).values).sum() * gf.h)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +111,24 @@ def test_eigen_profile_degree_zero():
                                (1.0 + x * x) ** -0.25, rtol=1e-14)
 
 
+def test_chebyshev_rows_match_arccos_oracle():
+    # the recurrence behind eigen_residual against one arccos per degree,
+    # on the grid eigen_residual uses by default
+    s = 0.5
+    x = EuclidParams(1, s).grid()
+    u = 1.0 + x * x
+    degrees = tuple(range(18))
+    rows = _chebyshev_rows((1.0 - x * x) / u, degrees)
+    assert len(rows) == len(degrees)
+    for j, row in zip(degrees, rows):
+        np.testing.assert_allclose(row * u ** -0.25, eigen_profile(s, j, x),
+                                   rtol=0.0, atol=5e-14)
+    # a sparse choice of degrees returns just those rows
+    sparse = _chebyshev_rows((1.0 - x * x) / u, (11, 13, 15, 17))
+    for j, row in zip((11, 13, 15, 17), sparse):
+        np.testing.assert_array_equal(row, rows[j])
+
+
 # ---------------------------------------------------------------------------
 # Fourier oracle
 
@@ -141,6 +174,21 @@ def test_oracle_refuses_slowly_decaying_input():
     slow = grid_field(lambda x: f_star(0.5, x), eu)
     with pytest.raises(ValueError, match="decay"):
         frac_laplacian_oracle(slow, 0.5)
+
+
+def test_multiplier_makes_no_complex_transform(gauss30, monkeypatch):
+    # the |xi|^s multiplier of a real, even symbol runs on the half
+    # spectrum; the full complex form is kept here as the reference
+    xi = 2.0 * math.pi * np.fft.fftfreq(gauss30.values.size, d=gauss30.h)
+    ref = np.fft.ifft(np.abs(xi) ** 0.5 * np.fft.fft(gauss30.values)).real
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT on real data")
+    monkeypatch.setattr(euclid.np.fft, "fft", refuse)
+    monkeypatch.setattr(euclid.np.fft, "ifft", refuse)
+    out = frac_laplacian_oracle(gauss30, 0.5).values
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert eigen_residual(0.5, 1) < 1e-4
 
 
 def test_oracle_accepts_zero_field():
@@ -222,10 +270,16 @@ def test_eigen_residual_decreases_with_resolution():
     assert fine < coarse
 
 
-def test_eigen_residual_detects_wrong_eigenvalue():
-    # sanity: the residual of the true identity sits orders of magnitude
-    # below the scale a perturbed eigenvalue would produce
-    assert eigen_residual(0.5, 1) < 1e-4
+def test_eigen_residual_detects_wrong_eigenvalue(monkeypatch):
+    # k = 1 combines degrees 1, 3, 5 and 7; a 1e-3 error in any one of
+    # their eigenvalues must lift the residual well above the true one
+    true = eigen_residual(0.5, 1)
+    assert true < 1e-4
+    for wrong in (1, 3, 5, 7):
+        def perturbed(s, k, n=1, wrong=wrong):
+            return euclid_eigenvalue(s, k, n) * (1.0 + 1e-3 if k == wrong else 1.0)
+        monkeypatch.setattr(euclid, "euclid_eigenvalue", perturbed)
+        assert eigen_residual(0.5, 1) >= 10.0 * true, wrong
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,26 @@ def test_init_degree_above_kmax_is_rejected():
         ops.init_values()
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"numpy.{name} called before the degree check")
+        return refuse
+
+
+@pytest.mark.parametrize("init", [
+    {"coeffs": [[0, 1.0], [10 ** 9, 1.0]]},
+    {"family": "random_band_limited", "kmax": 10 ** 9, "seed": 0},
+])
+def test_huge_init_degree_is_rejected_before_allocation(init, monkeypatch):
+    # at the degree 1e9 the coefficient vector alone would take 8 GB: the
+    # descriptor must be refused before field builds anything with numpy
+    ops = FlowOps(FlowConfig(kmax=32, init=init))
+    monkeypatch.setattr(fracsphere.field, "np", _NoNumpy())
+    with pytest.raises(ValueError, match=r"init has degree 1000000000 > kmax = 32"):
+        ops.init_values()
+
+
 # ---------------------------------------------------------------------------
 # the Fourier multipliers against the dense cosine/sine-matrix reference
 
