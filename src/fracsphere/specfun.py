@@ -5,9 +5,11 @@ kernel eigenvalues) reduces to three primitives kept here: a Lanczos
 log-gamma on the positive half line, Gegenbauer polynomials by their
 three-term recurrence, and Gauss-Jacobi nodes/weights found by Newton
 iteration on the Jacobi recurrence from asymptotic initial angles.
-Each Gauss-Jacobi rule is built once per process and shared, read-only,
-by every caller; rule_cache_info() reports how often one was built or
-reused.
+Symmetric rules (a = b, the latitude weight of every sphere) are solved
+on the upper half of the interval and mirrored, so they are exactly
+symmetric by construction.  Each Gauss-Jacobi rule is built once per
+process and shared, read-only, by every caller; rule_cache_info()
+reports how often one was built or reused.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ def log_gamma(x):
     parameter bug upstream.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):      # NaN fails too
         raise ValueError("log_gamma requires x > 0")
     z = x - 1.0
     acc = np.full(np.shape(z), _LANCZOS_C[0])
@@ -79,8 +81,10 @@ def gegenbauer_all(kmax, alpha, z):
     Three-term recurrence; for alpha = 0 the Chebyshev recurrence is used
     instead (same recursion, different first-degree seed and meaning).
     """
+    if kmax < 0:
+        raise ValueError(f"Gegenbauer degree must be >= 0, got {kmax}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(np.abs(z) > 1.0):
+    if not np.all(np.abs(z) <= 1.0):     # NaN fails too
         raise ValueError("Gegenbauer argument must lie in [-1, 1]")
     out = np.empty((kmax + 1, z.size))
     out[0] = 1.0
@@ -140,13 +144,15 @@ def _jacobi_eval(m, a, b, x):
     if m == 0:
         return pm1, np.zeros_like(x)
     pm = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for j in range(2, m + 1):
-        # j = 1 is seeded explicitly: the generic recurrence degenerates
-        # when a + b = 0 or -1.
-        c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
-        c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
-        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
+    # j = 1 is seeded explicitly: the generic recurrence degenerates
+    # when a + b = 0 or -1.  The coefficients of j = 2..m are formed once,
+    # as doubles, so each step does only the array arithmetic.
+    j = np.arange(2.0, m + 1.0)
+    c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
+    c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b)
+    c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
+    c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
+    for c1, c2, c3, c4 in zip(c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist()):
         pm, pm1 = ((c2 + c3 * x) * pm - c4 * pm1) / c1, pm
     return pm, pm1
 
@@ -186,6 +192,11 @@ def gauss_jacobi(m, a, b):
     long double is an alias for double this protection degrades
     gracefully to roughly that level.)  Weights are then rescaled so the
     total mass matches the closed-form moment exactly.
+
+    For a = b the roots are symmetric about 0, so the solve, the polish
+    and the weights run on the upper half only (an odd m's middle root is
+    exactly 0), and the lower half is its mirror image: nodes are exactly
+    antisymmetric and weights exactly symmetric.
     """
     if not (m >= 1 and float(m).is_integer()):     # NaN and inf fail too
         raise ValueError(f"need a positive integer number of nodes, got {m!r}")
@@ -202,6 +213,12 @@ def _build_rule(m, a, b):
     theta = phi + ((0.25 - a * a) / t - (0.25 - b * b) * t) / (4.0 * rho * rho)
     x = np.cos(theta)[::-1]
     ends = np.concatenate([[-1.0], 0.5 * (x[:-1] + x[1:]), [1.0]])
+    # a = b: P_m is even or odd, so only the roots in the upper half
+    # (with the middle one when m is odd) are solved, then mirrored
+    h = m // 2 if a == b else 0
+    if a == b and m % 2:
+        x[h] = 0.0      # the middle root of an odd P_m is exactly 0
+    x, ends = x[h:], ends[h:]
     vals, _ = _jacobi_eval(m, a, b, ends)
     if not np.all(vals[:-1] * vals[1:] < 0):
         raise RuntimeError(f"asymptotic brackets miss roots of P_{m}^({a}, {b})")
@@ -240,6 +257,9 @@ def _build_rule(m, a, b):
             - log_gamma(m + a + b + 1.0) - log_gamma(m + 1.0)
             + (a + b + 1.0) * np.log(2.0))
     w = np.exp(np.longdouble(logc)) / ((1.0 - xe * xe) * dp * dp)
+    if h:
+        xe = np.concatenate([-xe[m % 2:][::-1], xe])
+        w = np.concatenate([w[m % 2:][::-1], w])
 
     mu0 = np.exp((a + b + 1.0) * np.log(2.0) + log_gamma(a + 1.0)
                  + log_gamma(b + 1.0) - log_gamma(a + b + 2.0))

@@ -56,6 +56,11 @@ def test_log_gamma_rejects_nonpositive(x):
         log_gamma(x)
 
 
+def test_log_gamma_rejects_nan():
+    with pytest.raises(ValueError):
+        log_gamma(float("nan"))
+
+
 @given(st.floats(min_value=1e-3, max_value=200.0))
 @settings(max_examples=200, deadline=None)
 def test_log_gamma_functional_equation(x):
@@ -143,6 +148,16 @@ def test_gegenbauer_at_one():
 def test_gegenbauer_rejects_outside_interval():
     with pytest.raises(ValueError):
         gegenbauer(3, 0.5, 1.0001)
+
+
+def test_gegenbauer_rejects_nan_argument():
+    with pytest.raises(ValueError):
+        gegenbauer(2, 0.5, float("nan"))
+
+
+def test_gegenbauer_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        gegenbauer(-1, 0.5, 0.3)
 
 
 @given(st.integers(min_value=2, max_value=40),
@@ -393,6 +408,77 @@ def test_asymptotic_seed_matches_scan_reference():
                                    err_msg=str((m, a, b)))
         np.testing.assert_allclose(rule.weights, weights, rtol=1e-14, atol=0,
                                    err_msg=str((m, a, b)))
+
+
+def _mp_jacobi_weight(m, a, b, x0, mp):
+    """Independent reference for one Gauss-Jacobi weight: the Jacobi
+    recurrence in mpmath, four Newton steps from the double node x0,
+    then the closed-form weight at the polished root."""
+    a, b = mp.mpf(a), mp.mpf(b)
+
+    def p_and_deriv(x):
+        pm1, pm = mp.mpf(1), (a - b) / 2 + (a + b + 2) / 2 * x
+        for j in range(2, m + 1):
+            s = 2 * j + a + b
+            pm, pm1 = ((s - 1) * ((a * a - b * b) + s * (s - 2) * x) * pm
+                       - 2 * (j + a - 1) * (j + b - 1) * s * pm1) \
+                / (2 * j * (j + a + b) * (s - 2)), pm
+        dp = (m * (a - b - (2 * m + a + b) * x) * pm
+              + 2 * (m + a) * (m + b) * pm1) / ((2 * m + a + b) * (1 - x * x))
+        return pm, dp
+
+    x = mp.mpf(float(x0))
+    for _ in range(4):
+        pm, dp = p_and_deriv(x)
+        x -= pm / dp
+    _, dp = p_and_deriv(x)
+    c = (2 ** (a + b + 1) * mp.gamma(m + a + 1) * mp.gamma(m + b + 1)
+         / (mp.gamma(m + a + b + 1) * mp.factorial(m)))
+    return c / ((1 - x * x) * dp * dp)
+
+
+def test_weights_match_30_digit_reference():
+    """Weights against an mpmath evaluation that shares no code with the
+    builder.  A polish in double only misses by 1e-12 or more at m = 976,
+    so this guards the extended-precision step."""
+    mp = pytest.importorskip("mpmath").mp
+    cases = [(sphere_rule(3, 976), (0, 1, 488, 975)),
+             (gauss_jacobi(20, -0.25, 0.5), range(20))]   # funk_hecke_mu(3, 1.5, 8)
+    with mp.workdps(30):
+        for rule, idx in cases:
+            m = len(rule)
+            for i in idx:
+                ref = float(_mp_jacobi_weight(m, rule.a, rule.b, rule.nodes[i], mp))
+                assert rule.weights[i] == pytest.approx(ref, rel=5e-14, abs=0), \
+                    (m, rule.a, rule.b, i)
+
+
+@pytest.mark.parametrize("e", [-0.5, 0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 33, 160, 161, 976])
+def test_symmetric_rules_are_exact_mirrors(m, e):
+    rule = gauss_jacobi(m, e, e)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    if m % 2:
+        assert rule.nodes[m // 2] == 0.0
+
+
+def test_symmetric_builds_sweep_half_the_points(monkeypatch):
+    sizes = []
+    original = specfun._jacobi_eval
+
+    def recording(m, a, b, x):
+        sizes.append(np.size(x))
+        return original(m, a, b, x)
+
+    monkeypatch.setattr(specfun, "_jacobi_eval", recording)
+    for m, a, b, most in ([(m, e, e, m // 2 + 2) for m in (1, 2, 3, 160, 161, 976)
+                           for e in (0.0, 0.5)]
+                          + [(m, 0.25, 1.5, m + 1) for m in (2, 33, 160)]):
+        specfun._build_rule.cache_clear()
+        sizes.clear()
+        gauss_jacobi(m, a, b)
+        assert sizes and max(sizes) <= most, (m, a, b, sizes)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9, 64])
