@@ -7,14 +7,14 @@ Subpackages are organized by what they compute:
 - field: zonal fields, synthesis/analysis, norms and entropy
 - inequality: deficit reports for the inequality family, kernel checks
 - flow: fractional fast-diffusion flow on the circle, entropy decay
-- euclid: stereographic transport to the line, oracle cross-checks
+- euclid: stereographic transport to the line, line-side checks
 - cli: command line entry points
 """
 
 __version__ = "0.1.0"
 
-from .specfun import (QuadratureRule, gamma_ratio, gauss_jacobi, gegenbauer,
-                      log_gamma, sphere_rule)
+from .specfun import (QuadratureRule, gauss_jacobi, gegenbauer, log_gamma,
+                      sphere_rule)
 from .spectrum import (ParameterSet, derive_params, monotonicity_scan,
                        operator_eigenvalue, sharp_constant)
 from .field import (ZonalField, analyze, entropy2, field_from_descriptor,
@@ -22,6 +22,4 @@ from .field import (ZonalField, analyze, entropy2, field_from_descriptor,
 from .inequality import (InequalityReport, deficit, deficit_square,
                          funk_hecke_mu, linearization_probe, taylor_remainder)
 from .flow import FlowConfig, FlowResult, run_flow
-from .euclid import (EuclidParams, GridField, eigen_residual,
-                     frac_laplacian_oracle, pushforward, thm16_deficit,
-                     weighted_norm)
+from .euclid import EuclidParams, eigen_residual, pushforward, thm16_deficit

@@ -12,18 +12,21 @@ config-only keys; all five also take --config and --out:
               --n --kmax --mode; q_grid s_grid
   flow        entropy decay of the fast-diffusion flow on the circle
               --s --q --kmax --dt --t-max; sample_every init
-  euclid      line-side checks: eigen-residuals, optimizer deficit, profile
+  euclid      line-side checks: eigen-residuals and optimizer deficit, as a
+              JSON summary written to --out
               --s --q --mode; L N kmax
 
 --config names a JSON file of options; explicit flags win over it.  A
 file that cannot be read, a "command" key naming another subcommand, a
 key the subcommand does not read, a non-integral value for an integer
-option and an --out path that is a directory or lies in a directory
-that does not exist are bad input.  All outputs are deterministic for a
-fixed config and seed, byte for byte.  The environment variable
-FRACSPHERE_TOL (default 1e-10; finite and >= 0, else bad input) sets the
-deficit gate of verify, flow and euclid.  Exit status is 1 when an
-asserted bound fails and 2 on bad input.
+option, a list or dict option that is not a JSON array or object, a
+q_grid or s_grid entry that is not a number and an --out path that is a
+directory or lies in a directory that does not exist are bad input.
+All outputs are deterministic for a fixed config and seed, byte for
+byte.  The environment variable FRACSPHERE_TOL (default 1e-10; finite
+and >= 0, else bad input) sets the deficit gate of verify, flow and
+euclid.  Exit status is 1 when an asserted bound fails and 2 on bad
+input.
 """
 
 import argparse
@@ -34,10 +37,10 @@ import sys
 
 import numpy as np
 
-from .euclid import (EuclidParams, eigen_residual, f_star, grid_field,
-                     thm16_deficit)
+from .euclid import EuclidParams, eigen_residual, f_star, thm16_deficit
+from .field import is_number
 from .flow import FlowConfig, run_flow
-from .inequality import equality_suite, random_suite, reports_csv
+from .inequality import KINDS, equality_suite, random_suite, reports_csv
 from .specfun import rule_cache_info
 from .spectrum import (CONSTANTS_HEADER, constants_row, delta_sequence,
                        derive_params, gamma_sequence, monotonicity_scan,
@@ -96,7 +99,7 @@ OPTIONS = {
     "euclid": {"s": (float, 0.5, FLAG), "q": (float, None, FLAG),
                "mode": (_one_of("eigen", "thm16", "all"), "all", FLAG),
                "L": (float, 60.0, CONFIG), "N": (int, 2 ** 15, CONFIG),
-               "kmax": (int, 4, CONFIG), "out": (str, "euclid_out.csv", FLAG)},
+               "kmax": (int, 4, CONFIG), "out": (str, "euclid_out.json", FLAG)},
 }
 
 
@@ -136,9 +139,12 @@ def resolve(command, args):
 
 
 def _typed(key, typ, value):
-    """value converted to the option's type; 2.5 is not an int."""
+    """value converted to the option's type; 2.5 is not an int, and a
+    list or dict option takes only a JSON array or object."""
     if typ is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if typ in (list, dict) and not isinstance(value, typ):
+        raise ValueError(f"{key} cannot be read as {typ.__name__}: {value!r}")
     try:
         return typ(value)
     except TypeError:
@@ -192,8 +198,7 @@ def _check_row(i, row):
         raise ValueError(f"rows[{i}] has keys other than n, s, q: {', '.join(unknown)}")
     for key in ("n", "s", "q"):
         value = row.get(key)
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (numeric or key == "q" and value is None):
+        if not (is_number(value) or key == "q" and value is None):
             raise ValueError(f"rows[{i}]: {key} must be a number, got {value!r}")
 
 
@@ -205,8 +210,7 @@ def cmd_verify(opt):
     _write(opt["out"], reports_csv(reports))
     ok = True
     for r in reports:
-        gate = max(tol, 1e-8) if r.kind == "square" else tol
-        if r.relative_deficit < -gate:
+        if r.relative_deficit < -max(tol, KINDS[r.kind].gate_floor):
             print(f"verify: FAIL {r.kind} n={r.n} s={r.s} q={r.q} "
                   f"relative deficit {r.relative_deficit:.3e}", file=sys.stderr)
             ok = False
@@ -222,6 +226,10 @@ def cmd_verify(opt):
 
 
 def cmd_scan(opt):
+    for key in ("q_grid", "s_grid"):
+        for value in opt[key] or ():
+            if not is_number(value):
+                raise ValueError(f"{key} entries must be numbers, got {value!r}")
     if opt["mode"] == "s_grid":
         return _scan_constant_landscape(opt)
     nmax = 5 if opt["n"] is None else opt["n"]
@@ -337,13 +345,7 @@ def cmd_euclid(opt):
                   file=sys.stderr)
             ok = False
 
-    gf = grid_field(lambda x: f_star(s, x), eu)
-    out = opt["out"]
-    lines = ["x,value"]
-    lines.extend(f"{float(x)!r},{float(v)!r}" for x, v in zip(gf.x, gf.values))
-    _write(out, "\n".join(lines) + "\n")
-    _write(os.path.splitext(out)[0] + ".json",
-           json.dumps(summary, sort_keys=True) + "\n")
+    _write(opt["out"], json.dumps(summary, sort_keys=True) + "\n")
 
     if ok:
         print("euclid: " + ", ".join(parts))

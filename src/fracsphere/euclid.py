@@ -2,8 +2,7 @@
 
 The conformal change of variables x = tan((pi - theta)/2) carries the
 sphere inequalities to weighted interpolation inequalities on the real
-line.  This module provides the transport in both directions, a Fourier
-oracle for the fractional Laplacian on a periodized grid, an
+line.  This module provides the transport in both directions, an
 eigenfunction residual check for the explicit diagonalization
 
     (-Lap)^(s/2) f_k = lam_k (1 + |x|^2)^(-s) f_k,
@@ -12,14 +11,14 @@ eigenfunction residual check for the explicit diagonalization
 
 and the two-endpoint interpolation deficit on the line.
 
-The Fourier oracle is a periodic surrogate on one real FFT pair (the
-symbol |xi|^s is real and even): it zeroes the DC mode and bins |xi|^s
-coarsely near zero, which caps its accuracy around 1e-3 for slowly
-decaying fields.  Quantities needing 1e-6 or better are computed by
-exact transport to the circle (the deficit at the optimizer) or by
-mean-corrected combinations insensitive to the DC loss (the
-eigen-residuals, whose profiles T_j(z) come from one pass of the
-Chebyshev recurrence).
+The residual applies the fractional Laplacian as the |xi|^s multiplier
+on one real FFT pair of a periodized grid (the symbol is real and even).
+That periodic surrogate zeroes the DC mode and bins |xi|^s coarsely
+near zero, which caps its accuracy around 1e-3 for slowly decaying
+fields, so the residual is taken on mean-corrected combinations
+insensitive to the DC loss, whose profiles T_j(z) come from one pass of
+the Chebyshev recurrence.  The deficit at the optimizer, which needs
+roundoff accuracy, is computed by exact transport to the circle.
 """
 
 import json
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import CONSTANT_FIELD_THRESHOLD
 from .specfun import log_gamma
 from .spectrum import gamma_sequence
 
@@ -60,21 +60,6 @@ class EuclidParams:
 
     def grid(self):
         return -self.L + self.h * np.arange(self.N)
-
-
-@dataclass
-class GridField:
-    x: np.ndarray
-    values: np.ndarray
-
-    @property
-    def h(self):
-        return float(self.x[1] - self.x[0])
-
-
-def grid_field(fn, eu):
-    x = eu.grid()
-    return GridField(x=x, values=np.asarray(fn(x), dtype=float))
 
 
 def stereo_angle(x):
@@ -123,72 +108,10 @@ def euclid_eigenvalue(s, k, n=1):
                                    - log_gamma(k + 0.5 * (n - s))))
 
 
-DECAY_BOUND = 1e-8
-
-
 def _apply_multiplier(values, h, s):
+    """(-Lap)^(s/2) of samples on a periodized grid of spacing h."""
     xi = TWO_PI * np.fft.rfftfreq(values.size, d=h)
     return np.fft.irfft(xi ** s * np.fft.rfft(values), values.size)
-
-
-def frac_laplacian_oracle(gf, s):
-    """Fractional Laplacian on the periodized grid via the |xi|^s multiplier.
-
-    Refuses inputs that have not decayed at the grid edge: periodization
-    wraps whatever is left there, and the result silently loses meaning.
-    """
-    peak = np.abs(gf.values).max()
-    edge = max(abs(gf.values[0]), abs(gf.values[-1]))
-    if peak > 0.0 and edge > DECAY_BOUND * peak:
-        raise ValueError(
-            f"insufficient decay for the periodized oracle: |f| at the grid "
-            f"edge is {edge / peak:.1e} of max|f| (bound {DECAY_BOUND:g}); "
-            f"enlarge the window")
-    return GridField(x=gf.x, values=_apply_multiplier(gf.values, gf.h, s))
-
-
-# ---------------------------------------------------------------------------
-# weighted integrals with algebraic tail correction
-
-
-def _tail_integral(g1, u1, g2, u2, x_end, terms=14):
-    # fit g ~ A (1+x^2)^(-m) from two samples, integrate beyond x_end
-    if g1 <= 0.0 or g2 <= 0.0:
-        return 0.0
-    m = np.log(g1 / g2) / np.log(u2 / u1)
-    if m <= 0.55:
-        return 0.0
-    amp = g1 * u1 ** m
-    total = 0.0
-    coef = 1.0
-    for j in range(terms):
-        p = 2.0 * m + 2.0 * j - 1.0
-        total += coef * x_end ** (-p) / p
-        coef *= -(m + j) / (j + 1.0)
-    return amp * total
-
-
-def weighted_norm(gf, q, beta=0.0):
-    """integral of |f|^q (1+x^2)^(-beta/2) dx, with algebraic tail correction.
-
-    The integrand is fit on each side to A (1+x^2)^(-m) using two
-    samples (at 90% of the half-width and at the end) and the fitted
-    model is integrated beyond the grid in closed form.  Returns
-    (value, tail_fraction); sides whose fitted decay is too slow to
-    integrate are skipped, which surfaces as a larger tail_fraction of
-    zero on truncation-dominated inputs.
-    """
-    x, h = gf.x, gf.h
-    g = np.abs(gf.values) ** q * (1.0 + x * x) ** (-0.5 * beta)
-    core = float(np.trapezoid(g, dx=h))
-    nn = x.size
-    i_r, i_l = int(0.9 * nn), int(0.1 * nn)
-    u = 1.0 + x * x
-    right = _tail_integral(g[i_r], u[i_r], g[-1], u[-1], abs(x[-1]))
-    left = _tail_integral(g[i_l], u[i_l], g[0], u[0], abs(x[0]))
-    value = core + right + left
-    frac = (right + left) / abs(value) if value != 0.0 else 0.0
-    return value, frac
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +134,20 @@ def eigen_residual(s, k, L=60.0, N=2 ** 15):
 
     A single eigenfunction decays like |x|^(-2 mu) = |x|^(s-1), which is
     not even integrable: on it the DC loss and the window truncation of
-    the periodic oracle drown the identity.  It is tested instead on
+    the periodic multiplier drown the identity.  It is tested instead on
     g = sum c_j f_j over the degrees j = k, k+2, k+4, k+6 (one parity,
     hence one weight relation), with c chosen so that
 
         sum c_j = 0, sum c_j j^2 = 0, sum_i g(x_i) = 0:
 
     the first two conditions cancel the two leading tail orders of the
-    profiles, the third removes the discrete mean the oracle cannot see.
+    profiles, the third removes the discrete mean the multiplier cannot see.
     Both sides are compared mean-free.  A wrong eigenvalue at any of the
     four degrees moves the residual by orders of magnitude.
 
-    g decays like x^(-(1-s)-4): enough for the residual target but above
-    the edge bound of the public oracle, so the raw multiplier is applied
-    directly; the mean corrections make that safe.
+    g decays like x^(-(1-s)-4): enough for the residual target, though
+    not to the roundoff level at the grid edge where periodization would
+    be harmless; the mean corrections make that safe.
     """
     eu = EuclidParams(n=1, s=s, L=L, N=N)
     x = eu.grid()
@@ -273,8 +196,8 @@ def thm16_deficit(f, ps, M=8192, descriptor=""):
     on a uniform midpoint grid, Fourier analysis of F, and the diagonal
     form of the Dirichlet integral.  All three terms are circle-side
     integrals of smooth functions, so the optimizer comes out with a
-    deficit at roundoff level rather than at the 1e-3 level the line
-    oracle could deliver.
+    deficit at roundoff level rather than at the 1e-3 level of the
+    periodized |xi|^s multiplier on the line.
 
     f must be a vectorized callable on the line; M is the number of
     angular nodes.  Returns an InequalityReport with kind
@@ -314,4 +237,4 @@ def thm16_deficit(f, ps, M=8192, descriptor=""):
     return InequalityReport.from_sides(
         "line_interpolation", ps, q, lhs, rhs,
         descriptor or json.dumps({"family": "unnamed_callable"}),
-        tail <= 1e-24 * c0 ** 2)
+        tail <= CONSTANT_FIELD_THRESHOLD * c0 ** 2)

@@ -173,14 +173,21 @@ def field_from_descriptor(desc, n, max_degree=None):
                                                  which is the constant field
       {"family": "random_band_limited",
        "kmax": K, "seed": m, "scale": r}         1 + r * (seeded modes)
+
+    e, c and r are numbers, k, K and m non-negative integers.
     """
     if isinstance(desc, str):
         desc = json.loads(desc)
 
-    def key(name):
+    def key(name, valid=is_number, what="a number"):
         if name not in desc:
             raise ValueError(f"field descriptor {desc!r} has no key {name!r}")
+        if not valid(desc[name]):
+            raise ValueError(f"{name} must be {what}, got {desc[name]!r}")
         return desc[name]
+
+    def count(name):
+        return int(key(name, _is_whole, "a non-negative integer"))
 
     def degree(k):
         if max_degree is not None and k > max_degree:
@@ -196,14 +203,23 @@ def field_from_descriptor(desc, n, max_degree=None):
     if fam == "pullback_fstar":
         return ZonalField(n=n, coeffs=[1.0])
     if fam == "random_band_limited":
-        kmax = degree(int(key("kmax")))
-        scale = float(desc.get("scale", 0.3))
-        rng = np.random.default_rng(int(key("seed")))
+        kmax = degree(count("kmax"))
+        scale = float(key("scale")) if "scale" in desc else 0.3
+        rng = np.random.default_rng(count("seed"))
         c = rng.standard_normal(kmax + 1)
         c *= scale / max(1.0, np.abs(c).max())
         c[0] += 1.0
         return ZonalField(n=n, coeffs=c)
     raise ValueError(f"unrecognized field descriptor: {desc!r}")
+
+
+def is_number(value):
+    """A real number and not a bool, as JSON numbers decode."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _is_whole(value):
+    return is_number(value) and value >= 0 and value % 1 == 0    # NaN and inf fail
 
 
 def _coeff_vector(pairs, degree):
@@ -212,10 +228,14 @@ def _coeff_vector(pairs, degree):
     if not (isinstance(pairs, list) and pairs):
         raise ValueError(f"coeffs must be a non-empty list of [k, c] pairs, got {pairs!r}")
     out = {}
-    for k, c in pairs:
-        integral = isinstance(k, Real) and not isinstance(k, bool) and float(k).is_integer()
-        if not (integral and k >= 0):
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValueError(f"coeffs entry {pair!r} is not a [k, c] pair")
+        k, c = pair
+        if not _is_whole(k):
             raise ValueError(f"coeffs degree {k!r} is not a non-negative integer")
+        if not is_number(c):
+            raise ValueError(f"coeffs value {c!r} is not a number")
         if int(k) in out:
             raise ValueError(f"coeffs repeats degree {int(k)}")
         out[int(k)] = float(c)

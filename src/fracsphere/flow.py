@@ -136,10 +136,11 @@ class FlowOps:
         except ValueError as exc:
             raise ValueError(f"init {exc}") from None
         spec = np.zeros(self.m + 1, dtype=complex)
-        spec[:fld.kmax + 1] = fld.coeffs / self.to_cos[:fld.kmax + 1]
-        w0 = np.fft.irfft(spec, 2 * self.m)[:self.m]
-        if w0.min() <= 0.0:
-            raise ValueError("initial profile must be strictly positive")
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf refused below
+            spec[:fld.kmax + 1] = fld.coeffs / self.to_cos[:fld.kmax + 1]
+            w0 = np.fft.irfft(spec, 2 * self.m)[:self.m]
+        if not 0.0 < w0.min() <= w0.max() < math.inf:     # NaN fails too
+            raise ValueError("initial profile must be strictly positive and finite")
         return w0 ** self.q
 
     def _clamp(self, u):

@@ -10,8 +10,8 @@ nonnegative up to quadrature roundoff.
 
 Also here: kernel eigenvalues by quadrature against the closed form
 (the classical Funk-Hecke identity), the sharpness probe along the
-1 + eps Y_1 family, and the pointwise Taylor remainder bounds used in
-the stability arguments.
+1 + eps Y_1 family, and the pointwise Taylor remainder used in the
+stability arguments.
 """
 
 import json
@@ -120,6 +120,7 @@ class Kind:
     exponent: Callable
     equality: Callable = is_constant
     nodes: tuple = (160, 6)     # the rule has max(m0, r * (K + 1)) nodes; None: no rule
+    gate_floor: float = 0.0     # verify fails a relative deficit below -max(tol, gate_floor)
 
 
 _Q, _Q_STAR, _SHARP = attrgetter("q"), attrgetter("q_star"), attrgetter("constant")
@@ -152,7 +153,7 @@ KINDS = {
     # order at the optimizers, hence the looser 1e-8 roundoff gate
     "square": Kind(lambda ps: 0.0 < ps.s < ps.n,
                    "the squared-deficit form needs s in (0, n)",
-                   _square_sides, _Q_STAR, nodes=(256, 16)),
+                   _square_sides, _Q_STAR, nodes=(256, 16), gate_floor=1e-8),
 }
 
 
@@ -234,7 +235,7 @@ def linearization_probe(n, s, q, eps):
 
 
 # ---------------------------------------------------------------------------
-# pointwise Taylor remainder bounds
+# pointwise Taylor remainder
 
 
 def taylor_remainder(t, q):
@@ -242,51 +243,6 @@ def taylor_remainder(t, q):
     t = np.asarray(t, dtype=float)
     out = np.abs(1.0 + t) ** q - 1.0 - q * t - 0.5 * q * (q - 1.0) * t * t
     return out if out.ndim else float(out)
-
-
-def taylor_case_constant(q):
-    """Sharp constant for the t >= 1 branch of the remainder bound.
-
-    Equals 1 for q in (2, 3]; for q >= 3 the defining integral
-    (q(q-1)(q-2)/2) * int_0^1 (1-sigma)^2 (1+sigma)^(q-3) d sigma has the
-    closed form below (e.g. 5 at q = 4).
-    """
-    if q <= 2.0:
-        raise ValueError("remainder bounds need q > 2")
-    if q <= 3.0:
-        return 1.0
-    val = (4.0 * (2.0 ** (q - 2.0) - 1.0) / (q - 2.0)
-           - 4.0 * (2.0 ** (q - 1.0) - 1.0) / (q - 1.0)
-           + (2.0 ** q - 1.0) / q)
-    return 0.5 * q * (q - 1.0) * (q - 2.0) * val
-
-
-def taylor_bounds(t, q):
-    """Case label and (lower, upper) bounds for the remainder at t.
-
-    The natural constants on the two negative branches, q(q-1)(q-2)/6
-    for -1 < t < 0 and (q-1)(q-2)/2 for t <= -1, are only valid for
-    q >= 3: deriving them takes sign(u)|u|^(q-3) to be increasing.  For
-    2 < q < 3 each branch needs the value the other branch contributes
-    at t = -1, where |r| = (q-1)(q-2)/2 while q(q-1)(q-2)/6 and 1 sit
-    below it and above it respectively; taking the max of the adjacent
-    constants gives bounds valid on all of q > 2 (and sharp at t = -1
-    for q >= 3).
-    """
-    if q <= 2.0:
-        raise ValueError("remainder bounds need q > 2")
-    t = float(t)
-    cube = q * (q - 1.0) * (q - 2.0) / 6.0
-    half = 0.5 * (q - 1.0) * (q - 2.0)
-    if t >= 1.0:
-        return "large_positive", 0.0, taylor_case_constant(q) * t ** q
-    if t > 0.0:
-        return "small_positive", 0.0, cube * max(1.0, 2.0 ** (q - 3.0)) * t ** 3
-    if t == 0.0:
-        return "zero", 0.0, 0.0
-    if t > -1.0:
-        return "small_negative", -max(cube, half) * abs(t) ** 3, 0.0
-    return "large_negative", -max(1.0, half) * abs(t) ** q, abs(t) ** q
 
 
 # ---------------------------------------------------------------------------

@@ -54,16 +54,6 @@ def log_gamma(x):
     return out if out.ndim else float(out)
 
 
-def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b) for positive a, b, computed in log space.
-
-    Stable for arguments where the individual gamma values would
-    overflow (a, b up to ~1e300 in principle; we only ever need a few
-    hundred).
-    """
-    return np.exp(log_gamma(a) - log_gamma(b))
-
-
 def gegenbauer(k, alpha, z):
     """Evaluate the Gegenbauer polynomial C_k^(alpha) at z.
 

@@ -180,7 +180,6 @@ def operator_eigenvalue(ps, kind, kmax):
                 mirror (1 - gamma_k)/kappa for s < 0, zero at s = 0)
       'K'       conformally normalized kernel operator, gamma_k((n-s)/2)
       'K_inv'   its inverse, gamma_k((n+s)/2)
-      'A'       K divided by kappa
       'K0prime' derivative of K in s at s = 0: (1/2) alpha_k(n/2)
       'R'       remainder operator, eps_k for k >= 2
     """
@@ -196,10 +195,6 @@ def operator_eigenvalue(ps, kind, kmax):
         return gamma_sequence(n, ps.x_crit, kmax)
     if kind == "K_inv":
         return gamma_sequence(n, 0.5 * (n + s), kmax)
-    if kind == "A":
-        if s == n:
-            raise ValueError("normalized kernel operator degenerates at s = n")
-        return gamma_sequence(n, ps.x_crit, kmax) / ps.kappa
     if kind == "K0prime":
         return 0.5 * alpha_sequence(n, 0.5 * n, kmax)
     if kind == "R":

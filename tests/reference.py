@@ -1,0 +1,163 @@
+"""Independent reference computations the tests compare the package against.
+
+None of these is called by the command line or the documented API; each
+is a second route to a quantity the package computes another way:
+
+- gamma_ratio: Gamma(a)/Gamma(b) straight from log-gamma, against the
+  product recurrence of spectrum.gamma_sequence
+- GridField, grid_field, frac_laplacian_oracle: the fractional Laplacian
+  on a periodized line grid through the |xi|^s multiplier, against the
+  circle-side Dirichlet form
+- weighted_norm: line integrals with an algebraic tail correction,
+  against circle-side norms under the stereographic transport
+- taylor_case_constant, taylor_bounds: case-wise bounds on the pointwise
+  Taylor remainder of inequality.taylor_remainder
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from fracsphere.euclid import _apply_multiplier
+from fracsphere.specfun import log_gamma
+
+
+def gamma_ratio(a, b):
+    """Gamma(a)/Gamma(b) for positive a, b, computed in log space.
+
+    Stable for arguments where the individual gamma values would
+    overflow (a, b up to ~1e300 in principle; we only ever need a few
+    hundred).
+    """
+    return np.exp(log_gamma(a) - log_gamma(b))
+
+
+# ---------------------------------------------------------------------------
+# fields on the line grid and the periodized Fourier oracle
+
+
+@dataclass
+class GridField:
+    x: np.ndarray
+    values: np.ndarray
+
+    @property
+    def h(self):
+        return float(self.x[1] - self.x[0])
+
+
+def grid_field(fn, eu):
+    x = eu.grid()
+    return GridField(x=x, values=np.asarray(fn(x), dtype=float))
+
+
+DECAY_BOUND = 1e-8
+
+
+def frac_laplacian_oracle(gf, s):
+    """Fractional Laplacian on the periodized grid via the |xi|^s multiplier.
+
+    Refuses inputs that have not decayed at the grid edge: periodization
+    wraps whatever is left there, and the result silently loses meaning.
+    """
+    peak = np.abs(gf.values).max()
+    edge = max(abs(gf.values[0]), abs(gf.values[-1]))
+    if peak > 0.0 and edge > DECAY_BOUND * peak:
+        raise ValueError(
+            f"insufficient decay for the periodized oracle: |f| at the grid "
+            f"edge is {edge / peak:.1e} of max|f| (bound {DECAY_BOUND:g}); "
+            f"enlarge the window")
+    return GridField(x=gf.x, values=_apply_multiplier(gf.values, gf.h, s))
+
+
+# ---------------------------------------------------------------------------
+# weighted integrals with algebraic tail correction
+
+
+def _tail_integral(g1, u1, g2, u2, x_end, terms=14):
+    # fit g ~ A (1+x^2)^(-m) from two samples, integrate beyond x_end
+    if g1 <= 0.0 or g2 <= 0.0:
+        return 0.0
+    m = np.log(g1 / g2) / np.log(u2 / u1)
+    if m <= 0.55:
+        return 0.0
+    amp = g1 * u1 ** m
+    total = 0.0
+    coef = 1.0
+    for j in range(terms):
+        p = 2.0 * m + 2.0 * j - 1.0
+        total += coef * x_end ** (-p) / p
+        coef *= -(m + j) / (j + 1.0)
+    return amp * total
+
+
+def weighted_norm(gf, q, beta=0.0):
+    """integral of |f|^q (1+x^2)^(-beta/2) dx, with algebraic tail correction.
+
+    The integrand is fit on each side to A (1+x^2)^(-m) using two
+    samples (at 90% of the half-width and at the end) and the fitted
+    model is integrated beyond the grid in closed form.  Returns
+    (value, tail_fraction); sides whose fitted decay is too slow to
+    integrate are skipped, which surfaces as a larger tail_fraction of
+    zero on truncation-dominated inputs.
+    """
+    x, h = gf.x, gf.h
+    g = np.abs(gf.values) ** q * (1.0 + x * x) ** (-0.5 * beta)
+    core = float(np.trapezoid(g, dx=h))
+    nn = x.size
+    i_r, i_l = int(0.9 * nn), int(0.1 * nn)
+    u = 1.0 + x * x
+    right = _tail_integral(g[i_r], u[i_r], g[-1], u[-1], abs(x[-1]))
+    left = _tail_integral(g[i_l], u[i_l], g[0], u[0], abs(x[0]))
+    value = core + right + left
+    frac = (right + left) / abs(value) if value != 0.0 else 0.0
+    return value, frac
+
+
+# ---------------------------------------------------------------------------
+# pointwise Taylor remainder bounds
+
+
+def taylor_case_constant(q):
+    """Sharp constant for the t >= 1 branch of the remainder bound.
+
+    Equals 1 for q in (2, 3]; for q >= 3 the defining integral
+    (q(q-1)(q-2)/2) * int_0^1 (1-sigma)^2 (1+sigma)^(q-3) d sigma has the
+    closed form below (e.g. 5 at q = 4).
+    """
+    if q <= 2.0:
+        raise ValueError("remainder bounds need q > 2")
+    if q <= 3.0:
+        return 1.0
+    val = (4.0 * (2.0 ** (q - 2.0) - 1.0) / (q - 2.0)
+           - 4.0 * (2.0 ** (q - 1.0) - 1.0) / (q - 1.0)
+           + (2.0 ** q - 1.0) / q)
+    return 0.5 * q * (q - 1.0) * (q - 2.0) * val
+
+
+def taylor_bounds(t, q):
+    """Case label and (lower, upper) bounds for the remainder at t.
+
+    The natural constants on the two negative branches, q(q-1)(q-2)/6
+    for -1 < t < 0 and (q-1)(q-2)/2 for t <= -1, are only valid for
+    q >= 3: deriving them takes sign(u)|u|^(q-3) to be increasing.  For
+    2 < q < 3 each branch needs the value the other branch contributes
+    at t = -1, where |r| = (q-1)(q-2)/2 while q(q-1)(q-2)/6 and 1 sit
+    below it and above it respectively; taking the max of the adjacent
+    constants gives bounds valid on all of q > 2 (and sharp at t = -1
+    for q >= 3).
+    """
+    if q <= 2.0:
+        raise ValueError("remainder bounds need q > 2")
+    t = float(t)
+    cube = q * (q - 1.0) * (q - 2.0) / 6.0
+    half = 0.5 * (q - 1.0) * (q - 2.0)
+    if t >= 1.0:
+        return "large_positive", 0.0, taylor_case_constant(q) * t ** q
+    if t > 0.0:
+        return "small_positive", 0.0, cube * max(1.0, 2.0 ** (q - 3.0)) * t ** 3
+    if t == 0.0:
+        return "zero", 0.0, 0.0
+    if t > -1.0:
+        return "small_negative", -max(cube, half) * abs(t) ** 3, 0.0
+    return "large_negative", -max(1.0, half) * abs(t) ** q, abs(t) ** q

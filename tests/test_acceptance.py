@@ -16,10 +16,11 @@ from fracsphere.field import field_from_descriptor
 from fracsphere.flow import FlowConfig, FlowOps, rk4_step, run_flow
 from fracsphere.inequality import (deficit, equality_suite, funk_hecke_mu,
                                    linearization_probe, random_suite,
-                                   taylor_bounds, taylor_remainder)
+                                   taylor_remainder)
 from fracsphere.spectrum import (alpha_sequence, delta_sequence, derive_params,
                                  monotonicity_scan, operator_eigenvalue,
                                  remainder_sequence, sharp_constant)
+from reference import taylor_bounds
 
 
 def _gate(num, name, ok, detail, elapsed, budget):

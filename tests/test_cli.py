@@ -173,17 +173,22 @@ def test_unread_flag_exits_2(command, flag, tmp_path, capsys):
 
 
 def test_readme_commands_parse():
+    # every README command parses and resolves, and an --out names the
+    # same kind of file as the command's default output; nothing is run
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```\w*\n(.*?)```", readme, re.S)
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
     commands = [shlex.split(line)[1:] for block in blocks
                 for line in block.splitlines() if line.startswith("fracsphere ")]
     assert len(commands) >= 7
     parser = cli.build_parser()
     for argv in commands:
         try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"README command does not parse: fracsphere {shlex.join(argv)}")
+            opt = cli.resolve(argv[0], parser.parse_args(argv))
+        except (SystemExit, ValueError):
+            pytest.fail(f"README command is refused: fracsphere {shlex.join(argv)}")
+        default = cli.OPTIONS[argv[0]]["out"][1]
+        if default is not None:
+            assert Path(opt["out"]).suffix == Path(default).suffix, argv
 
 
 # ------------------------------------------------------------ config files
@@ -233,6 +238,28 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     ("flow", {"init": {"coeffs": [[0, 1.0], ["1", 0.5]]}},
      "coeffs degree '1' is not a non-negative integer"),
     ("flow", {"init": {"coeffs": {"0": 1.0}}}, "coeffs must be a non-empty list"),
+    # a list or dict option is a JSON array or object, a grid holds numbers
+    ("scan", {"q_grid": "12"}, "q_grid cannot be read as list: '12'"),
+    ("scan", {"q_grid": {"1.5": 0, "3": 1}}, "q_grid cannot be read as list"),
+    ("flow", {"init": [["family", "one_plus_eps_y1"], ["eps", 0.01]]},
+     "init cannot be read as dict"),
+    ("scan", {"mode": "s_grid", "s_grid": [0.5, None]}, "s_grid entries must be numbers, got None"),
+    ("scan", {"q_grid": [1.5, None]}, "q_grid entries must be numbers, got None"),
+    ("scan", {"q_grid": [1.5, True]}, "q_grid entries must be numbers, got True"),
+    # descriptor values have the types the descriptor names
+    ("flow", {"init": {"coeffs": [5]}}, "init coeffs entry 5 is not a [k, c] pair"),
+    ("flow", {"init": {"coeffs": [[0, None]]}}, "init coeffs value None is not a number"),
+    ("flow", {"init": {"family": "one_plus_eps_y1", "eps": None}},
+     "init eps must be a number, got None"),
+    ("flow", {"init": {"family": "random_band_limited", "kmax": None, "seed": 1}},
+     "init kmax must be a non-negative integer, got None"),
+    ("flow", {"init": {"family": "random_band_limited", "kmax": 2.5, "seed": 1}},
+     "init kmax must be a non-negative integer, got 2.5"),
+    ("flow", {"init": {"family": "random_band_limited", "kmax": 2, "seed": 1.7}},
+     "init seed must be a non-negative integer, got 1.7"),
+    # json writes and reads NaN; a NaN profile is not positive
+    ("flow", {"init": {"family": "one_plus_eps_y1", "eps": float("nan")}},
+     "initial profile must be strictly positive"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -428,30 +455,29 @@ def test_euclid_eigen_mode(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "euclid", "kmax": 2,
                                "L": 60.0, "N": 2 ** 14}))
-    path = tmp_path / "profile.csv"
+    path = tmp_path / "profile.json"
     rc, out, _ = run(capsys, ["euclid", "--config", str(cfg), "--s", "0.5",
                               "--mode", "eigen", "--out", str(path)])
     assert rc == 0
     assert "worst eigen-residual" in out
-    summary = json.loads((tmp_path / "profile.json").read_text())
+    summary = json.loads(path.read_text())
     assert set(summary) == {"eigen_residuals", "q", "s"}
     assert set(summary["eigen_residuals"]) == {"0", "1", "2"}
     assert all(v <= 1e-3 for v in summary["eigen_residuals"].values())
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == 2 ** 14 + 1
+    # the summary is the only artifact
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "profile.json"]
 
 
 def test_euclid_thm16_mode(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "euclid", "L": 30.0, "N": 2 ** 12}))
-    path = tmp_path / "profile.csv"
+    path = tmp_path / "profile.json"
     rc, out, _ = run(capsys, ["euclid", "--config", str(cfg), "--s", "0.5",
                               "--q", "3.0", "--mode", "thm16",
                               "--out", str(path)])
     assert rc == 0
     assert "optimizer deficit" in out
-    summary = json.loads((tmp_path / "profile.json").read_text())
+    summary = json.loads(path.read_text())
     assert set(summary) == {"deficit", "lhs", "q", "rhs", "s"}
     assert abs(summary["deficit"]) <= 1e-8
     assert summary["q"] == 3.0
@@ -463,7 +489,7 @@ def test_euclid_default_exponent_is_midpoint(tmp_path, capsys):
                                "L": 30.0, "N": 2 ** 12}))
     rc, _, _ = run(capsys, ["euclid", "--config", str(cfg), "--s", "0.5",
                             "--mode", "eigen",
-                            "--out", str(tmp_path / "p.csv")])
+                            "--out", str(tmp_path / "p.json")])
     assert rc == 0
     summary = json.loads((tmp_path / "p.json").read_text())
     # q_star = 4 at s = 1/2 on the circle, midpoint of (2, q_star) is 3

@@ -327,6 +327,38 @@ def test_descriptor_missing_key_is_named(desc, missing):
         field_from_descriptor(desc, 2)
 
 
+@pytest.mark.parametrize("desc,message", [
+    ({"coeffs": [5]}, "coeffs entry 5 is not a [k, c] pair"),
+    ({"coeffs": [[0, 1.0, 2.0]]}, "is not a [k, c] pair"),
+    ({"coeffs": [[0, None]]}, "coeffs value None is not a number"),
+    ({"coeffs": [[0, "1"]]}, "coeffs value '1' is not a number"),
+    ({"family": "one_plus_eps_y1", "eps": None}, "eps must be a number, got None"),
+    ({"family": "one_plus_eps_y1", "eps": True}, "eps must be a number, got True"),
+    ({"family": "random_band_limited", "kmax": None, "seed": 1},
+     "kmax must be a non-negative integer, got None"),
+    ({"family": "random_band_limited", "kmax": 2.5, "seed": 1},
+     "kmax must be a non-negative integer, got 2.5"),
+    ({"family": "random_band_limited", "kmax": -1, "seed": 1},
+     "kmax must be a non-negative integer, got -1"),
+    ({"family": "random_band_limited", "kmax": 2, "seed": 1.7},
+     "seed must be a non-negative integer, got 1.7"),
+    ({"family": "random_band_limited", "kmax": 2, "seed": 1, "scale": None},
+     "scale must be a number, got None"),
+])
+def test_descriptor_values_have_their_types(desc, message):
+    with pytest.raises(ValueError) as exc:
+        field_from_descriptor(desc, 2)
+    assert message in str(exc.value) and "\n" not in str(exc.value)
+
+
+def test_descriptor_accepts_integral_floats():
+    # 2.0 is an integer, as for the integer options of the command line
+    desc = {"family": "random_band_limited", "kmax": 2.0, "seed": 11.0}
+    np.testing.assert_array_equal(
+        field_from_descriptor(desc, 2).coeffs,
+        field_from_descriptor({"family": "random_band_limited", "kmax": 2, "seed": 11}, 2).coeffs)
+
+
 def test_random_band_limited_is_deterministic():
     desc = {"family": "random_band_limited", "kmax": 6, "seed": 11, "scale": 0.4}
     a = field_from_descriptor(desc, 2)

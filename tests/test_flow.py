@@ -104,6 +104,19 @@ def test_initial_profile_must_be_positive():
         ops.init_values()
 
 
+@pytest.mark.parametrize("init", [
+    {"family": "one_plus_eps_y1", "eps": math.nan},
+    {"family": "one_plus_eps_y1", "eps": math.inf},
+    {"coeffs": [[0, math.inf]]},
+    {"coeffs": [[0, 1e308], [1, 1e308]]},
+])
+def test_non_finite_initial_profile_is_refused(init):
+    # NaN compares false with everything: the check must not pass it
+    ops = FlowOps(FlowConfig(init=init))
+    with pytest.raises(ValueError, match="initial profile must be strictly positive"):
+        ops.init_values()
+
+
 def test_init_degree_above_kmax_is_rejected():
     ops = FlowOps(FlowConfig(kmax=32, init={"coeffs": [[0, 1.0], [40, 0.01]]}))
     with pytest.raises(ValueError, match=r"init has degree 40 > kmax = 32"):

@@ -12,10 +12,9 @@ from fracsphere.inequality import (EQUALITY_CASES, KINDS, RANDOM_CASES,
                                    REPORT_HEADER, InequalityReport, deficit,
                                    deficit_square, equality_suite, funk_hecke_mu,
                                    linearization_probe, random_suite,
-                                   report_row, reports_csv,
-                                   taylor_bounds, taylor_case_constant,
-                                   taylor_remainder)
+                                   report_row, reports_csv, taylor_remainder)
 from fracsphere.spectrum import derive_params, remainder_sequence
+from reference import taylor_bounds, taylor_case_constant
 
 
 @pytest.fixture(scope="module")
