@@ -18,8 +18,9 @@ config-only keys; all five also take --config and --out:
 
 --config names a JSON file of options; explicit flags win over it.  A
 file that cannot be read, a "command" key naming another subcommand, a
-key the subcommand does not read, a non-integral value for an integer
-option, a list or dict option that is not a JSON array or object, a
+key the subcommand does not read, a number option that is not a JSON
+number (bools too) or an integer option that is not integral, a string,
+list or dict option that is not a JSON string, array or object, a
 q_grid or s_grid entry that is not a number and an --out path that is a
 directory or lies in a directory that does not exist are bad input.
 All outputs are deterministic for a fixed config and seed, byte for
@@ -38,7 +39,7 @@ import sys
 import numpy as np
 
 from .euclid import EuclidParams, eigen_residual, f_star, thm16_deficit
-from .field import is_number
+from .field import finite_or_null, is_number
 from .flow import FlowConfig, run_flow
 from .inequality import KINDS, equality_suite, random_suite, reports_csv
 from .specfun import rule_cache_info
@@ -139,15 +140,18 @@ def resolve(command, args):
 
 
 def _typed(key, typ, value):
-    """value converted to the option's type; 2.5 is not an int, and a
-    list or dict option takes only a JSON array or object."""
+    """value converted to the option's type.  An int or float option
+    takes only a number (not a bool, and 2.5 is not an int), a str, list
+    or dict option only a JSON string, array or object."""
+    if typ in (int, float) and not is_number(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     if typ is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    if typ in (list, dict) and not isinstance(value, typ):
+    if typ in (str, list, dict) and not isinstance(value, typ):
         raise ValueError(f"{key} cannot be read as {typ.__name__}: {value!r}")
     try:
         return typ(value)
-    except TypeError:
+    except OverflowError:       # an integer too large for a float
         raise ValueError(f"{key} cannot be read as {typ.__name__}: {value!r}") from None
 
 
@@ -241,7 +245,7 @@ def cmd_scan(opt):
         "argmin": list(rep.argmin),
         "checked": rep.checked,
         "kmax": opt["kmax"],
-        "min_gap": rep.min_gap,
+        "min_gap": finite_or_null(rep.min_gap),
         "n_max": nmax,
         "q_count": len(q_grid),
         "violations": rep.violations,
@@ -324,28 +328,30 @@ def cmd_euclid(opt):
     parts = []      # of the verdict line
     ok = True
 
+    # every gate reads "not (value within bound)", so NaN fails it
     if mode in ("eigen", "all"):
         residuals = {str(k): eigen_residual(s, k, eu.L, eu.N)
                      for k in range(kmax + 1)}
-        summary["eigen_residuals"] = residuals
-        worst = max(residuals.values())
-        parts.append(f"worst eigen-residual {worst:.3e}")
-        if worst > 1e-3:
-            print(f"euclid: FAIL eigen-residual {worst:.3e} exceeds 1e-3",
-                  file=sys.stderr)
-            ok = False
+        summary["eigen_residuals"] = {k: finite_or_null(r) for k, r in residuals.items()}
+        for k, r in residuals.items():
+            if not r <= 1e-3:
+                print(f"euclid: FAIL eigen-residual {r:.3e} at k={k} not within 1e-3",
+                      file=sys.stderr)
+                ok = False
+        parts.append(f"worst eigen-residual {max(residuals.values()):.3e}")
 
     if mode in ("thm16", "all"):
         report = thm16_deficit(lambda x: f_star(s, x), ps,
                                descriptor=json.dumps({"family": "pullback_fstar"}))
-        summary.update(deficit=report.deficit, lhs=report.lhs, rhs=report.rhs)
+        summary.update(deficit=finite_or_null(report.deficit),
+                       lhs=finite_or_null(report.lhs), rhs=finite_or_null(report.rhs))
         parts.append(f"optimizer deficit {report.deficit:.3e}")
-        if report.deficit < -max(tol, 1e-8):
+        if not report.deficit >= -max(tol, 1e-8):
             print(f"euclid: FAIL optimizer deficit {report.deficit:.3e}",
                   file=sys.stderr)
             ok = False
 
-    _write(opt["out"], json.dumps(summary, sort_keys=True) + "\n")
+    _write(opt["out"], json.dumps(summary, sort_keys=True, allow_nan=False) + "\n")
 
     if ok:
         print("euclid: " + ", ".join(parts))

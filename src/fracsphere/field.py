@@ -218,6 +218,11 @@ def is_number(value):
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def finite_or_null(x):
+    """x for strict JSON: a value that is not finite is written as null."""
+    return x if math.isfinite(x) else None
+
+
 def _is_whole(value):
     return is_number(value) and value >= 0 and value % 1 == 0    # NaN and inf fail
 

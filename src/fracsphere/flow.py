@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import field_from_descriptor, lq_quotient
+from .field import field_from_descriptor, finite_or_null, lq_quotient
 from .spectrum import Q_WINDOW, delta_sequence, derive_params
 
 
@@ -78,13 +78,11 @@ class FlowResult:
     def summary(self):
         """Strict JSON: a rate that could not be fitted, or any other
         value that is not finite, is written as null."""
-        def num(x):
-            return x if math.isfinite(x) else None
         return json.dumps({
-            "fitted_rate": num(self.fitted_rate),
-            "mass_drift": num(self.mass_drift),
+            "fitted_rate": finite_or_null(self.fitted_rate),
+            "mass_drift": finite_or_null(self.mass_drift),
             "q": self.config.q,
-            "ratio": num(self.ratio),
+            "ratio": finite_or_null(self.ratio),
             "s": self.config.s,
             "samples": int(self.times.size),
             "theoretical_rate": self.theoretical_rate,

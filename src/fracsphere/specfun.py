@@ -1,8 +1,8 @@
 """Special-function kernels: log-gamma, Gegenbauer evaluation, Gauss-Jacobi rules.
 
 Everything downstream (spectral sequences, quadrature on the sphere,
-kernel eigenvalues) reduces to three primitives kept here: a Lanczos
-log-gamma on the positive half line, Gegenbauer polynomials by their
+kernel eigenvalues) reduces to three primitives kept here: log-gamma
+from the standard library's math.lgamma, Gegenbauer polynomials by their
 three-term recurrence, and Gauss-Jacobi nodes/weights found by Newton
 iteration on the Jacobi recurrence from asymptotic initial angles.
 Symmetric rules (a = b, the latitude weight of every sphere) are solved
@@ -12,46 +12,30 @@ process and shared, read-only, by every caller; rule_cache_info()
 reports how often one was built or reused.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-
-# Lanczos approximation, g = 7, 9 terms.  Relative error below 1e-14 on
-# the positive real axis, which is the only domain we use.
-_LANCZOS_G = 7.0
-_LANCZOS_C = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
 
 def log_gamma(x):
-    """Natural log of the gamma function for real x > 0.
+    """Natural log of the gamma function for real x > 0, by math.lgamma.
 
-    Accepts scalars or arrays.  Values outside the domain raise rather
-    than propagate NaNs, since a negative argument here always means a
-    parameter bug upstream.
+    Scalars give a float, arrays an elementwise array of the same shape,
+    and inf where the value overflows a double (x above about 2.5e305).
+    A value outside the domain raises: it always means a parameter bug.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0.0):      # NaN fails too
         raise ValueError("log_gamma requires x > 0")
-    z = x - 1.0
-    acc = np.full(np.shape(z), _LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    out = 0.5 * np.log(TWO_PI) + (z + 0.5) * np.log(t) - t + np.log(acc)
-    return out if out.ndim else float(out)
+    out = []
+    for v in x.ravel().tolist():
+        try:
+            out.append(math.lgamma(v))
+        except OverflowError:       # lnGamma(v) above the largest double
+            out.append(math.inf)
+    return np.reshape(out, x.shape) if x.ndim else out[0]
 
 
 def gegenbauer(k, alpha, z):

@@ -216,8 +216,9 @@ def monotonicity_scan(n_values, q_grid, kmax):
     Scans consecutive pairs of the (sorted) q grid for every dimension in
     n_values and every degree 2..kmax, counting increments that are not
     positive, NaN included.  Returns the number checked, violations, the
-    smallest increment and where it occurred.  An empty dimension range or
-    a grid of fewer than two exponents checks nothing and is rejected.
+    smallest increment and where it occurred (inf and () where every
+    increment is NaN).  An empty dimension range or a grid of fewer than
+    two exponents checks nothing and is rejected.
     """
     if kmax < 2:
         raise ValueError(f"the scan needs degrees up to kmax >= 2, got {kmax}")
@@ -234,6 +235,8 @@ def monotonicity_scan(n_values, q_grid, kmax):
         gaps = np.diff(table[:, 2:], axis=0)
         checked += gaps.size
         violations += int(np.count_nonzero(~(gaps > 0.0)))
+        if np.isnan(gaps).all():
+            continue        # violations only, with no gap to locate
         j, k = np.unravel_index(np.nanargmin(gaps), gaps.shape)
         if gaps[j, k] < min_gap:
             min_gap = float(gaps[j, k])

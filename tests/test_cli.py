@@ -28,6 +28,11 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def _refuse(name):
+    """parse_constant for json.loads: strict JSON has no NaN or Infinity."""
+    raise ValueError(f"non-JSON constant {name}")
+
+
 # ---------------------------------------------------------------- constants
 
 def test_constants_stdout_shape(capsys):
@@ -260,13 +265,22 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     # json writes and reads NaN; a NaN profile is not positive
     ("flow", {"init": {"family": "one_plus_eps_y1", "eps": float("nan")}},
      "initial profile must be strictly positive"),
+    # a number option takes a JSON number, not a bool, a str option a string
+    ("verify", {"count": True}, "count must be a number, got True"),
+    ("verify", {"count": "3"}, "count must be a number, got '3'"),
+    ("euclid", {"L": "5"}, "L must be a number, got '5'"),
+    ("flow", {"sample_every": "1e3"}, "sample_every must be a number, got '1e3'"),
+    ("constants", {"s": 10 ** 400}, "s cannot be read as float"),
+    ("constants", {"out": 5}, "out cannot be read as str: 5"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     if content is not None:
         cfg.write_text(json.dumps(content))
-    rc, out, err = run(capsys, [command, "--config", str(cfg),
-                                "--out", str(tmp_path / "out")])
+    argv = [command, "--config", str(cfg)]
+    if not (isinstance(content, dict) and "out" in content):     # the flag would win
+        argv += ["--out", str(tmp_path / "out")]
+    rc, out, err = run(capsys, argv)
     assert rc == 2
     assert out == ""
     assert err.startswith(f"fracsphere {command}: ") and err.count("\n") == 1
@@ -362,6 +376,19 @@ def test_scan_nan_exponent_is_a_violation(tmp_path, capsys):
     assert json.loads(path.read_text())["violations"] == 2 * 4
 
 
+def test_scan_all_nan_increments_are_violations(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"q_grid": [NaN, NaN]}')
+    path = tmp_path / "scan.json"
+    rc, out, _ = run(capsys, ["scan", "--config", str(cfg), "--n", "2",
+                              "--kmax", "5", "--out", str(path)])
+    assert rc == 1
+    assert "8 violations" in out
+    summary = json.loads(path.read_text(), parse_constant=_refuse)
+    assert summary["violations"] == summary["checked"] == 2 * 4
+    assert summary["min_gap"] is None and summary["argmin"] == []
+
+
 def test_scan_constant_landscape(tmp_path, capsys):
     path = tmp_path / "landscape.csv"
     rc, out, _ = run(capsys, ["scan", "--mode", "s_grid", "--n", "3",
@@ -429,10 +456,7 @@ def test_flow_blow_up_fails_with_strict_json(tmp_path, capsys):
                               "--out", str(path)])
     assert rc == 1
     assert "FAIL" in err
-
-    def refuse(name):
-        raise ValueError(f"non-JSON constant {name}")
-    summary = json.loads((tmp_path / "run.json").read_text(), parse_constant=refuse)
+    summary = json.loads((tmp_path / "run.json").read_text(), parse_constant=_refuse)
     assert summary["fitted_rate"] is None and summary["ratio"] is None
 
 
@@ -494,6 +518,33 @@ def test_euclid_default_exponent_is_midpoint(tmp_path, capsys):
     summary = json.loads((tmp_path / "p.json").read_text())
     # q_star = 4 at s = 1/2 on the circle, midpoint of (2, q_star) is 3
     assert summary["q"] == 3.0
+
+
+def test_euclid_nan_residuals_fail_with_strict_json(tmp_path, capsys):
+    # x * x overflows on a grid this wide, so every residual is NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 1e300, "N": 2 ** 10, "kmax": 1}))
+    path = tmp_path / "e.json"
+    with np.errstate(all="ignore"):
+        rc, out, err = run(capsys, ["euclid", "--config", str(cfg), "--out", str(path)])
+    assert rc == 1
+    assert out == ""
+    assert err.count("FAIL eigen-residual nan") == 2
+    summary = json.loads(path.read_text(), parse_constant=_refuse)
+    assert summary["eigen_residuals"] == {"0": None, "1": None}
+    assert abs(summary["deficit"]) <= 1e-8
+
+
+def test_euclid_nan_deficit_fails_with_strict_json(tmp_path, capsys, monkeypatch):
+    nan_report = type("Report", (), {"deficit": math.nan, "lhs": math.nan, "rhs": 1.0})
+    monkeypatch.setattr(cli, "thm16_deficit", lambda *args, **kwargs: nan_report)
+    path = tmp_path / "e.json"
+    rc, out, err = run(capsys, ["euclid", "--mode", "thm16", "--out", str(path)])
+    assert rc == 1
+    assert "FAIL optimizer deficit nan" in err
+    summary = json.loads(path.read_text(), parse_constant=_refuse)
+    assert summary["deficit"] is None and summary["lhs"] is None
+    assert summary["rhs"] == 1.0
 
 
 def test_euclid_rejects_unknown_mode_from_config(tmp_path, capsys):

@@ -6,7 +6,9 @@ implementation of the Jacobi machinery for cross-checks.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,10 +73,30 @@ def test_log_gamma_functional_equation(x):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-@given(st.floats(min_value=1e-2, max_value=170.0))
-@settings(max_examples=200, deadline=None)
-def test_log_gamma_matches_stdlib(x):
-    assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=5e-14)
+def test_log_gamma_matches_mpmath():
+    # 900 seeded log-uniform points in (1e-3, 2000), the frozen grid,
+    # 1e-2 and 170
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(2000.0), 900)),
+                         [x for x, _ in LGAMMA_TABLE], [1e-2, 170.0]])
+    got = log_gamma(xs)
+    with mpmath.workdps(40):
+        ref = [mpmath.loggamma(mpmath.mpf(float(x))) for x in xs]
+        worst = max(abs(g - r) / max(1, abs(r)) for g, r in zip(got, ref))
+    assert worst <= 1.5e-15
+
+
+@pytest.mark.parametrize("x", [1e306, np.array([1e306, 2.0])])
+def test_log_gamma_overflow_is_inf_without_warning(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_gamma(x)
+    assert np.shape(out) == np.shape(x)
+    assert np.ravel(out)[0] == math.inf
+    if np.ndim(x):
+        assert out[1] == 0.0
+    else:
+        assert type(out) is float
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +67,22 @@ def test_admissible_combinations(n, s, q):
 def test_rejected_combinations(n, s, q):
     with pytest.raises(ValueError):
         derive_params(n, s, q)
+
+
+def test_kappa_and_constant_match_mpmath():
+    # every half-integer order s != 0 of n = 1..6
+    worst = 0.0
+    with mpmath.workdps(40):
+        for n in range(1, 7):
+            for s in (0.5 * j for j in range(1 - 2 * n, 2 * n + 1) if j):
+                ps = derive_params(n, s, 1.0)
+                a, b = mpmath.mpf(n - s) / 2, mpmath.mpf(n + s) / 2
+                constant = mpmath.gamma(a + 1) / (abs(s) * mpmath.gamma(b))
+                worst = max(worst, abs(ps.constant - constant) / constant)
+                if s != n:
+                    kappa = mpmath.gamma(a) / mpmath.gamma(b)
+                    worst = max(worst, abs(ps.kappa - kappa) / kappa)
+    assert worst <= 3.5e-15
 
 
 def test_no_default_exponent_for_negative_order():
