@@ -213,12 +213,12 @@ def cmd_verify(opt):
     after = rule_cache_info()
     _write(opt["out"], reports_csv(reports))
     ok = True
-    for r in reports:
-        if r.relative_deficit < -max(tol, KINDS[r.kind].gate_floor):
+    for r in reports:       # "not (value within bound)", so NaN fails either gate
+        if not r.relative_deficit >= -max(tol, KINDS[r.kind].gate_floor):
             print(f"verify: FAIL {r.kind} n={r.n} s={r.s} q={r.q} "
                   f"relative deficit {r.relative_deficit:.3e}", file=sys.stderr)
             ok = False
-        if r.equality_case and abs(r.deficit) > max(tol, 1e-10):
+        if r.equality_case and not abs(r.deficit) <= max(tol, 1e-10):
             print(f"verify: FAIL equality case {r.kind} n={r.n} s={r.s} "
                   f"deficit {r.deficit:.3e}", file=sys.stderr)
             ok = False

@@ -151,10 +151,12 @@ def eigen_residual(s, k, L=60.0, N=2 ** 15):
     """
     eu = EuclidParams(n=1, s=s, L=L, N=N)
     x = eu.grid()
-    u = 1.0 + x * x
     js = (k, k + 2, k + 4, k + 6)
-    envelope = u ** (-eu.mu)
-    profiles = [t * envelope for t in _chebyshev_rows((1.0 - x * x) / u, js)]
+    # x * x overflows for a huge L; the NaN residual then fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 1.0 + x * x
+        envelope = u ** (-eu.mu)
+        profiles = [t * envelope for t in _chebyshev_rows((1.0 - x * x) / u, js)]
     # the three conditions on c as rows of m, with c_0 = 1
     m = np.array([[1.0] * 4, [j * j for j in js], [p.sum() for p in profiles]])
     c = np.concatenate([[1.0], np.linalg.solve(m[:, 1:], -m[:, 0])])

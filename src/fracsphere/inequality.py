@@ -25,7 +25,7 @@ from .field import (ZonalField, descriptor_of, difference_quotient, entropy2,
                     field_from_descriptor, is_constant, lq_norm,
                     quadratic_form, quotient, synthesize, analyze)
 from .specfun import gegenbauer, gegenbauer_at_one, gauss_jacobi, log_gamma, sphere_rule
-from .spectrum import Q_WINDOW, derive_params, gamma_sequence, operator_eigenvalue
+from .spectrum import derive_params, gamma_sequence, operator_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,8 @@ KINDS = {
     "s0_subcritical": Kind(lambda ps: ps.s == 0.0 and ps.q < 2.0,
                            "the subcritical s = 0 form needs s = 0, q in [1, 2)",
                            _form(difference_quotient, "K0prime", lambda ps: 0.5 * ps.n), _Q),
-    "improved": Kind(lambda ps: (0.0 < ps.s < ps.n and ps.q < ps.q_star
-                                 and abs(ps.q - 2.0) > Q_WINDOW),
-                     "the improved form needs s in (0, n) and q < q_star, q != 2",
+    "improved": Kind(lambda ps: 0.0 < ps.s < ps.n and ps.q < ps.q_star,
+                     "the improved form needs s in (0, n) and q < q_star",
                      _form(_quotient_plus_remainder, "L", _SHARP), _Q),
     # G = sign(F) |F|^(q*-1): ||G||_p^2 - <G, K^-1 G> against
     # ||F||_q*^(2(q*-2)) (<F, K F> - ||F||_q*^2); both vanish to second

@@ -8,7 +8,8 @@ sequence indexed by the degree k.  The building block is
 
 computed by the product recurrence gamma_k / gamma_{k-1}
 = (n - x + k - 1) / (x + k - 1), which is exact up to roundoff and free
-of large intermediate values.
+of large intermediate values.  The slopes (gamma_k(n/q) - 1)/(q - 2)
+come from one formula for every q >= 1, q = 2 included (slope_sequence).
 """
 
 from dataclasses import dataclass
@@ -18,11 +19,6 @@ import numpy as np
 from .specfun import log_gamma
 
 _INF = float("inf")
-
-# |q - 2| <= Q_WINDOW counts as q = 2 in slope_sequence (its closed-form
-# limit), in the improved kind's admissibility and in the flow's q = 2
-# rejection; the L^q quotient itself (field.lq_quotient) needs no window.
-Q_WINDOW = 1e-8
 
 
 @dataclass(frozen=True)
@@ -128,16 +124,6 @@ def delta_sequence(n, s, kmax):
     return (gamma_sequence(n, x, kmax) - 1.0) * inv_kappa
 
 
-def alpha_sequence(n, x, kmax):
-    """alpha_k(x) = sum_{j<k} [1/(n+j-x) + 1/(j+x)], the negative
-    logarithmic derivative of gamma_k at x."""
-    out = np.zeros(kmax + 1)
-    if kmax >= 1:
-        j = np.arange(kmax, dtype=float)
-        out[1:] = np.cumsum(1.0 / (n + j - x) + 1.0 / (j + x))
-    return out
-
-
 def sharp_constant(n, s):
     """The sharp constant (n-s)/(2|s|) * Gamma((n-s)/2)/Gamma((n+s)/2).
 
@@ -153,11 +139,18 @@ def sharp_constant(n, s):
 
 
 def slope_sequence(n, q, kmax):
-    """(gamma_k(n/q) - 1)/(q - 2) for k = 0..kmax, with the q = 2 limit
-    (n/4) alpha_k(n/2)."""
-    if abs(q - 2.0) <= Q_WINDOW:
-        return 0.25 * n * alpha_sequence(n, 0.5 * n, kmax)
-    return (gamma_sequence(n, n / q, kmax) - 1.0) / (q - 2.0)
+    """(gamma_k(n/q) - 1)/(q - 2) for k = 0..kmax and every q >= 1.
+
+    With d = q - 2 and u_j = n/(n + q j), gamma_k(n/q) = prod_{j<k}
+    (1 + d u_j), so the slope is expm1(sum_{j<k} log1p(d u_j)) / d, with
+    no cancellation near q = 2; at d = 0 it is its limit sum_{j<k} u_j.
+    """
+    d = q - 2.0
+    u = n / (n + q * np.arange(kmax, dtype=float))
+    out = np.zeros(kmax + 1)
+    with np.errstate(divide="ignore"):      # log1p(-1) = -inf at q = 1, j = 0
+        out[1:] = np.cumsum(u) if d == 0.0 else np.expm1(np.cumsum(np.log1p(d * u))) / d
+    return out
 
 
 def remainder_sequence(ps, kmax):
@@ -180,7 +173,8 @@ def operator_eigenvalue(ps, kind, kmax):
                 mirror (1 - gamma_k)/kappa for s < 0, zero at s = 0)
       'K'       conformally normalized kernel operator, gamma_k((n-s)/2)
       'K_inv'   its inverse, gamma_k((n+s)/2)
-      'K0prime' derivative of K in s at s = 0: (1/2) alpha_k(n/2)
+      'K0prime' derivative of K in s at s = 0: (2/n) times the q = 2
+                slope, sum_{j<k} 2/(n + 2j)
       'R'       remainder operator, eps_k for k >= 2
     """
     n, s = ps.n, ps.s
@@ -196,7 +190,7 @@ def operator_eigenvalue(ps, kind, kmax):
     if kind == "K_inv":
         return gamma_sequence(n, 0.5 * (n + s), kmax)
     if kind == "K0prime":
-        return 0.5 * alpha_sequence(n, 0.5 * n, kmax)
+        return 2.0 / n * slope_sequence(n, 2.0, kmax)
     if kind == "R":
         return remainder_sequence(ps, kmax)
     raise ValueError(f"unknown operator kind {kind!r}")
@@ -218,7 +212,8 @@ def monotonicity_scan(n_values, q_grid, kmax):
     positive, NaN included.  Returns the number checked, violations, the
     smallest increment and where it occurred (inf and () where every
     increment is NaN).  An empty dimension range or a grid of fewer than
-    two exponents checks nothing and is rejected.
+    two exponents checks nothing and is rejected, and so is an exponent
+    below 1 or infinite, which lies outside the family.
     """
     if kmax < 2:
         raise ValueError(f"the scan needs degrees up to kmax >= 2, got {kmax}")
@@ -226,6 +221,9 @@ def monotonicity_scan(n_values, q_grid, kmax):
         raise ValueError(f"the scan needs a dimension and two exponents, got "
                          f"{len(n_values)} and {len(q_grid)}")
     q_grid = np.sort(np.asarray(q_grid, dtype=float))
+    outside = q_grid[(q_grid < 1.0) | (q_grid == _INF)]      # a NaN stays a violation
+    if outside.size:
+        raise ValueError(f"the scan needs finite exponents q >= 1, got {outside[0]}")
     min_gap = _INF
     argmin = ()
     checked = 0

@@ -5,6 +5,8 @@ is a second route to a quantity the package computes another way:
 
 - gamma_ratio: Gamma(a)/Gamma(b) straight from log-gamma, against the
   product recurrence of spectrum.gamma_sequence
+- alpha_sequence: the negative logarithmic derivative of gamma_k, against
+  a finite difference of the kernel eigenvalues in s (acceptance check 11)
 - GridField, grid_field, frac_laplacian_oracle: the fractional Laplacian
   on a periodized line grid through the |xi|^s multiplier, against the
   circle-side Dirichlet form
@@ -30,6 +32,16 @@ def gamma_ratio(a, b):
     hundred).
     """
     return np.exp(log_gamma(a) - log_gamma(b))
+
+
+def alpha_sequence(n, x, kmax):
+    """alpha_k(x) = sum_{j<k} [1/(n+j-x) + 1/(j+x)], the negative
+    logarithmic derivative of gamma_k at x."""
+    out = np.zeros(kmax + 1)
+    if kmax >= 1:
+        j = np.arange(kmax, dtype=float)
+        out[1:] = np.cumsum(1.0 / (n + j - x) + 1.0 / (j + x))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from fracsphere.flow import FlowConfig, FlowOps, rk4_step, run_flow
 from fracsphere.inequality import (deficit, equality_suite, funk_hecke_mu,
                                    linearization_probe, random_suite,
                                    taylor_remainder)
-from fracsphere.spectrum import (alpha_sequence, delta_sequence, derive_params,
+from fracsphere.spectrum import (delta_sequence, derive_params,
                                  monotonicity_scan, operator_eigenvalue,
                                  remainder_sequence, sharp_constant)
-from reference import taylor_bounds
+from reference import alpha_sequence, taylor_bounds
 
 
 def _gate(num, name, ok, detail, elapsed, budget):

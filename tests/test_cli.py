@@ -5,10 +5,14 @@ handling, exit codes and written artifacts are exercised exactly as a
 shell user would hit them.
 """
 
+import dataclasses
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ import fracsphere.field
 from fracsphere import cli
 from fracsphere.cli import main
 from fracsphere.flow import FlowResult
-from fracsphere.inequality import REPORT_HEADER
+from fracsphere.inequality import REPORT_HEADER, equality_suite
 from fracsphere.spectrum import CONSTANTS_HEADER
 
 
@@ -94,7 +98,7 @@ def test_constants_rejects_bad_exponent(capsys):
 @pytest.mark.parametrize("argv", [
     ["constants", "--kmax", "-1"],
     ["scan", "--kmax", "1"],
-    ["flow", "--q", "2"],
+    ["flow", "--q", "0.5"],
     ["euclid", "--s", "1.0", "--mode", "thm16"],
     # an explicit 0 or negative value is never replaced by a default
     ["scan", "--kmax", "0"],
@@ -272,6 +276,11 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     ("flow", {"sample_every": "1e3"}, "sample_every must be a number, got '1e3'"),
     ("constants", {"s": 10 ** 400}, "s cannot be read as float"),
     ("constants", {"out": 5}, "out cannot be read as str: 5"),
+    # every exponent of the scan lies in the family: finite and >= 1
+    ("scan", {"q_grid": [0.5, 1.5]}, "the scan needs finite exponents q >= 1, got 0.5"),
+    ("scan", {"q_grid": [1.5, float("inf")]}, "the scan needs finite exponents q >= 1, got inf"),
+    ("scan", {"q_grid": [-1, 1.5]}, "the scan needs finite exponents q >= 1, got -1.0"),
+    ("scan", {"q_grid": [0, 1.5]}, "the scan needs finite exponents q >= 1, got 0.0"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -327,6 +336,20 @@ def test_verify_summary_counts_rules_built_and_reused(tmp_path, capsys):
     assert requests > 0
     # the second run in this process reuses every rule the first one used
     assert (int(second[1]), int(second[2])) == (0, requests)
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"relative_deficit": math.nan},
+     "verify: FAIL interpolation n=1 s=0.5 q=3.0 relative deficit nan"),
+    ({"deficit": math.nan}, "verify: FAIL equality case interpolation n=1 s=0.5 deficit nan"),
+])
+def test_verify_nan_deficit_fails(patch, message, tmp_path, capsys, monkeypatch):
+    # each gate reads "not (value within bound)", so a NaN fails it
+    report = dataclasses.replace(equality_suite()[0], **patch)
+    monkeypatch.setattr(cli, "equality_suite", lambda: [report])
+    rc, _, err = run(capsys, ["verify", "--count", "0", "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert err == message + "\n"
 
 
 def test_verify_deterministic_bytes(tmp_path, capsys):
@@ -460,6 +483,18 @@ def test_flow_blow_up_fails_with_strict_json(tmp_path, capsys):
     assert summary["fitted_rate"] is None and summary["ratio"] is None
 
 
+def test_flow_at_q_two(tmp_path, capsys):
+    # the entropy is the L^q quotient, exact at q = 2, so q = 2 is no special case
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_every": 5}))
+    path = tmp_path / "run.csv"
+    rc, _, _ = run(capsys, ["flow", "--config", str(cfg), "--q", "2", "--dt", "0.01",
+                            "--out", str(path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "run.json").read_text())
+    assert abs(summary["ratio"] - 1.0) <= 1e-4
+
+
 def test_flow_mass_drift_fails(tmp_path, capsys, monkeypatch):
     # entropy inside its bound, mass drifting: the mass gate alone fails
     def drifting(cfg):
@@ -533,6 +568,20 @@ def test_euclid_nan_residuals_fail_with_strict_json(tmp_path, capsys):
     summary = json.loads(path.read_text(), parse_constant=_refuse)
     assert summary["eigen_residuals"] == {"0": None, "1": None}
     assert abs(summary["deficit"]) <= 1e-8
+
+
+def test_euclid_huge_width_writes_only_fail_lines(tmp_path):
+    # x * x overflows on this grid: numpy prints no warning, and the NaN
+    # residuals fail their gate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 1e300, "N": 2 ** 10, "kmax": 1}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fracsphere.cli", "euclid", "--config",
+                           str(cfg), "--mode", "eigen", "--out", str(tmp_path / "e.json")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"euclid: FAIL eigen-residual nan at k={k} not within 1e-3" for k in (0, 1)]
 
 
 def test_euclid_nan_deficit_fails_with_strict_json(tmp_path, capsys, monkeypatch):

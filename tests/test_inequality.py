@@ -190,12 +190,14 @@ def test_improved_matches_plain_on_low_modes():
     assert d_imp == pytest.approx(d_int, rel=1e-14)
 
 
-def test_improved_rejects_critical_and_entropy_exponents():
-    fld = ZonalField(2, [1.0, 0.1])
+def test_improved_rejects_q_star_and_is_continuous_at_two():
+    fld = ZonalField(2, [1.0, 0.1, 0.05, 0.02])
     with pytest.raises(ValueError):
         deficit(fld, derive_params(2, 1.0, 4.0), "improved")   # q = q_star
-    with pytest.raises(ValueError):
-        deficit(fld, derive_params(2, 1.0, 2.0), "improved")   # entropy endpoint
+    # the entropy endpoint is admitted and lies between its neighbours
+    lo, mid, hi = (deficit(fld, derive_params(2, 1.0, q), "improved").deficit
+                   for q in (2.0 - 1e-7, 2.0, 2.0 + 1e-7))
+    assert min(lo, hi) <= mid <= max(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsphere.spectrum import (CONSTANTS_HEADER, ParameterSet, ScanReport,
-                                 alpha_sequence, constants_row, delta_sequence,
+                                 constants_row, delta_sequence,
                                  derive_params, gamma_sequence, monotonicity_scan,
                                  operator_eigenvalue, remainder_sequence,
                                  sharp_constant, slope_sequence)
-from reference import gamma_ratio
+from reference import alpha_sequence, gamma_ratio
 
 # ---------------------------------------------------------------------------
 # derive_params
@@ -326,8 +326,40 @@ def test_slope_degree_one_is_unity():
 
 def test_slope_limit_at_two():
     assert slope_sequence(2, 2.0, 1)[1] == pytest.approx(1.0, rel=1e-14)
-    # the window hands the limit value to nearby grid points as well
-    assert slope_sequence(2, 2.0 + 1e-12, 5)[5] == slope_sequence(2, 2.0, 5)[5]
+    # no window: the slope runs continuously through its limit at q = 2
+    limit = slope_sequence(2, 2.0, 5)[5]
+    for q in (2.0 - 1e-13, 2.0 + 1e-13):
+        assert slope_sequence(2, q, 5)[5] == pytest.approx(limit, rel=1e-13)
+
+
+def _slope_mpmath(n, q, kmax):
+    """(gamma_k(n/q) - 1)/(q - 2) at 50 digits for the double q, with
+    gamma_k(x) the rising-factorial ratio (n - x)_k / (x)_k and, at q = 2
+    exactly, the limit sum_{j<k} n/(n + 2j)."""
+    out = [0.0]
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        x = n / q
+        num = den = mpmath.mpf(1)
+        limit = mpmath.mpf(0)
+        for j in range(kmax):
+            num, den = num * (n - x + j), den * (x + j)
+            limit += mpmath.mpf(n) / (n + 2 * j)
+            out.append(float(limit if q == 2 else (num / den - 1) / (q - 2)))
+    return np.array(out)
+
+
+def test_slope_matches_mpmath():
+    # across the family and through q = 2, where (gamma_k - 1)/(q - 2)
+    # taken literally cancels: 2 +- 10^-e rounds to 2 itself for e >= 16
+    rng = np.random.default_rng(7)
+    qs = ([1.0, 1.01, 1.5, 2.0, 6.0, 11.0, 19.9]
+          + [2.0 + sign * 10.0 ** -e for e in range(1, 17) for sign in (1, -1)]
+          + list(rng.uniform(1.0, 20.0, 30)))
+    for n in (1, 2, 3, 5, 8):
+        for q in qs:
+            np.testing.assert_allclose(slope_sequence(n, q, 50), _slope_mpmath(n, q, 50),
+                                       rtol=2e-14, atol=0.0, err_msg=f"n={n} q={q}")
 
 
 def test_slope_matches_definition_at_critical():
