@@ -26,8 +26,7 @@ directory or lies in a directory that does not exist are bad input.
 All outputs are deterministic for a fixed config and seed, byte for
 byte.  The environment variable FRACSPHERE_TOL (default 1e-10; finite
 and >= 0, else bad input) sets the deficit gate of verify, flow and
-euclid.  Exit status is 1 when an asserted bound fails and 2 on bad
-input.
+euclid.  Exit status is 1 when a gate fails (see gate) and 2 on bad input.
 """
 
 import argparse
@@ -61,6 +60,16 @@ def tolerance():
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"FRACSPHERE_TOL must be a finite number >= 0, got {raw!r}")
     return tol
+
+
+def gate(command, value, bound, message):
+    """The one check of every asserted bound: passes when value <= bound,
+    and NaN or inf fails.  Prints "<command>: FAIL <message>" on stderr
+    when it fails; returns the verdict."""
+    ok = bool(math.isfinite(value) and value <= bound)
+    if not ok:
+        print(f"{command}: FAIL {message}", file=sys.stderr)
+    return ok
 
 
 def _write(path, text):
@@ -189,7 +198,7 @@ def cmd_constants(opt):
                           % (ps.n, repr(ps.s), repr(ps.q), k,
                              gamma[k], delta[k], eps[k]))
     _write(opt["out"], "\n".join(lines) + "\n\n" + "\n".join(tables) + "\n")
-    return 0
+    return True
 
 
 def _check_row(i, row):
@@ -213,20 +222,18 @@ def cmd_verify(opt):
     after = rule_cache_info()
     _write(opt["out"], reports_csv(reports))
     ok = True
-    for r in reports:       # "not (value within bound)", so NaN fails either gate
-        if not r.relative_deficit >= -max(tol, KINDS[r.kind].gate_floor):
-            print(f"verify: FAIL {r.kind} n={r.n} s={r.s} q={r.q} "
-                  f"relative deficit {r.relative_deficit:.3e}", file=sys.stderr)
-            ok = False
-        if r.equality_case and not abs(r.deficit) <= max(tol, 1e-10):
-            print(f"verify: FAIL equality case {r.kind} n={r.n} s={r.s} "
-                  f"deficit {r.deficit:.3e}", file=sys.stderr)
-            ok = False
+    for r in reports:
+        ok &= gate("verify", -r.relative_deficit, max(tol, KINDS[r.kind].gate_floor),
+                   f"{r.kind} n={r.n} s={r.s} q={r.q} "
+                   f"relative deficit {r.relative_deficit:.3e}")
+        if r.equality_case:
+            ok &= gate("verify", abs(r.deficit), max(tol, 1e-10),
+                       f"equality case {r.kind} n={r.n} s={r.s} deficit {r.deficit:.3e}")
     worst = min(r.relative_deficit for r in reports)
     print(f"verify: {len(reports)} reports, min relative deficit {worst:.3e}, "
           f"quadrature rules {after.misses - before.misses} built, "
           f"{after.hits - before.hits} reused")
-    return 0 if ok else 1
+    return ok
 
 
 def cmd_scan(opt):
@@ -253,7 +260,7 @@ def cmd_scan(opt):
     _write(opt["out"], summary + "\n")
     print(f"scan: {rep.checked} increments, {rep.violations} violations, "
           f"min gap {rep.min_gap:.6e}")
-    return 0 if rep.violations == 0 else 1
+    return gate("scan", rep.violations, 0, f"{rep.violations} slope increments not positive")
 
 
 def _scan_constant_landscape(opt):
@@ -273,7 +280,7 @@ def _scan_constant_landscape(opt):
     if q_grid is None:
         q_grid = [1.2, 1.5, 2.0, 3.0, 4.0]
     lines = ["q,s,C"]
-    spread = 0.0
+    spreads, ok = [], True
     for s in s_grid:
         vals = []
         for q in q_grid:
@@ -283,13 +290,15 @@ def _scan_constant_landscape(opt):
                 continue        # (q, s) outside the family
             vals.append(ps.constant)
             lines.append("%.17g,%.17g,%.17g" % (q, s, ps.constant))
-        if vals:
-            spread = max(spread, max(vals) - min(vals))
+        if vals:        # a constant that is not finite (none at s = 0) has no spread
+            spread = max(vals) - min(vals) if all(map(math.isfinite, vals)) else math.nan
+            ok &= gate("scan", spread, 0.0, f"constant at s={s} spreads {spread:.3e} across q")
+            spreads.append(spread)
     if len(lines) == 1:
         raise ValueError(f"no admissible (q, s) pair in the grid for n = {n}")
     _write(opt["out"], "\n".join(lines) + "\n")
-    print(f"scan: constant landscape n={n}, worst spread across q {spread:.3e}")
-    return 0 if spread == 0.0 else 1
+    print(f"scan: constant landscape n={n}, worst spread across q {np.max(spreads):.3e}")
+    return ok
 
 
 def cmd_flow(opt):
@@ -298,21 +307,16 @@ def cmd_flow(opt):
     res = run_flow(FlowConfig(**opt))    # the other flow options are FlowConfig fields
     _write(out, res.csv())
     _write(os.path.splitext(out)[0] + ".json", res.summary() + "\n")
-    # every gate reads "not (value within bound)", so NaN fails it
-    within = res.entropy <= res.bound * (1.0 + 1e-9) + tol
-    if not within.all():
-        j = int(np.argmin(within))
-        print(f"flow: FAIL entropy {res.entropy[j]:.3e} not within bound "
-              f"{res.bound[j]:.3e} at t={res.times[j]}", file=sys.stderr)
-        return 1
-    if not res.mass_drift <= 1e-8:     # mass is conserved to roundoff
-        print(f"flow: FAIL mass drift {res.mass_drift:.3e} above 1e-8",
-              file=sys.stderr)
-        return 1
+    for t, e, b in zip(res.times, res.entropy, res.bound):
+        if not gate("flow", e, b * (1.0 + 1e-9) + tol,
+                    f"entropy {e:.3e} not within bound {b:.3e} at t={t}"):
+            return False
+    if not gate("flow", res.mass_drift, 1e-8, f"mass drift {res.mass_drift:.3e} above 1e-8"):
+        return False
     print(f"flow: fitted rate {res.fitted_rate:.6f}, theoretical "
           f"{res.theoretical_rate:.6f}, ratio {res.ratio:.4f}, "
           f"mass drift {res.mass_drift:.2e}")
-    return 0
+    return True
 
 
 def cmd_euclid(opt):
@@ -325,19 +329,14 @@ def cmd_euclid(opt):
     ps = derive_params(1, s, q)
     eu = EuclidParams(n=1, s=s, L=opt["L"], N=opt["N"])
     summary = {"q": q, "s": s}
-    parts = []      # of the verdict line
-    ok = True
+    parts, ok = [], True        # parts of the verdict line, and the verdict
 
-    # every gate reads "not (value within bound)", so NaN fails it
     if mode in ("eigen", "all"):
         residuals = {str(k): eigen_residual(s, k, eu.L, eu.N)
                      for k in range(kmax + 1)}
         summary["eigen_residuals"] = {k: finite_or_null(r) for k, r in residuals.items()}
         for k, r in residuals.items():
-            if not r <= 1e-3:
-                print(f"euclid: FAIL eigen-residual {r:.3e} at k={k} not within 1e-3",
-                      file=sys.stderr)
-                ok = False
+            ok &= gate("euclid", r, 1e-3, f"eigen-residual {r:.3e} at k={k} not within 1e-3")
         parts.append(f"worst eigen-residual {max(residuals.values()):.3e}")
 
     if mode in ("thm16", "all"):
@@ -346,16 +345,14 @@ def cmd_euclid(opt):
         summary.update(deficit=finite_or_null(report.deficit),
                        lhs=finite_or_null(report.lhs), rhs=finite_or_null(report.rhs))
         parts.append(f"optimizer deficit {report.deficit:.3e}")
-        if not report.deficit >= -max(tol, 1e-8):
-            print(f"euclid: FAIL optimizer deficit {report.deficit:.3e}",
-                  file=sys.stderr)
-            ok = False
+        ok &= gate("euclid", -report.deficit, max(tol, 1e-8),
+                   f"optimizer deficit {report.deficit:.3e}")
 
     _write(opt["out"], json.dumps(summary, sort_keys=True, allow_nan=False) + "\n")
 
     if ok:
         print("euclid: " + ", ".join(parts))
-    return 0 if ok else 1
+    return ok
 
 
 def build_parser():
@@ -376,10 +373,11 @@ def main(argv=None):
     commands = {"constants": cmd_constants, "verify": cmd_verify, "scan": cmd_scan,
                 "flow": cmd_flow, "euclid": cmd_euclid}
     try:
-        return commands[args.command](resolve(args.command, args))
+        passed = commands[args.command](resolve(args.command, args))
     except ValueError as exc:
         print(f"fracsphere {args.command}: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -433,12 +433,14 @@ def test_scan_landscape_skips_inadmissible_pairs(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"s_grid": [0.0, 1.5], "q_grid": [1.5, 3.0]}))
     path = tmp_path / "landscape.csv"
-    rc, _, _ = run(capsys, ["scan", "--config", str(cfg), "--mode", "s_grid",
-                            "--n", "3", "--out", str(path)])
-    assert rc == 0
+    rc, _, err = run(capsys, ["scan", "--config", str(cfg), "--mode", "s_grid",
+                              "--n", "3", "--out", str(path)])
     rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
     # q = 3 exceeds the s = 0 ceiling q <= 2
     assert rows == [["1.5", "0"], ["1.5", "1.5"], ["3", "1.5"]]
+    # s = 0 has no constant of this form: its NaN fails the spread gate
+    assert rc == 1
+    assert err == "scan: FAIL constant at s=0.0 spreads nan across q\n"
 
 
 # -------------------------------------------------------------------- flow
