@@ -90,6 +90,7 @@ def _one_of(*names):
 
 # subcommand -> option -> (type, default, has a flag); the rest are config-only
 FLAG, CONFIG = True, False
+FLOW = FlowConfig()     # the flow options are FlowConfig fields, with its defaults
 OPTIONS = {
     # n and s default to 1 and 0.5 (q to derive_params' choice) without rows
     "constants": {"n": (int, None, FLAG), "s": (float, None, FLAG), "q": (float, None, FLAG),
@@ -101,14 +102,14 @@ OPTIONS = {
              "mode": (_one_of("lemma22", "s_grid"), "lemma22", FLAG),
              "q_grid": (list, None, CONFIG), "s_grid": (list, None, CONFIG),
              "out": (str, None, FLAG)},
-    "flow": {"s": (float, 0.5, FLAG), "q": (float, 4.0, FLAG), "kmax": (int, 32, FLAG),
-             "dt": (float, 1e-3, FLAG), "t_max": (float, 6.0, FLAG),
-             "sample_every": (int, 50, CONFIG),
-             "init": (dict, {"family": "one_plus_eps_y1", "eps": 0.01}, CONFIG),
-             "out": (str, "flow_out.csv", FLAG)},
+    "flow": {"s": (float, FLOW.s, FLAG), "q": (float, FLOW.q, FLAG),
+             "kmax": (int, FLOW.kmax, FLAG), "dt": (float, FLOW.dt, FLAG),
+             "t_max": (float, FLOW.t_max, FLAG),
+             "sample_every": (int, FLOW.sample_every, CONFIG),
+             "init": (dict, FLOW.init, CONFIG), "out": (str, "flow_out.csv", FLAG)},
     "euclid": {"s": (float, 0.5, FLAG), "q": (float, None, FLAG),
                "mode": (_one_of("eigen", "thm16", "all"), "all", FLAG),
-               "L": (float, 60.0, CONFIG), "N": (int, 2 ** 15, CONFIG),
+               "L": (float, EuclidParams.L, CONFIG), "N": (int, EuclidParams.N, CONFIG),
                "kmax": (int, 4, CONFIG), "out": (str, "euclid_out.json", FLAG)},
 }
 
@@ -248,18 +249,19 @@ def cmd_scan(opt):
     if q_grid is None:
         q_grid = [1.01] + [round(1.1 + 0.1 * i, 10) for i in range(189)]
     rep = monotonicity_scan(range(1, nmax + 1), q_grid, opt["kmax"])
+    gap = finite_or_null(rep.min_gap)
     summary = json.dumps({
         "argmin": list(rep.argmin),
         "checked": rep.checked,
         "kmax": opt["kmax"],
-        "min_gap": finite_or_null(rep.min_gap),
+        "min_gap": gap,
         "n_max": nmax,
         "q_count": len(q_grid),
         "violations": rep.violations,
     }, sort_keys=True, allow_nan=False)
     _write(opt["out"], summary + "\n")
     print(f"scan: {rep.checked} increments, {rep.violations} violations, "
-          f"min gap {rep.min_gap:.6e}")
+          f"min gap {'null' if gap is None else format(gap, '.6e')}")
     return gate("scan", rep.violations, 0, f"{rep.violations} slope increments not positive")
 
 
@@ -304,7 +306,7 @@ def _scan_constant_landscape(opt):
 def cmd_flow(opt):
     tol = tolerance()
     out = opt.pop("out")
-    res = run_flow(FlowConfig(**opt))    # the other flow options are FlowConfig fields
+    res = run_flow(FlowConfig(**opt))
     _write(out, res.csv())
     _write(os.path.splitext(out)[0] + ".json", res.summary() + "\n")
     for t, e, b in zip(res.times, res.entropy, res.bound):

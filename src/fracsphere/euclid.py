@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import CONSTANT_FIELD_THRESHOLD
-from .specfun import log_gamma
+from .specfun import log_gamma, midpoint_phase
 from .spectrum import gamma_sequence
 
 TWO_PI = 2.0 * np.pi
+LINE_NODES = 8192       # angular midpoints of the line deficit's transport to the circle
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def _chebyshev_rows(z, degrees):
     return rows
 
 
-def eigen_residual(s, k, L=60.0, N=2 ** 15):
+def eigen_residual(s, k, L=EuclidParams.L, N=EuclidParams.N):
     """Relative residual of the diagonalization identity on the grid.
 
     A single eigenfunction decays like |x|^(-2 mu) = |x|^(s-1), which is
@@ -187,7 +188,7 @@ def thm16_coefficients(ps):
     return a, b
 
 
-def thm16_deficit(f, ps, M=8192, descriptor=""):
+def thm16_deficit(f, ps, descriptor=""):
     """Deficit of the weighted interpolation inequality on the line,
 
         a * int f (-Lap)^(s/2) f dx + b * int f^2 (1+x^2)^(-s) dx
@@ -195,15 +196,15 @@ def thm16_deficit(f, ps, M=8192, descriptor=""):
 
     beta = 2n(1 - q/q_star), with (a, b) from thm16_coefficients,
     evaluated by exact transport to the circle: F = |J|^(-1/q*) f(x(theta))
-    on a uniform midpoint grid, Fourier analysis of F, and the diagonal
+    on LINE_NODES uniform midpoints, Fourier analysis of F, and the diagonal
     form of the Dirichlet integral.  All three terms are circle-side
     integrals of smooth functions, so the optimizer comes out with a
     deficit at roundoff level rather than at the 1e-3 level of the
     periodized |xi|^s multiplier on the line.
 
-    f must be a vectorized callable on the line; M is the number of
-    angular nodes.  Returns an InequalityReport with kind
-    'line_interpolation' (rhs = a * Dirichlet + b * weighted L2).
+    f must be a vectorized callable on the line.  Returns an
+    InequalityReport with kind 'line_interpolation' (rhs = a * Dirichlet
+    + b * weighted L2).
     """
     from .inequality import InequalityReport
 
@@ -214,17 +215,17 @@ def thm16_deficit(f, ps, M=8192, descriptor=""):
         raise ValueError(f"exponent must lie in [2, {ps.q_star}], got {q}")
     q_star = ps.q_star
 
+    M = LINE_NODES
     theta = TWO_PI * (np.arange(M) + 0.5) / M
     x = stereo_inverse(np.pi - theta)
     fv = np.asarray(f(x), dtype=float)
     big_f = fv * jacobian(x) ** (-1.0 / q_star)
 
-    # midpoint samples -> Fourier coefficients, with the half-step phase
-    hat = np.fft.rfft(big_f) * np.exp(-1j * np.pi * np.arange(M // 2 + 1) / M)
+    # midpoint samples -> coefficients on sqrt(2) cos k theta, sqrt(2) sin k theta
     kmax = M // 2 - 1
+    hat = np.fft.rfft(big_f)[1:kmax + 1] * midpoint_phase(kmax, M)[1:]
     c0 = float(big_f.mean())
-    ck = np.sqrt(2.0) / M * hat[1:kmax + 1].real
-    dk = -np.sqrt(2.0) / M * hat[1:kmax + 1].imag
+    ck, dk = hat.real, -hat.imag
 
     area = sphere_area(n)
     gam = gamma_sequence(n, ps.x_crit, kmax)

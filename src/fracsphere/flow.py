@@ -36,7 +36,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import field_from_descriptor, finite_or_null, lq_quotient
+from .specfun import midpoint_phase
 from .spectrum import delta_sequence, derive_params
+
+MAX_STEPS = 10 ** 7     # over 1000 times the 6000 steps of the default run
 
 
 @dataclass
@@ -110,6 +113,10 @@ class FlowOps:
                              f"{cfg.kmax} and {cfg.sample_every}")
         if not (cfg.dt > 0.0 and cfg.t_max > 0.0):     # NaN fails too
             raise ValueError(f"dt and t_max must be > 0, got {cfg.dt} and {cfg.t_max}")
+        self.steps = round(min(cfg.t_max / cfg.dt, 2.0 * MAX_STEPS))    # t_max / dt may be inf
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"t_max / dt must round to between 1 and {MAX_STEPS} steps, "
+                             f"got {cfg.t_max / cfg.dt:.6g}")
         self.cfg = cfg
         self.ps = derive_params(1, cfg.s, cfg.q)
         self.q = cfg.q
@@ -124,9 +131,7 @@ class FlowOps:
         # sin k theta -> d/dtheta, k cos k theta, on the band k <= 2 kmax
         self.mdiv = np.where((k >= 1) & (k <= 2 * kmax), 1j * k, 0.0)
         # DFT of the even extension -> coefficients on 1, sqrt(2) cos k theta
-        kc = np.arange(kmax + 1)
-        self.to_cos = (np.where(kc == 0, 1.0, np.sqrt(2.0)) / (2 * m)
-                       * np.exp(-1j * np.pi * kc / (2 * m)))
+        self.to_cos = midpoint_phase(kmax, 2 * m)
 
     def init_values(self):
         try:
@@ -183,15 +188,16 @@ def rk4_step(ops, u, dt):
 
 
 ENTROPY_FLOOR = 1e-14
+FIT_TAIL = 1.0 / 3.0    # the rate is fitted on this final fraction of the samples
 
 
-def fit_rate(times, entropy, tail=1.0 / 3.0):
-    """Least-squares decay rate of log(entropy) over the final tail fraction.
+def fit_rate(times, entropy):
+    """Least-squares decay rate of log(entropy) over the final FIT_TAIL.
 
     Needs at least 10 samples above the entropy floor in the fitted
     window; flat (all-floor) series have no rate to fit.
     """
-    i0 = int(math.floor(times.size * (1.0 - tail)))
+    i0 = int(math.floor(times.size * (1.0 - FIT_TAIL)))
     t, e = times[i0:], entropy[i0:]
     keep = e > ENTROPY_FLOOR
     if keep.sum() < 10:
@@ -204,15 +210,21 @@ def fit_rate(times, entropy, tail=1.0 / 3.0):
 def run_flow(cfg):
     ops = FlowOps(cfg)
     u = ops.init_values()
-    dt = cfg.dt
-    steps = int(round(cfg.t_max / dt))
+    dt, steps = cfg.dt, ops.steps
     times, ent, mass = [0.0], [ops.entropy(u)], [ops.mass(u)]
-    for i in range(1, steps + 1):
-        u = rk4_step(ops, u, dt)
-        if i % cfg.sample_every == 0 or i == steps:
-            times.append(i * dt)
-            ent.append(ops.entropy(u))
-            mass.append(ops.mass(u))
+    with np.errstate(over="ignore", invalid="ignore"):      # rk4_step refuses inf/NaN
+        for i in range(1, steps + 1):
+            try:
+                u = rk4_step(ops, u, dt)
+            except FloatingPointError:  # blow-up: a last, NaN sample fails the entropy gate
+                times.append(i * dt)
+                ent.append(math.nan)
+                mass.append(math.nan)
+                break
+            if i % cfg.sample_every == 0 or i == steps:
+                times.append(i * dt)
+                ent.append(ops.entropy(u))
+                mass.append(ops.mass(u))
     times = np.asarray(times)
     ent = np.asarray(ent)
     mass = np.asarray(mass)

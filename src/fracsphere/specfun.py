@@ -2,7 +2,8 @@
 
 Everything downstream (spectral sequences, quadrature on the sphere,
 kernel eigenvalues) reduces to three primitives kept here: log-gamma
-from the standard library's math.lgamma, Gegenbauer polynomials by their
+from the standard library's math.lgamma (and gamma ratios that keep
+their digits for large arguments), Gegenbauer polynomials by their
 three-term recurrence, and Gauss-Jacobi nodes/weights found by Newton
 iteration on the Jacobi recurrence from asymptotic initial angles.
 Symmetric rules (a = b, the latitude weight of every sphere) are solved
@@ -36,6 +37,35 @@ def log_gamma(x):
         except OverflowError:       # lnGamma(v) above the largest double
             out.append(math.inf)
     return np.reshape(out, x.shape) if x.ndim else out[0]
+
+
+# B_2k / (2k (2k - 1)), k = 1..6: Stirling's series of lnGamma(z) in powers of 1/z
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def gamma_ratio(a, b, d):
+    """Gamma(a) / Gamma(b) for scalars a, b > 0 with a = b + d, inf where
+    it overflows.  d is passed on its own: a - b loses its digits once a
+    and b are large.  From 10 on, the log of the ratio is the difference
+    of Stirling series, which does not cancel as the arguments grow
+    (truncation error below 1e-15); below that, the log_gamma difference."""
+    if min(a, b) < 10.0:
+        log_ratio = log_gamma(a) - log_gamma(b)
+    else:
+        series = [sum(c * z ** (1 - 2 * k) for k, c in enumerate(_STIRLING, 1))
+                  for z in (a, b)]
+        log_ratio = ((b - 0.5) * math.log1p(d / b) + d * (math.log(a) - 1.0)
+                     + series[0] - series[1])
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_ratio))
+
+
+def midpoint_phase(kmax, M):
+    """Factors that turn rfft(F)[k], k = 0..kmax, of F at the M midpoints
+    2 pi (i + 1/2) / M into its coefficients on 1 and sqrt(2) exp(i k theta):
+    the half-step phase exp(-i pi k / M) times sqrt(2)/M (1/M at k = 0)."""
+    k = np.arange(kmax + 1)
+    return np.where(k == 0, 1.0, np.sqrt(2.0)) / M * np.exp(-1j * np.pi * k / M)
 
 
 def gegenbauer(k, alpha, z):

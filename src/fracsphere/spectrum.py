@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import log_gamma
+from .specfun import gamma_ratio, log_gamma
 
 _INF = float("inf")
 
@@ -85,13 +85,12 @@ def derive_params(n, s, q=None):
     if s == n:
         kappa = _INF
     else:
-        kappa = float(np.exp(log_gamma(0.5 * (n - s)) - log_gamma(0.5 * (n + s))))
+        kappa = gamma_ratio(0.5 * (n - s), 0.5 * (n + s), -s)
     x_crit = 0.5 * (n - s)
     if s == 0.0:
         constant = float("nan")
     else:
-        constant = float(np.exp(log_gamma(0.5 * (n - s) + 1.0)
-                                - log_gamma(0.5 * (n + s)))) / abs(s)
+        constant = gamma_ratio(0.5 * (n - s) + 1.0, 0.5 * (n + s), 1.0 - s) / abs(s)
     return ParameterSet(n=n, s=s, q=q, q_star=q_star, p=p, lam=lam,
                         kappa=kappa, x_crit=x_crit, constant=constant)
 
@@ -120,8 +119,9 @@ def delta_sequence(n, s, kmax):
             out[1:] = np.exp(log_gamma(n + k) - log_gamma(k))
         return out
     x = 0.5 * (n - s)
-    inv_kappa = np.exp(log_gamma(0.5 * (n + s)) - log_gamma(x))
-    return (gamma_sequence(n, x, kmax) - 1.0) * inv_kappa
+    inv_kappa = gamma_ratio(0.5 * (n + s), x, s)
+    with np.errstate(invalid="ignore"):     # inf * 0 where 1/kappa overflows
+        return (gamma_sequence(n, x, kmax) - 1.0) * inv_kappa
 
 
 def sharp_constant(n, s):

@@ -113,6 +113,10 @@ def test_constants_rejects_bad_exponent(capsys):
     ["flow", "--out", "{tmp}/missing/flow.csv"],
     ["verify", "--count", "2", "--out", "{tmp}/missing/reports.csv"],
     ["constants", "--out", "{tmp}"],
+    # a step count below 1 or above flow.MAX_STEPS, refused before any step
+    ["flow", "--t-max", "1e-9"],
+    ["flow", "--dt", "1e-300"],
+    ["flow", "--t-max", "1e300", "--dt", "1e-300"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -146,6 +150,18 @@ def test_constants_config_rows(tmp_path, capsys):
     assert len(head) == 3
     assert len(table) == 7
     assert {line.split(",")[0] for line in table[1:]} == {"1", "3"}
+
+
+def test_constants_keep_kappa_and_constant_for_huge_n(tmp_path, capsys):
+    # with x = (n - s)/2, kappa = Gamma(x)/Gamma(x + s) = x^-s (1 + O(1/x)) and
+    # C = x kappa / s: the gamma ratio keeps its digits where lnGamma is ~1e308
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rows": [{"n": 1e306, "s": 0.5}], "kmax": 0}))
+    rc, out, _ = run(capsys, ["constants", "--config", str(cfg)])
+    assert rc == 0
+    kappa, constant = (float(v) for v in out.splitlines()[1].split(",")[6:8])
+    assert kappa == pytest.approx(math.sqrt(2.0) * 1e-153, rel=1e-13)
+    assert constant == pytest.approx(0.5e306 * kappa / 0.5, rel=1e-13)
 
 
 @pytest.mark.parametrize("flags", [["--n", "3"], ["--s", "2"], ["--q", "1.5"],
@@ -406,7 +422,8 @@ def test_scan_all_nan_increments_are_violations(tmp_path, capsys):
     rc, out, _ = run(capsys, ["scan", "--config", str(cfg), "--n", "2",
                               "--kmax", "5", "--out", str(path)])
     assert rc == 1
-    assert "8 violations" in out
+    # stdout writes the missing gap as null, as the summary does
+    assert out == "scan: 8 increments, 8 violations, min gap null\n"
     summary = json.loads(path.read_text(), parse_constant=_refuse)
     assert summary["violations"] == summary["checked"] == 2 * 4
     assert summary["min_gap"] is None and summary["argmin"] == []
@@ -562,8 +579,7 @@ def test_euclid_nan_residuals_fail_with_strict_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"L": 1e300, "N": 2 ** 10, "kmax": 1}))
     path = tmp_path / "e.json"
-    with np.errstate(all="ignore"):
-        rc, out, err = run(capsys, ["euclid", "--config", str(cfg), "--out", str(path)])
+    rc, out, err = run(capsys, ["euclid", "--config", str(cfg), "--out", str(path)])
     assert rc == 1
     assert out == ""
     assert err.count("FAIL eigen-residual nan") == 2
@@ -657,3 +673,68 @@ def test_verify_respects_loose_tolerance(tmp_path, capsys, monkeypatch):
                                 "--out", str(tmp_path / "r.csv")])
     assert rc == 0
     assert err == ""
+
+
+# ------------------------------------------------------------------- gates
+
+@pytest.mark.parametrize("value,bound,passed", [
+    (0.5, 1.0, True), (1.0, 1.0, True), (0, 0, True), (1.5, 1.0, False),
+    (math.nan, 1.0, False), (math.inf, math.inf, False), (-math.inf, 0.0, False),
+    (0.0, math.nan, False),
+])
+def test_gate_passes_finite_values_within_the_bound(value, bound, passed, capsys):
+    assert cli.gate("verify", value, bound, "what failed") is passed
+    assert capsys.readouterr().err == ("" if passed else "verify: FAIL what failed\n")
+
+
+def _equality_report(**patch):
+    return lambda: [dataclasses.replace(equality_suite()[0], **patch)]
+
+
+def _flow_result(entropy, mass):
+    def fake(cfg):
+        return FlowResult(config=cfg, times=np.array([0.0, 1.0]), entropy=np.array(entropy),
+                          mass=np.array(mass), bound=np.array([1e-4, 1e-4]),
+                          fitted_rate=2.0, theoretical_rate=2.0)
+    return fake
+
+
+_NAN_LINE_REPORT = type("Report", (), {"deficit": math.nan, "lhs": math.nan, "rhs": 1.0})
+
+
+@pytest.mark.parametrize("argv,config,patch,fail", [
+    (["verify", "--count", "0"], None,
+     ("equality_suite", _equality_report(relative_deficit=math.nan)),
+     "verify: FAIL interpolation n=1 s=0.5 q=3.0 relative deficit nan"),
+    (["verify", "--count", "0"], None, ("equality_suite", _equality_report(deficit=math.nan)),
+     "verify: FAIL equality case interpolation n=1 s=0.5 deficit nan"),
+    (["flow"], None, ("run_flow", _flow_result([1e-4, math.nan], [1.0, 1.0])),
+     "flow: FAIL entropy nan not within bound 1.000e-04 at t=1.0"),
+    (["flow"], None, ("run_flow", _flow_result([1e-4, 1e-5], [1.0, math.nan])),
+     "flow: FAIL mass drift nan above 1e-8"),
+    (["euclid", "--mode", "eigen"], {"L": 1e300, "N": 2 ** 10, "kmax": 0}, None,
+     "euclid: FAIL eigen-residual nan at k=0 not within 1e-3"),
+    (["euclid", "--mode", "thm16"], None, ("thm16_deficit", lambda *a, **k: _NAN_LINE_REPORT),
+     "euclid: FAIL optimizer deficit nan"),
+    (["scan", "--n", "1", "--kmax", "3"], {"q_grid": [1.5, math.nan]}, None,
+     "scan: FAIL 2 slope increments not positive"),
+    # s = 0 has no constant of this form: C is NaN in every row
+    (["scan", "--mode", "s_grid"], {"s_grid": [0.0, 1.0]}, None,
+     "scan: FAIL constant at s=0.0 spreads nan across q"),
+    # a blow-up of the flow fails the entropy gate, with no traceback
+    (["flow", "--dt", "0.2", "--s", "1", "--kmax", "128", "--t-max", "20"], None, None,
+     "flow: FAIL entropy"),
+])
+def test_failing_config_exits_1_with_fail_lines(argv, config, patch, fail, tmp_path, capsys,
+                                                monkeypatch):
+    # every gate fails a NaN, and an exit of 1 always comes with a FAIL line
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    rc, _, err = run(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    lines = err.splitlines()
+    assert lines and all(line.startswith(f"{argv[0]}: FAIL ") for line in lines)
+    assert any(line.startswith(fail) for line in lines)

@@ -12,7 +12,7 @@ import pytest
 
 import fracsphere
 from fracsphere.field import field_from_descriptor
-from fracsphere.flow import (ENTROPY_FLOOR, FlowConfig, FlowOps, fit_rate,
+from fracsphere.flow import (ENTROPY_FLOOR, MAX_STEPS, FlowConfig, FlowOps, fit_rate,
                              rk4_step, run_flow)
 from fracsphere.spectrum import delta_sequence, sharp_constant
 
@@ -307,6 +307,21 @@ def test_constant_initial_data_gives_flat_series():
     r = run_flow(FlowConfig(t_max=0.5, init={"coeffs": [[0, 1.0]]}))
     assert math.isnan(r.fitted_rate)
     assert np.abs(r.entropy).max() <= ENTROPY_FLOOR
+
+
+def test_step_count_lies_between_one_and_max_steps():
+    assert FlowOps(FlowConfig(dt=1e-6, t_max=10.0)).steps == MAX_STEPS
+    assert FlowOps(FlowConfig(dt=1.0, t_max=0.6)).steps == 1
+    for bad in ({"dt": 1.0, "t_max": 0.4}, {"t_max": 1e-9}, {"dt": 1e-300},
+                {"dt": 1e-300, "t_max": 1e300}, {"dt": 1e-6, "t_max": 10.00001}):
+        with pytest.raises(ValueError, match="must round to between 1 and"):
+            FlowOps(FlowConfig(**bad))
+
+
+def test_blow_up_ends_the_run_with_a_nan_sample():
+    res = run_flow(FlowConfig(s=1.0, kmax=128, dt=0.2, t_max=20.0))
+    assert math.isnan(res.entropy[-1]) and math.isnan(res.mass[-1])
+    assert np.isfinite(res.entropy[:-1]).all() and res.times[-1] < 20.0
 
 
 def test_blowup_is_reported():

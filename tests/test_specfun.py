@@ -136,6 +136,40 @@ def test_gamma_ratio_rejects_nonpositive():
         gamma_ratio(-1.0, 2.0)
 
 
+def test_package_gamma_ratio_matches_mpmath_from_ten_on():
+    # the Stirling-series difference, where the log_gamma difference would
+    # leave a few ulps of lnGamma ~ 1e3 at the top of this range
+    worst = 0.0
+    with mpmath.workdps(50):
+        for b in (10.0, 10.5, 13.25, 40.0, 199.5):
+            for d in (-0.75, -0.5, 0.1, 0.5, 1.0, 2.5, 7.0):
+                want = mpmath.gamma(mpmath.mpf(b) + d) / mpmath.gamma(b)
+                if b + d >= 10.0:
+                    worst = max(worst, float(abs(specfun.gamma_ratio(b + d, b, d) / want - 1)))
+    assert worst <= 1e-14
+
+
+def test_gamma_ratio_overflow_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert specfun.gamma_ratio(1e300, 10.0, 1e300 - 10.0) == math.inf
+
+
+def test_midpoint_phase_gives_cosine_and_sine_coefficients():
+    # F = c_0 + sqrt(2) sum_k (a_k cos k theta + b_k sin k theta) at the M midpoints
+    # has coefficients a_k - i b_k
+    rng = np.random.default_rng(3)
+    kmax, M = 6, 32
+    coef = rng.normal(size=kmax + 1) + 1j * rng.normal(size=kmax + 1)
+    coef[0] = coef[0].real
+    theta = 2.0 * np.pi * (np.arange(M) + 0.5) / M
+    k = np.arange(1, kmax + 1)[:, None]
+    f = coef[0].real + np.sqrt(2.0) * (coef[1:, None].real * np.cos(k * theta)
+                                       - coef[1:, None].imag * np.sin(k * theta)).sum(axis=0)
+    got = np.fft.rfft(f)[:kmax + 1] * specfun.midpoint_phase(kmax, M)
+    np.testing.assert_allclose(got, coef, rtol=0.0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Gegenbauer
 

@@ -12,6 +12,8 @@ from fracsphere.spectrum import (CONSTANTS_HEADER, ParameterSet, ScanReport,
                                  derive_params, gamma_sequence, monotonicity_scan,
                                  operator_eigenvalue, remainder_sequence,
                                  sharp_constant, slope_sequence)
+from fracsphere import specfun
+from fracsphere.specfun import log_gamma
 from reference import alpha_sequence, gamma_ratio
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,37 @@ def test_kappa_and_constant_match_mpmath():
                     kappa = mpmath.gamma(a) / mpmath.gamma(b)
                     worst = max(worst, abs(ps.kappa - kappa) / kappa)
     assert worst <= 3.5e-15
+
+
+def test_kappa_and_constant_keep_their_bytes_up_to_n_18():
+    # below argument 10 the gamma ratio is the log_gamma difference
+    for n in range(1, 19):
+        for s in (0.25 * j for j in range(1 - 4 * n, 4 * n) if j):
+            ps = derive_params(n, s, 1.0)
+            a, b = 0.5 * (n - s), 0.5 * (n + s)
+            assert ps.kappa == float(np.exp(log_gamma(a) - log_gamma(b)))
+            assert ps.constant == float(np.exp(log_gamma(a + 1.0) - log_gamma(b))) / abs(s)
+
+
+def test_kappa_and_constant_keep_their_digits_for_large_n():
+    # kappa, C and 1/kappa (the factor of delta_sequence) come from one gamma
+    # ratio that does not cancel as n grows, wherever the value is a double
+    # (C overflows at s < 0 for the largest n); exp of its log still leaves
+    # |log| ulps, up to ~470 here
+    ns = [17, 18, 19, 25, 100, 10 ** 4, 10 ** 6] + [10 ** e for e in range(9, 307, 9)]
+    worst = 0.0
+    with mpmath.workdps(400):
+        for n in ns + [10 ** 306]:
+            for s in (-0.5, 0.1, 0.5):
+                ps = derive_params(n, s, 1.0)
+                a, b = (mpmath.mpf(n) - s) / 2, (mpmath.mpf(n) + s) / 2
+                kappa = mpmath.exp(mpmath.loggamma(a) - mpmath.loggamma(b))
+                inv_kappa = specfun.gamma_ratio(0.5 * (n + s), 0.5 * (n - s), s)
+                for got, want in ((ps.kappa, kappa), (ps.constant, a * kappa / abs(s)),
+                                  (inv_kappa, 1 / kappa)):
+                    if want < 1e300:
+                        worst = max(worst, float(abs(got / want - 1)))
+    assert worst <= 1e-13
 
 
 def test_no_default_exponent_for_negative_order():
