@@ -47,6 +47,7 @@ from .spectrum import (CONSTANTS_HEADER, constants_row, delta_sequence,
                        remainder_sequence)
 
 DEFAULT_TOL = 1e-10
+MAX_SCAN_DIMENSIONS = 1000      # 200 times the default 5, at about 5 ms per dimension
 
 
 def tolerance():
@@ -245,6 +246,9 @@ def cmd_scan(opt):
     if opt["mode"] == "s_grid":
         return _scan_constant_landscape(opt)
     nmax = 5 if opt["n"] is None else opt["n"]
+    if nmax > MAX_SCAN_DIMENSIONS:
+        raise ValueError(f"the scan covers at most {MAX_SCAN_DIMENSIONS} dimensions, "
+                         f"got n = {nmax}")
     q_grid = opt["q_grid"]
     if q_grid is None:
         q_grid = [1.01] + [round(1.1 + 0.1 * i, 10) for i in range(189)]
@@ -270,10 +274,11 @@ def _scan_constant_landscape(opt):
 
     The constant depends on s only; emitting it against a q grid makes
     the independence visible in the artifact, and the command asserts it
-    by comparing rows across q at fixed s.  A grid without one admissible
-    pair (any grid when n < 1) checks nothing and is rejected.
+    by comparing rows across q at fixed s.  An n that is not a dimension,
+    and a grid without one admissible pair, check nothing and are rejected.
     """
     n = 3 if opt["n"] is None else opt["n"]
+    derive_params(n, 0.0)       # refuses such an n before the grid scales by it
     s_grid = opt["s_grid"]
     if s_grid is None:
         s_grid = [round(f * n, 10) for f in

@@ -5,7 +5,7 @@ kernel eigenvalues) reduces to three primitives kept here: log-gamma
 from the standard library's math.lgamma (and gamma ratios that keep
 their digits for large arguments), Gegenbauer polynomials by their
 three-term recurrence, and Gauss-Jacobi nodes/weights found by Newton
-iteration on the Jacobi recurrence from asymptotic initial angles.
+iteration from asymptotic angles and one extended-precision sweep.
 Symmetric rules (a = b, the latitude weight of every sphere) are solved
 on the upper half of the interval and mirrored, so they are exactly
 symmetric by construction.  Each Gauss-Jacobi rule is built once per
@@ -184,18 +184,18 @@ def gauss_jacobi(m, a, b):
     at x_k = cos(theta_k).  The midpoints between consecutive guesses and
     +-1 bracket one root each, which one recurrence sweep confirms
     (RuntimeError otherwise); the brackets safeguard the Newton steps on
-    the Jacobi recurrence.  The last Newton step and the weight formula
+    the Jacobi recurrence, in double.  One extended-precision sweep then
+    evaluates P_m, P_{m-1} and P' at those roots, takes a last Newton step
+    d = -P/P', carries P' to x + d by P'' from the Jacobi ODE
+    (1 - x^2) P'' = (a - b + (a+b+2) x) P' - m (m+a+b+1) P, and forms
 
         w_i = 2^(a+b+1) * Gamma(m+a+1) Gamma(m+b+1)
-              / (Gamma(m+a+b+1) m! (1 - x_i^2) P_m'(x_i)^2)
+              / (Gamma(m+a+b+1) m! (1 - x_i^2) P_m'(x_i)^2).
 
-    run in extended precision: at the extreme roots the recurrence value
-    feeding P' is small against the oscillation envelope, which costs
-    about m^2 ulps of relative accuracy in double and would push the
-    integration error of large rules above 1e-12.  (On platforms where
-    long double is an alias for double this protection degrades
-    gracefully to roughly that level.)  Weights are then rescaled so the
-    total mass matches the closed-form moment exactly.
+    At the extreme roots the recurrence value feeding P' is small against
+    the oscillation envelope: in double that costs about m^2 ulps, and
+    large rules integrate worse than 1e-12 (as they do where long double
+    is double).  The weights are then rescaled to the closed-form mass.
 
     For a = b the roots are symmetric about 0, so the solve, the polish
     and the weights run on the upper half only (an odd m's middle root is
@@ -249,14 +249,13 @@ def _build_rule(m, a, b):
         if done.all():
             break
 
-    # extended-precision polish: two more Newton steps, then the weights
+    # the one extended-precision sweep: Newton step d, P' moved to x + d by P''
     xe = x.astype(np.longdouble)
-    for _ in range(2):
-        pm, pm1 = _jacobi_eval(m, a, b, xe)
-        dp = _jacobi_deriv(m, a, b, xe, pm, pm1)
-        xe = xe - pm / dp
     pm, pm1 = _jacobi_eval(m, a, b, xe)
     dp = _jacobi_deriv(m, a, b, xe, pm, pm1)
+    d = -pm / dp
+    dp += d * ((a - b + (a + b + 2.0) * xe) * dp - m * (m + a + b + 1.0) * pm) / (1.0 - xe * xe)
+    xe += d
     logc = (log_gamma(m + a + 1.0) + log_gamma(m + b + 1.0)
             - log_gamma(m + a + b + 1.0) - log_gamma(m + 1.0)
             + (a + b + 1.0) * np.log(2.0))

@@ -50,8 +50,12 @@ def derive_params(n, s, q=None):
     q_star for s in (0, n), and 2 for s = 0.  For s = n and s < 0 there
     is no finite default and q must be given.
     """
-    if not float(n).is_integer() or n < 1:
-        raise ValueError(f"dimension n must be a positive integer, got {n!r}")
+    try:
+        whole = float(n).is_integer()
+    except OverflowError:       # an integer too large for a float
+        whole = False
+    if not whole or n < 1:
+        raise ValueError(f"dimension n must be a positive integer that fits a float, got {n!r}")
     n = int(n)
     s = float(s)
     if not -n < s <= n:

@@ -117,6 +117,10 @@ def test_constants_rejects_bad_exponent(capsys):
     ["flow", "--t-max", "1e-9"],
     ["flow", "--dt", "1e-300"],
     ["flow", "--t-max", "1e300", "--dt", "1e-300"],
+    # an integer dimension too large for a float
+    ["constants", "--n", "1" + "0" * 400],
+    ["scan", "--n", "1" + "0" * 400],
+    ["scan", "--mode", "s_grid", "--n", "1" + "0" * 400],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -292,6 +296,8 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     ("flow", {"sample_every": "1e3"}, "sample_every must be a number, got '1e3'"),
     ("constants", {"s": 10 ** 400}, "s cannot be read as float"),
     ("constants", {"out": 5}, "out cannot be read as str: 5"),
+    ("constants", {"rows": [{"n": 10 ** 400, "s": 0.5}]},
+     "dimension n must be a positive integer that fits a float"),
     # every exponent of the scan lies in the family: finite and >= 1
     ("scan", {"q_grid": [0.5, 1.5]}, "the scan needs finite exponents q >= 1, got 0.5"),
     ("scan", {"q_grid": [1.5, float("inf")]}, "the scan needs finite exponents q >= 1, got inf"),
@@ -310,6 +316,22 @@ def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, c
     assert out == ""
     assert err.startswith(f"fracsphere {command}: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_scan_refuses_more_dimensions_than_the_cap_before_scanning(monkeypatch, tmp_path,
+                                                                    capsys):
+    def scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli, "monotonicity_scan", scan)
+    out = tmp_path / "scan.json"
+    rc, stdout, err = run(capsys, ["scan", "--n", str(cli.MAX_SCAN_DIMENSIONS + 1),
+                                   "--out", str(out)])
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert err == (f"fracsphere scan: the scan covers at most {cli.MAX_SCAN_DIMENSIONS} "
+                   f"dimensions, got n = {cli.MAX_SCAN_DIMENSIONS + 1}\n")
+    with pytest.raises(AssertionError, match="the scan ran"):     # the cap itself is allowed
+        main(["scan", "--n", str(cli.MAX_SCAN_DIMENSIONS), "--out", str(out)])
 
 
 def test_flags_override_config(tmp_path, capsys):

@@ -404,7 +404,7 @@ def test_suites_build_each_distinct_rule_once(monkeypatch):
 def _scan_seeded_rule(m, a, b):
     """Reference builder: roots bracketed by a sign scan on an 8m-point
     Chebyshev-angle grid, then the same safeguarded Newton solve,
-    extended-precision polish and weights as gauss_jacobi."""
+    one-sweep extended-precision polish and weights as gauss_jacobi."""
     theta = (np.arange(8 * m) + 0.3183098861837907) * np.pi / (8 * m)
     grid = np.concatenate([[-1.0], np.cos(theta)[::-1], [1.0]])
     vals, _ = specfun._jacobi_eval(m, a, b, grid)
@@ -429,11 +429,11 @@ def _scan_seeded_rule(m, a, b):
         if done.all():
             break
     xe = x.astype(np.longdouble)
-    for _ in range(2):
-        pm, pm1 = specfun._jacobi_eval(m, a, b, xe)
-        xe = xe - pm / specfun._jacobi_deriv(m, a, b, xe, pm, pm1)
     pm, pm1 = specfun._jacobi_eval(m, a, b, xe)
     dp = specfun._jacobi_deriv(m, a, b, xe, pm, pm1)
+    d = -pm / dp
+    dp += d * ((a - b + (a + b + 2.0) * xe) * dp - m * (m + a + b + 1.0) * pm) / (1.0 - xe * xe)
+    xe += d
     logc = (log_gamma(m + a + 1.0) + log_gamma(m + b + 1.0)
             - log_gamma(m + a + b + 1.0) - log_gamma(m + 1.0)
             + (a + b + 1.0) * np.log(2.0))
@@ -497,10 +497,15 @@ def _mp_jacobi_weight(m, a, b, x0, mp):
 def test_weights_match_30_digit_reference():
     """Weights against an mpmath evaluation that shares no code with the
     builder.  A polish in double only misses by 1e-12 or more at m = 976,
-    so this guards the extended-precision step."""
+    so this guards the extended-precision step.  The two asymmetric rules
+    of 200 and 300 nodes guard the a - b term of the Jacobi ODE that
+    carries P' to the polished root: with b - a there they miss by 7e-12
+    and 1e-12, where the 20-node rule still reads 1e-14."""
     mp = pytest.importorskip("mpmath").mp
-    cases = [(sphere_rule(3, 976), (0, 1, 488, 975)),
-             (gauss_jacobi(20, -0.25, 0.5), range(20))]   # funk_hecke_mu(3, 1.5, 8)
+    cases = [(sphere_rule(n, 976), (0, 1, 487, 488, 974, 975)) for n in (2, 3, 4)]
+    cases += [(gauss_jacobi(20, -0.25, 0.5), range(20)),   # funk_hecke_mu(3, 1.5, 8)
+              (gauss_jacobi(200, 2.5, -0.5), (0, 1, 100, 198, 199)),
+              (gauss_jacobi(300, 0.0, 1.0), (0, 1, 150, 298, 299))]
     with mp.workdps(30):
         for rule, idx in cases:
             m = len(rule)
@@ -536,6 +541,28 @@ def test_symmetric_builds_sweep_half_the_points(monkeypatch):
         sizes.clear()
         gauss_jacobi(m, a, b)
         assert sizes and max(sizes) <= most, (m, a, b, sizes)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is double on this platform")
+@pytest.mark.parametrize("m,a,b", [(1, 0.0, 0.0), (2, 0.5, 0.5), (161, 1.0, 1.0),
+                                   (976, 0.5, 0.5), (2, 0.25, 1.5), (40, 10.0, -0.99),
+                                   (200, 2.5, -0.5)])
+def test_cold_build_sweeps_once_in_extended_precision(monkeypatch, m, a, b):
+    # the polish is one long-double sweep; the bracket check and the
+    # Newton solve run in double
+    dtypes = []
+    original = specfun._jacobi_eval
+
+    def recording(m, a, b, x):
+        dtypes.append(np.asarray(x).dtype)
+        return original(m, a, b, x)
+
+    monkeypatch.setattr(specfun, "_jacobi_eval", recording)
+    specfun._build_rule.cache_clear()
+    gauss_jacobi(m, a, b)
+    assert dtypes.count(np.longdouble) == 1, dtypes
+    assert dtypes.count(np.float64) == len(dtypes) - 1 >= 2, dtypes
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9, 64])
