@@ -296,13 +296,14 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     ("flow", {"sample_every": "1e3"}, "sample_every must be a number, got '1e3'"),
     ("constants", {"s": 10 ** 400}, "s cannot be read as float"),
     ("constants", {"out": 5}, "out cannot be read as str: 5"),
-    ("constants", {"rows": [{"n": 10 ** 400, "s": 0.5}]},
-     "dimension n must be a positive integer that fits a float"),
     # every exponent of the scan lies in the family: finite and >= 1
     ("scan", {"q_grid": [0.5, 1.5]}, "the scan needs finite exponents q >= 1, got 0.5"),
     ("scan", {"q_grid": [1.5, float("inf")]}, "the scan needs finite exponents q >= 1, got inf"),
     ("scan", {"q_grid": [-1, 1.5]}, "the scan needs finite exponents q >= 1, got -1.0"),
     ("scan", {"q_grid": [0, 1.5]}, "the scan needs finite exponents q >= 1, got 0.0"),
+    # an integer dimension too large for a float
+    ("constants", {"rows": [{"n": 10 ** 400, "s": 0.5}]},
+     "dimension n must be a positive integer that fits a float"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
