@@ -42,12 +42,14 @@ from .field import finite_or_null, is_number
 from .flow import FlowConfig, run_flow
 from .inequality import KINDS, equality_suite, random_suite, reports_csv
 from .specfun import rule_cache_info
-from .spectrum import (CONSTANTS_HEADER, constants_row, delta_sequence,
-                       derive_params, gamma_sequence, monotonicity_scan,
-                       remainder_sequence)
+from .spectrum import (CONSTANTS_HEADER, MAX_DEGREE, constants_row,
+                       delta_sequence, derive_params, gamma_sequence,
+                       monotonicity_scan, remainder_sequence)
 
 DEFAULT_TOL = 1e-10
 MAX_SCAN_DIMENSIONS = 1000      # 200 times the default 5, at about 5 ms per dimension
+MAX_VERIFY_COUNT = 20000        # 100 times the default 200, at about 0.5 ms per report
+MAX_EUCLID_KMAX = 100   # 25 times the default 4; one residual per degree, 7 to 12 ms each
 
 
 def tolerance():
@@ -187,8 +189,8 @@ def cmd_constants(opt):
     for i, row in enumerate(rows):
         _check_row(i, row)
     kmax = opt["kmax"]
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    if not 0 <= kmax <= MAX_DEGREE:
+        raise ValueError(f"kmax must lie in [0, {MAX_DEGREE}], got {kmax}")
     lines = [CONSTANTS_HEADER]
     tables = ["n,s,q,k,gamma,delta,eps"]
     for row in rows:
@@ -219,6 +221,8 @@ def _check_row(i, row):
 
 def cmd_verify(opt):
     tol = tolerance()
+    if opt["count"] > MAX_VERIFY_COUNT:
+        raise ValueError(f"count must be at most {MAX_VERIFY_COUNT}, got {opt['count']}")
     before = rule_cache_info()
     reports = equality_suite() + random_suite(opt["seed"], opt["count"])
     after = rule_cache_info()
@@ -329,8 +333,8 @@ def cmd_flow(opt):
 def cmd_euclid(opt):
     tol = tolerance()
     mode, s, q, kmax = opt["mode"], opt["s"], opt["q"], opt["kmax"]
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    if not 0 <= kmax <= MAX_EUCLID_KMAX:
+        raise ValueError(f"kmax must be >= 0 and at most {MAX_EUCLID_KMAX}, got {kmax}")
     if q is None:
         q = 0.5 * (2.0 + derive_params(1, s).q_star)
     ps = derive_params(1, s, q)

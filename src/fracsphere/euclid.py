@@ -32,6 +32,7 @@ from .spectrum import gamma_sequence
 
 TWO_PI = 2.0 * np.pi
 LINE_NODES = 8192       # angular midpoints of the line deficit's transport to the circle
+MAX_N = 2 ** 20         # 32 times the default grid; about 0.3 s and 130 MB per residual
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class EuclidParams:
             raise ValueError("need 0 < s < n = 1")
         if not self.N >= 2:
             raise ValueError(f"grid size N must be >= 2, got {self.N}")
+        if self.N > MAX_N:
+            raise ValueError(f"grid size N must be at most {MAX_N}, got {self.N}")
         if not 0.0 < self.L < np.inf:      # NaN fails too
             raise ValueError(f"half-width L must be finite and > 0, got {self.L}")
 

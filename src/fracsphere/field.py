@@ -2,14 +2,13 @@
 
 A zonal field is a finite expansion F = sum_k c_k Y_k in the
 latitude-only spherical harmonics, normalized so that each Y_k has unit
-L2 norm against the uniform probability measure.  Synthesis and
-analysis go through Gauss-Jacobi quadrature in the latitude variable,
-which is exact for the polynomial integrands involved as long as the
-rule is large enough (analysis requires at least 2*kmax + 2 nodes; the
-helpers below default to more).  lq_quotient is the one kernel of the
-quotient (||F||_q^2 - ||F||_2^2)/(q - 2) and of its q = 2 limit, the
-entropy: difference_quotient, entropy2, quotient, every deficit kind and
-the flow's entropy call it.
+L2 norm against the uniform probability measure.  Synthesis, analysis
+and norms take the caller's Gauss-Jacobi rule in the latitude variable,
+exact for the polynomial integrands involved once it is large enough
+(analysis needs at least 2*kmax + 2 nodes).  lq_quotient is the one
+kernel of the quotient (||F||_q^2 - ||F||_2^2)/(q - 2) and of its q = 2
+limit, the entropy: difference_quotient, entropy2, every deficit kind
+and the flow's entropy call it.
 """
 
 import json
@@ -19,7 +18,7 @@ from numbers import Real
 
 import numpy as np
 
-from .specfun import gegenbauer_all, sphere_rule
+from .specfun import gegenbauer_all
 
 
 @dataclass
@@ -33,11 +32,6 @@ class ZonalField:
     @property
     def kmax(self):
         return self.coeffs.size - 1
-
-
-def default_rule(n, kmax):
-    """Quadrature rule sized for stable analysis/norms up to degree kmax."""
-    return sphere_rule(n, max(128, 4 * (kmax + 1)))
 
 
 def zonal_basis(n, kmax, rule):
@@ -72,12 +66,10 @@ def analyze(n, values, rule, kmax):
     return ZonalField(n=n, coeffs=basis @ (rule.prob_weights * values))
 
 
-def lq_norm(fld, q, rule=None):
+def lq_norm(fld, q, rule):
     """The L^q norm of the field against the uniform probability measure."""
     if q < 1.0 or not np.isfinite(q):
         raise ValueError(f"need a finite exponent q >= 1, got {q}")
-    if rule is None:
-        rule = default_rule(fld.n, fld.kmax)
     v = synthesize(fld, rule)
     return float((rule.prob_weights * np.abs(v) ** q).sum() ** (1.0 / q))
 
@@ -125,10 +117,8 @@ def difference_quotient(fld, ps, rule):
     return lq_quotient(synthesize(fld, rule), rule.prob_weights, ps.q)
 
 
-def entropy2(fld, rule=None):
+def entropy2(fld, rule):
     """Relative entropy F^2 log(|F| / ||F||_2) d(mu), lq_quotient at q = 2."""
-    if rule is None:
-        rule = default_rule(fld.n, fld.kmax)
     return lq_quotient(synthesize(fld, rule), rule.prob_weights, 2.0)
 
 
@@ -138,24 +128,6 @@ CONSTANT_FIELD_THRESHOLD = 1e-24
 def is_constant(fld):
     tail = float((fld.coeffs[1:] ** 2).sum())
     return bool(tail <= CONSTANT_FIELD_THRESHOLD * fld.coeffs[0] ** 2)
-
-
-def quotient(fld, ps, numerator_eigs=None, rule=None):
-    """Rayleigh-type quotient of a diagonal quadratic form against the
-    q-interpolation difference quotient (entropy at q = 2).
-
-    The numerator defaults to the Dirichlet form of the fractional
-    operator; constant fields are refused since both sides vanish.
-    """
-    if is_constant(fld):
-        raise ValueError("quotient undefined for constant fields: "
-                         "numerator and denominator both vanish")
-    if numerator_eigs is None:
-        from .spectrum import operator_eigenvalue
-        numerator_eigs = operator_eigenvalue(ps, "L", fld.kmax)
-    if rule is None:
-        rule = default_rule(fld.n, fld.kmax)
-    return quadratic_form(fld, numerator_eigs) / difference_quotient(fld, ps, rule)
 
 
 # ---------------------------------------------------------------------------

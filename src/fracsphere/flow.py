@@ -40,6 +40,7 @@ from .specfun import midpoint_phase
 from .spectrum import delta_sequence, derive_params
 
 MAX_STEPS = 10 ** 7     # over 1000 times the 6000 steps of the default run
+MAX_KMAX = 2 ** 14      # 512 times the default 32; about 70 ms and 15 MB per step there
 
 
 @dataclass
@@ -108,9 +109,9 @@ class FlowOps:
             raise ValueError("the flow is implemented on the circle (n = 1)")
         if not 0.0 < cfg.s <= 1.0:
             raise ValueError("flow order must satisfy 0 < s <= 1")
-        if cfg.kmax < 1 or cfg.sample_every < 1:
-            raise ValueError(f"kmax and sample_every must be >= 1, got "
-                             f"{cfg.kmax} and {cfg.sample_every}")
+        if not 1 <= cfg.kmax <= MAX_KMAX or cfg.sample_every < 1:
+            raise ValueError(f"kmax must lie in [1, {MAX_KMAX}] and sample_every must be "
+                             f">= 1, got {cfg.kmax} and {cfg.sample_every}")
         if not (cfg.dt > 0.0 and cfg.t_max > 0.0):     # NaN fails too
             raise ValueError(f"dt and t_max must be > 0, got {cfg.dt} and {cfg.t_max}")
         self.steps = round(min(cfg.t_max / cfg.dt, 2.0 * MAX_STEPS))    # t_max / dt may be inf

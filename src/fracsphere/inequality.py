@@ -6,12 +6,8 @@ quotient (||F||_q^2 - ||F||_2^2)/(q - 2) of field.lq_quotient, whose
 q = 2 value is the relative entropy of the logarithmic kinds.  deficit()
 looks the kind up in the table KINDS and evaluates both sides for a
 concrete zonal field; the report's deficit (rhs - lhs) must be
-nonnegative up to quadrature roundoff.
-
-Also here: kernel eigenvalues by quadrature against the closed form
-(the classical Funk-Hecke identity), the sharpness probe along the
-1 + eps Y_1 family, and the pointwise Taylor remainder used in the
-stability arguments.
+nonnegative up to quadrature roundoff.  Also here: the equality and
+seeded random suites that verify reports, and their CSV form.
 """
 
 import json
@@ -21,11 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .field import (ZonalField, descriptor_of, difference_quotient, entropy2,
+from .field import (analyze, descriptor_of, difference_quotient, entropy2,
                     field_from_descriptor, is_constant, lq_norm,
-                    quadratic_form, quotient, synthesize, analyze)
-from .specfun import gegenbauer, gegenbauer_at_one, gauss_jacobi, log_gamma, sphere_rule
-from .spectrum import derive_params, gamma_sequence, operator_eigenvalue
+                    quadratic_form, synthesize)
+from .specfun import sphere_rule
+from .spectrum import derive_params, operator_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -178,70 +174,6 @@ def deficit(fld, ps, kind):
 def deficit_square(fld, ps):
     """The squared-deficit comparison at the critical exponent."""
     return deficit(fld, ps, "square")
-
-
-# ---------------------------------------------------------------------------
-# kernel eigenvalues
-
-
-def funk_hecke_mu(n, lam, k):
-    """Eigenvalue of the kernel |zeta - eta|^(-lam) on degree-k harmonics.
-
-    Returns (quadrature, closed_form).  The quadrature route absorbs the
-    kernel singularity into a Gauss-Jacobi weight, after which the
-    integrand is the degree-k polynomial G_k, so the rule is exact; the
-    closed form is
-
-        mu_k = A * gamma_k(n - lam/2),
-        A = Gamma(n) Gamma((n-lam)/2) / (2^lam Gamma(n/2) Gamma(n - lam/2)).
-
-    Agreement of the two routes is the identity this function exists to
-    check; neither is derived from the other.
-    """
-    if not 0.0 < lam < n:
-        raise ValueError("kernel order lam must lie in (0, n)")
-    log_a = (log_gamma(float(n)) + log_gamma(0.5 * (n - lam))
-             - lam * np.log(2.0) - log_gamma(0.5 * n) - log_gamma(n - 0.5 * lam))
-    closed = float(np.exp(log_a) * gamma_sequence(n, n - 0.5 * lam, k)[k])
-
-    rule = gauss_jacobi(k + 12, 0.5 * (n - 2.0 - lam), 0.5 * (n - 2.0))
-    gk = gegenbauer(k, 0.5 * (n - 1.0), rule.nodes) / gegenbauer_at_one(k, 0.5 * (n - 1.0))
-    log_zn = (n - 1.0) * np.log(2.0) + 2.0 * log_gamma(0.5 * n) - log_gamma(float(n))
-    quad = float((rule.weights * gk).sum()) * 2.0 ** (-0.5 * lam) / float(np.exp(log_zn))
-    return quad, closed
-
-
-# ---------------------------------------------------------------------------
-# sharpness probe
-
-
-def linearization_probe(n, s, q, eps):
-    """Relative gap of the Rayleigh quotient from its sharp value along
-    the near-optimizer family F = 1 + eps Y_1.
-
-    The gap is O(eps^2) because the cubic correction integrates to zero;
-    in particular it is far below the 5*eps budget the probe is held to.
-    """
-    ps = derive_params(n, s, q)
-    fld = ZonalField(n=n, coeffs=[1.0, float(eps)])
-    if s == 0.0:
-        eigs = operator_eigenvalue(ps, "K0prime", 1)
-        c_eff = 0.5 * n
-    else:
-        eigs = operator_eigenvalue(ps, "L", 1)
-        c_eff = ps.constant
-    return c_eff * quotient(fld, ps, eigs) - 1.0
-
-
-# ---------------------------------------------------------------------------
-# pointwise Taylor remainder
-
-
-def taylor_remainder(t, q):
-    """r(t) = |1+t|^q - 1 - q t - q(q-1)/2 t^2, vectorized in t."""
-    t = np.asarray(t, dtype=float)
-    out = np.abs(1.0 + t) ** q - 1.0 - q * t - 0.5 * q * (q - 1.0) * t * t
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

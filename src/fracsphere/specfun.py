@@ -1,7 +1,7 @@
 """Special-function kernels: log-gamma, Gegenbauer evaluation, Gauss-Jacobi rules.
 
 Everything downstream (spectral sequences, quadrature on the sphere,
-kernel eigenvalues) reduces to three primitives kept here: log-gamma
+the zonal basis) reduces to three primitives kept here: log-gamma
 from the standard library's math.lgamma (and gamma ratios that keep
 their digits for large arguments), Gegenbauer polynomials by their
 three-term recurrence, and Gauss-Jacobi nodes/weights found by Newton
@@ -68,22 +68,11 @@ def midpoint_phase(kmax, M):
     return np.where(k == 0, 1.0, np.sqrt(2.0)) / M * np.exp(-1j * np.pi * k / M)
 
 
-def gegenbauer(k, alpha, z):
-    """Evaluate the Gegenbauer polynomial C_k^(alpha) at z.
-
-    alpha = 0 uses the Chebyshev normalization cos(k arccos z), which is
-    the correct degenerate limit for the circle; the standard recurrence
-    collapses to zero there and is useless.
-    """
-    row = gegenbauer_all(k, alpha, z)[k]
-    return row if np.ndim(z) else float(row[0])
-
-
 def gegenbauer_all(kmax, alpha, z):
     """All Gegenbauer polynomials C_0 .. C_kmax at z, shape (kmax+1, len(z)).
 
-    Three-term recurrence; for alpha = 0 the Chebyshev recurrence is used
-    instead (same recursion, different first-degree seed and meaning).
+    Three-term recurrence; alpha = 0 takes the Chebyshev normalization
+    cos(k arccos z), the circle's limit, where the standard one vanishes.
     """
     if kmax < 0:
         raise ValueError(f"Gegenbauer degree must be >= 0, got {kmax}")
@@ -104,14 +93,6 @@ def gegenbauer_all(kmax, alpha, z):
         out[k] = (2.0 * z * (k + alpha - 1.0) * out[k - 1]
                   - (k + 2.0 * alpha - 2.0) * out[k - 2]) / k
     return out
-
-
-def gegenbauer_at_one(k, alpha):
-    """C_k^(alpha)(1) = Gamma(k + 2 alpha) / (k! Gamma(2 alpha)); 1 if alpha = 0."""
-    if alpha == 0.0:
-        return 1.0
-    return float(np.exp(log_gamma(k + 2.0 * alpha)
-                        - log_gamma(k + 1.0) - log_gamma(2.0 * alpha)))
 
 
 @dataclass(frozen=True)

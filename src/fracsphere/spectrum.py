@@ -19,6 +19,7 @@ import numpy as np
 from .specfun import gamma_ratio, log_gamma
 
 _INF = float("inf")
+MAX_DEGREE = 10 ** 4    # constants and scan kmax: 3 us per row, 60 ms per scanned dimension
 
 
 @dataclass(frozen=True)
@@ -128,20 +129,6 @@ def delta_sequence(n, s, kmax):
         return (gamma_sequence(n, x, kmax) - 1.0) * inv_kappa
 
 
-def sharp_constant(n, s):
-    """The sharp constant (n-s)/(2|s|) * Gamma((n-s)/2)/Gamma((n+s)/2).
-
-    Written as Gamma((n-s)/2 + 1)/(|s| Gamma((n+s)/2)) so the s = n
-    endpoint comes out finite (1/n!) instead of 0 * inf.
-    """
-    # the constant does not depend on q; q = 1 is admissible for every order
-    ps = derive_params(n, s, q=1.0)
-    if s == 0.0:
-        raise ValueError("s = 0 has no constant of this form; "
-                         "the entropy inequality there carries n/2 instead")
-    return ps.constant
-
-
 def slope_sequence(n, q, kmax):
     """(gamma_k(n/q) - 1)/(q - 2) for k = 0..kmax and every q >= 1.
 
@@ -219,8 +206,8 @@ def monotonicity_scan(n_values, q_grid, kmax):
     two exponents checks nothing and is rejected, and so is an exponent
     below 1 or infinite, which lies outside the family.
     """
-    if kmax < 2:
-        raise ValueError(f"the scan needs degrees up to kmax >= 2, got {kmax}")
+    if not 2 <= kmax <= MAX_DEGREE:
+        raise ValueError(f"the scan needs degrees up to kmax in [2, {MAX_DEGREE}], got {kmax}")
     if len(n_values) == 0 or len(q_grid) < 2:
         raise ValueError(f"the scan needs a dimension and two exponents, got "
                          f"{len(n_values)} and {len(q_grid)}")

@@ -1,10 +1,17 @@
 """Independent reference computations the tests compare the package against.
 
 None of these is called by the command line or the documented API; each
-is a second route to a quantity the package computes another way:
+is a second route to a quantity the package computes another way, or an
+identity of the paper checked with the package's primitives:
 
 - gamma_ratio: Gamma(a)/Gamma(b) straight from log-gamma, against the
   product recurrence of spectrum.gamma_sequence
+- sharp_quotient: rhs / lhs of the sharp inequality of a field's order,
+  one deficit report; minus 1 along 1 + eps Y_1 it is the sharpness
+  probe of acceptance check 05
+- funk_hecke_mu: kernel eigenvalues by Gauss-Jacobi quadrature against
+  their closed form (the Funk-Hecke identity, acceptance check 03), on
+  the package's gauss_jacobi, gegenbauer_all and gamma_sequence
 - alpha_sequence: the negative logarithmic derivative of gamma_k, against
   a finite difference of the kernel eigenvalues in s (acceptance check 11)
 - GridField, grid_field, frac_laplacian_oracle: the fractional Laplacian
@@ -12,8 +19,9 @@ is a second route to a quantity the package computes another way:
   circle-side Dirichlet form
 - weighted_norm: line integrals with an algebraic tail correction,
   against circle-side norms under the stereographic transport
-- taylor_case_constant, taylor_bounds: case-wise bounds on the pointwise
-  Taylor remainder of inequality.taylor_remainder
+- taylor_remainder, taylor_case_constant, taylor_bounds: the pointwise
+  Taylor remainder of |1+t|^q and its case-wise bounds (acceptance
+  check 10)
 """
 
 from dataclasses import dataclass
@@ -21,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracsphere.euclid import _apply_multiplier
-from fracsphere.specfun import log_gamma
+from fracsphere.inequality import deficit
+from fracsphere.specfun import gauss_jacobi, gegenbauer_all, log_gamma
+from fracsphere.spectrum import gamma_sequence
 
 
 def gamma_ratio(a, b):
@@ -42,6 +52,49 @@ def alpha_sequence(n, x, kmax):
         j = np.arange(kmax, dtype=float)
         out[1:] = np.cumsum(1.0 / (n + j - x) + 1.0 / (j + x))
     return out
+
+
+def sharp_quotient(fld, ps):
+    """rhs / lhs of the sharp inequality of order ps.s on the field:
+    interpolation for s > 0, hls for s < 0, the critical entropy form at
+    s = 0.  At least 1; on F = 1 + eps Y_1 it is 1 + O(eps^2), since the
+    cubic correction integrates to zero."""
+    s = ps.s
+    kind = "interpolation" if s > 0.0 else "hls" if s < 0.0 else "logsob_critical"
+    r = deficit(fld, ps, kind)
+    return r.rhs / r.lhs
+
+
+# ---------------------------------------------------------------------------
+# kernel eigenvalues
+
+
+def funk_hecke_mu(n, lam, k):
+    """Eigenvalue of the kernel |zeta - eta|^(-lam) on degree-k harmonics.
+
+    Returns (quadrature, closed_form).  The quadrature route absorbs the
+    kernel singularity into a Gauss-Jacobi weight, after which the
+    integrand is the degree-k polynomial G_k = C_k(z) / C_k(1), so the
+    rule is exact; the closed form is
+
+        mu_k = A * gamma_k(n - lam/2),
+        A = Gamma(n) Gamma((n-lam)/2) / (2^lam Gamma(n/2) Gamma(n - lam/2)).
+
+    Agreement of the two routes is the identity this function exists to
+    check; neither is derived from the other.
+    """
+    if not 0.0 < lam < n:
+        raise ValueError("kernel order lam must lie in (0, n)")
+    log_a = (log_gamma(float(n)) + log_gamma(0.5 * (n - lam))
+             - lam * np.log(2.0) - log_gamma(0.5 * n) - log_gamma(n - 0.5 * lam))
+    closed = float(np.exp(log_a) * gamma_sequence(n, n - 0.5 * lam, k)[k])
+
+    rule = gauss_jacobi(k + 12, 0.5 * (n - 2.0 - lam), 0.5 * (n - 2.0))
+    ck = gegenbauer_all(k, 0.5 * (n - 1.0), np.append(rule.nodes, 1.0))[k]
+    gk = ck[:-1] / ck[-1]       # C_k at the nodes over C_k(1), the last point
+    log_zn = (n - 1.0) * np.log(2.0) + 2.0 * log_gamma(0.5 * n) - log_gamma(float(n))
+    quad = float((rule.weights * gk).sum()) * 2.0 ** (-0.5 * lam) / float(np.exp(log_zn))
+    return quad, closed
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +180,14 @@ def weighted_norm(gf, q, beta=0.0):
 
 
 # ---------------------------------------------------------------------------
-# pointwise Taylor remainder bounds
+# pointwise Taylor remainder and its bounds
+
+
+def taylor_remainder(t, q):
+    """r(t) = |1+t|^q - 1 - q t - q(q-1)/2 t^2, vectorized in t."""
+    t = np.asarray(t, dtype=float)
+    out = np.abs(1.0 + t) ** q - 1.0 - q * t - 0.5 * q * (q - 1.0) * t * t
+    return out if out.ndim else float(out)
 
 
 def taylor_case_constant(q):

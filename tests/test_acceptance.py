@@ -12,15 +12,14 @@ import numpy as np
 
 from fracsphere.euclid import (eigen_residual, f_star, thm16_coefficients,
                                thm16_deficit)
-from fracsphere.field import field_from_descriptor
+from fracsphere.field import ZonalField, field_from_descriptor
 from fracsphere.flow import FlowConfig, FlowOps, rk4_step, run_flow
-from fracsphere.inequality import (deficit, equality_suite, funk_hecke_mu,
-                                   linearization_probe, random_suite,
-                                   taylor_remainder)
+from fracsphere.inequality import deficit, equality_suite, random_suite
 from fracsphere.spectrum import (delta_sequence, derive_params,
                                  monotonicity_scan, operator_eigenvalue,
-                                 remainder_sequence, sharp_constant)
-from reference import alpha_sequence, taylor_bounds
+                                 remainder_sequence)
+from reference import (alpha_sequence, funk_hecke_mu, sharp_quotient,
+                       taylor_bounds, taylor_remainder)
 
 
 def _gate(num, name, ok, detail, elapsed, budget):
@@ -39,7 +38,7 @@ def test_01_classical_identity():
         ref = k * (k + n - 1)
         worst_delta = max(worst_delta,
                           np.max(np.abs(d - ref) / np.maximum(ref, 1.0)))
-        worst_c = max(worst_c, abs(sharp_constant(n, 2.0) * n - 1.0))
+        worst_c = max(worst_c, abs(derive_params(n, 2.0, 1.0).constant * n - 1.0))
     _gate(1, "classical identity",
           worst_delta <= 1e-12 and worst_c <= 1e-14,
           "delta rel err %.2e <= 1e-12, n*C err %.2e <= 1e-14"
@@ -98,7 +97,8 @@ def test_05_sharpness_probe():
     ok = True
     worst_ratio, floor = 0.0, np.inf
     for n, s, q in cases:
-        probes = [linearization_probe(n, s, q, e) for e in eps]
+        ps = derive_params(n, s, q)
+        probes = [sharp_quotient(ZonalField(n, [1.0, e]), ps) - 1.0 for e in eps]
         ok &= probes[0] > probes[1] > probes[2]
         for p, e in zip(probes, eps):
             ok &= abs(p) <= 5.0 * e and p >= -1e-10

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import fracsphere.field
-from fracsphere import cli
+from fracsphere import cli, euclid, flow
 from fracsphere.cli import main
 from fracsphere.flow import FlowResult
 from fracsphere.inequality import REPORT_HEADER, equality_suite
@@ -121,6 +121,14 @@ def test_constants_rejects_bad_exponent(capsys):
     ["constants", "--n", "1" + "0" * 400],
     ["scan", "--n", "1" + "0" * 400],
     ["scan", "--mode", "s_grid", "--n", "1" + "0" * 400],
+    # a size numpy could not allocate, refused by its cap before any array,
+    # and the first size above each cap
+    ["constants", "--kmax", str(10 ** 15)],
+    ["flow", "--kmax", str(10 ** 15)],
+    ["scan", "--n", "1", "--kmax", str(10 ** 15)],
+    ["constants", "--kmax", str(cli.MAX_DEGREE + 1)],
+    ["flow", "--kmax", str(flow.MAX_KMAX + 1)],
+    ["scan", "--n", "1", "--kmax", str(cli.MAX_DEGREE + 1)],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -304,6 +312,10 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     # an integer dimension too large for a float
     ("constants", {"rows": [{"n": 10 ** 400, "s": 0.5}]},
      "dimension n must be a positive integer that fits a float"),
+    # a line grid numpy could not allocate, and degrees without end
+    ("euclid", {"N": 10 ** 15}, f"grid size N must be at most {euclid.MAX_N}, got 10"),
+    ("euclid", {"N": euclid.MAX_N + 1}, f"grid size N must be at most {euclid.MAX_N}, got"),
+    ("euclid", {"kmax": 1e15, "N": 64}, "kmax must be >= 0 and at most"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -333,6 +345,56 @@ def test_scan_refuses_more_dimensions_than_the_cap_before_scanning(monkeypatch, 
                    f"dimensions, got n = {cli.MAX_SCAN_DIMENSIONS + 1}\n")
     with pytest.raises(AssertionError, match="the scan ran"):     # the cap itself is allowed
         main(["scan", "--n", str(cli.MAX_SCAN_DIMENSIONS), "--out", str(out)])
+
+
+def test_size_caps_admit_the_cap(tmp_path, capsys):
+    rc, _, _ = run(capsys, ["constants", "--kmax", str(cli.MAX_DEGREE),
+                            "--out", str(tmp_path / "c.csv")])
+    assert rc == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q_grid": [1.5, 2.5]}))
+    rc, _, _ = run(capsys, ["scan", "--config", str(cfg), "--n", "1",
+                            "--kmax", str(cli.MAX_DEGREE), "--out", str(tmp_path / "s.json")])
+    assert rc == 0
+    flow.FlowOps(flow.FlowConfig(kmax=flow.MAX_KMAX))     # builds its operators, no step
+    euclid.EuclidParams(1, 0.5, N=euclid.MAX_N)           # validates, allocates nothing
+
+
+def test_verify_refuses_more_reports_than_the_cap_before_any_report(monkeypatch, tmp_path,
+                                                                     capsys):
+    def suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "equality_suite", suite)
+    monkeypatch.setattr(cli, "random_suite", suite)
+    out = tmp_path / "reports.csv"
+    count = cli.MAX_VERIFY_COUNT + 1
+    rc, stdout, err = run(capsys, ["verify", "--count", str(count), "--out", str(out)])
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert err == (f"fracsphere verify: count must be at most {cli.MAX_VERIFY_COUNT}, "
+                   f"got {count}\n")
+    with pytest.raises(AssertionError, match="a suite ran"):     # the cap itself is allowed
+        main(["verify", "--count", str(cli.MAX_VERIFY_COUNT), "--out", str(out)])
+
+
+def test_euclid_refuses_more_degrees_than_the_cap_before_any_residual(monkeypatch, tmp_path,
+                                                                      capsys):
+    def residual(*args):
+        raise AssertionError("a residual ran")
+
+    monkeypatch.setattr(cli, "eigen_residual", residual)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "euclid.json"
+    kmax = cli.MAX_EUCLID_KMAX + 1
+    cfg.write_text(json.dumps({"kmax": kmax}))
+    rc, stdout, err = run(capsys, ["euclid", "--config", str(cfg), "--mode", "eigen",
+                                   "--out", str(out)])
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert err == (f"fracsphere euclid: kmax must be >= 0 and at most {cli.MAX_EUCLID_KMAX}, "
+                   f"got {kmax}\n")
+    cfg.write_text(json.dumps({"kmax": cli.MAX_EUCLID_KMAX}))
+    with pytest.raises(AssertionError, match="a residual ran"):   # the cap itself is allowed
+        main(["euclid", "--config", str(cfg), "--mode", "eigen", "--out", str(out)])
 
 
 def test_flags_override_config(tmp_path, capsys):

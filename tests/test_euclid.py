@@ -13,6 +13,7 @@ from fracsphere.euclid import (EuclidParams, _chebyshev_rows, eigen_residual,
                                stereo_inverse, thm16_coefficients,
                                thm16_deficit)
 from fracsphere.field import ZonalField, lq_norm
+from fracsphere.specfun import sphere_rule
 from fracsphere.spectrum import derive_params, gamma_sequence
 from reference import GridField, frac_laplacian_oracle, grid_field, weighted_norm
 
@@ -228,7 +229,8 @@ def test_critical_norm_transport():
     F = lambda th: 1.0 + 0.2 * math.sqrt(2.0) * np.cos(th)
     f = grid_field(lambda x: pushforward(F, ps, x), eu)
     line, _ = weighted_norm(f, ps.q_star)
-    circ = sphere_area(1) * lq_norm(ZonalField(1, [1.0, 0.2]), ps.q_star) ** ps.q_star
+    norm = lq_norm(ZonalField(1, [1.0, 0.2]), ps.q_star, sphere_rule(1, 128))
+    circ = sphere_area(1) * norm ** ps.q_star
     assert line == pytest.approx(circ, rel=2e-5)
 
 

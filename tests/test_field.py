@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracsphere.field import (ZonalField, analyze, default_rule, descriptor_of,
-                              entropy2, field_from_descriptor, is_constant,
-                              lq_norm, lq_quotient, quadratic_form, quotient,
+from fracsphere.field import (ZonalField, analyze, descriptor_of,
+                              difference_quotient, entropy2, field_from_descriptor,
+                              is_constant, lq_norm, lq_quotient, quadratic_form,
                               synthesize, zonal_basis)
 from fracsphere.specfun import sphere_rule
-from fracsphere.spectrum import derive_params, operator_eigenvalue, sharp_constant
+from fracsphere.spectrum import derive_params, operator_eigenvalue
+from reference import sharp_quotient
+
+RULE_NODES = 128    # the latitude rule of these tests: analysis is exact up to degree 63
 
 coeff_lists = st.lists(st.floats(min_value=-3.0, max_value=3.0),
                        min_size=1, max_size=12)
@@ -25,21 +28,21 @@ coeff_lists = st.lists(st.floats(min_value=-3.0, max_value=3.0),
 
 def test_basis_is_orthonormal():
     for n in (1, 2, 3):
-        rule = default_rule(n, 10)
+        rule = sphere_rule(n, RULE_NODES)
         basis = zonal_basis(n, 10, rule)
         gram = (basis * rule.prob_weights) @ basis.T
         np.testing.assert_allclose(gram, np.eye(11), atol=1e-12)
 
 
 def test_synthesize_constant():
-    rule = default_rule(2, 0)
+    rule = sphere_rule(2, RULE_NODES)
     vals = synthesize(ZonalField(2, [1.0]), rule)
     np.testing.assert_allclose(vals, 1.0, atol=1e-14)
 
 
 def test_circle_basis_is_sqrt2_cosine():
     # on n = 1 the degree-k zonal harmonic is sqrt(2) cos(k theta)
-    rule = default_rule(1, 3)
+    rule = sphere_rule(1, RULE_NODES)
     theta = np.arccos(rule.nodes)
     for k in (1, 2, 3):
         c = np.zeros(k + 1)
@@ -51,7 +54,7 @@ def test_circle_basis_is_sqrt2_cosine():
 
 def test_each_mode_has_unit_mass():
     for n in (1, 2, 4):
-        rule = default_rule(n, 6)
+        rule = sphere_rule(n, RULE_NODES)
         for k in (1, 3, 6):
             c = np.zeros(k + 1)
             c[k] = 1.0
@@ -62,7 +65,7 @@ def test_each_mode_has_unit_mass():
 def test_analyze_synthesize_roundtrip():
     c = np.array([0.7, -0.3, 0.0, 1.2, 0.05])
     fld = ZonalField(3, c)
-    rule = default_rule(3, fld.kmax)
+    rule = sphere_rule(3, RULE_NODES)
     back = analyze(3, synthesize(fld, rule), rule, fld.kmax)
     np.testing.assert_allclose(back.coeffs, c, atol=1e-10)
 
@@ -71,14 +74,14 @@ def test_analyze_synthesize_roundtrip():
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_property(n, coeffs):
     fld = ZonalField(n, coeffs)
-    rule = default_rule(n, fld.kmax)
+    rule = sphere_rule(n, RULE_NODES)
     back = analyze(n, synthesize(fld, rule), rule, fld.kmax)
     np.testing.assert_allclose(back.coeffs, fld.coeffs, atol=1e-10)
 
 
 def test_analyze_quadratic_polynomial():
     # (1 + z)^2 on the 2-sphere lives in degrees 0..2 exactly
-    rule = default_rule(2, 8)
+    rule = sphere_rule(2, RULE_NODES)
     vals = (1.0 + rule.nodes) ** 2
     fld = analyze(2, vals, rule, 8)
     assert np.all(np.abs(fld.coeffs[3:]) < 1e-12)
@@ -96,36 +99,41 @@ def test_analyze_refuses_small_rule():
 
 
 def test_lq_norm_of_constants():
-    assert lq_norm(ZonalField(2, [1.0]), 3.7) == pytest.approx(1.0, rel=1e-14)
-    assert lq_norm(ZonalField(3, [-2.5]), 1.0) == pytest.approx(2.5, rel=1e-14)
+    assert lq_norm(ZonalField(2, [1.0]), 3.7, sphere_rule(2, RULE_NODES)) == pytest.approx(
+        1.0, rel=1e-14)
+    assert lq_norm(ZonalField(3, [-2.5]), 1.0, sphere_rule(3, RULE_NODES)) == pytest.approx(
+        2.5, rel=1e-14)
 
 
 def test_lq_norm_frozen_value():
     # ||1 + 0.1 Y_1||_4 on the circle, frozen from a 40-digit quadrature
     fld = ZonalField(1, [1.0, 0.1])
-    assert lq_norm(fld, 4.0) == pytest.approx(1.0147097407443394, rel=1e-13)
+    val = lq_norm(fld, 4.0, sphere_rule(1, RULE_NODES))
+    assert val == pytest.approx(1.0147097407443394, rel=1e-13)
 
 
 @given(st.integers(min_value=1, max_value=3), coeff_lists)
 @settings(max_examples=60, deadline=None)
 def test_parseval(n, coeffs):
     fld = ZonalField(n, coeffs)
-    assert lq_norm(fld, 2.0) ** 2 == pytest.approx(
+    assert lq_norm(fld, 2.0, sphere_rule(n, RULE_NODES)) ** 2 == pytest.approx(
         float((fld.coeffs ** 2).sum()), abs=1e-10)
 
 
 def test_norms_increase_with_exponent():
     fld = ZonalField(2, [1.0, 0.4, -0.2, 0.1])
-    norms = [lq_norm(fld, q) for q in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0)]
+    rule = sphere_rule(2, RULE_NODES)
+    norms = [lq_norm(fld, q, rule) for q in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 def test_lq_norm_rejects_bad_exponent():
     fld = ZonalField(1, [1.0])
+    rule = sphere_rule(1, RULE_NODES)
     with pytest.raises(ValueError):
-        lq_norm(fld, 0.5)
+        lq_norm(fld, 0.5, rule)
     with pytest.raises(ValueError):
-        lq_norm(fld, float("inf"))
+        lq_norm(fld, float("inf"), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +170,14 @@ def test_affine_relation_between_operators():
 
 
 def test_entropy_of_constant_vanishes():
-    assert entropy2(ZonalField(2, [3.0])) == pytest.approx(0.0, abs=1e-14)
+    val = entropy2(ZonalField(2, [3.0]), sphere_rule(2, RULE_NODES))
+    assert val == pytest.approx(0.0, abs=1e-14)
 
 
 def test_entropy_frozen_value():
     # entropy of 1 + 0.1 Y_1 on the circle, frozen from a 40-digit quadrature
     fld = ZonalField(1, [1.0, 0.1])
-    val = entropy2(fld)
+    val = entropy2(fld, sphere_rule(1, RULE_NODES))
     assert isinstance(val, float)
     assert val == pytest.approx(0.0099625409898571613, rel=1e-12)
 
@@ -176,23 +185,24 @@ def test_entropy_frozen_value():
 def test_entropy_small_perturbation_is_eps_squared():
     for eps in (1e-2, 1e-3):
         fld = ZonalField(1, [1.0, eps])
-        assert entropy2(fld) == pytest.approx(eps ** 2, rel=0.05)
+        assert entropy2(fld, sphere_rule(1, RULE_NODES)) == pytest.approx(eps ** 2, rel=0.05)
 
 
 def test_entropy_quadratic_scaling():
     fld = ZonalField(2, [1.0, 0.5, 0.2])
-    assert entropy2(ZonalField(2, 2.0 * fld.coeffs)) == pytest.approx(
-        4.0 * entropy2(fld), rel=1e-12)
+    rule = sphere_rule(2, RULE_NODES)
+    assert entropy2(ZonalField(2, 2.0 * fld.coeffs), rule) == pytest.approx(
+        4.0 * entropy2(fld, rule), rel=1e-12)
 
 
 def test_entropy_of_zero_field_raises():
     with pytest.raises(ValueError):
-        entropy2(ZonalField(1, [0.0, 0.0]))
+        entropy2(ZonalField(1, [0.0, 0.0]), sphere_rule(1, RULE_NODES))
 
 
 def test_entropy_handles_fields_with_zeros():
     # F = Y_1 vanishes at the equator; the integrand extends by zero
-    val = entropy2(ZonalField(1, [0.0, 1.0]))
+    val = entropy2(ZonalField(1, [0.0, 1.0]), sphere_rule(1, RULE_NODES))
     assert np.isfinite(val)
 
 
@@ -242,57 +252,50 @@ def test_lq_quotient_extends_by_zero_where_the_field_vanishes(q):
 
 
 # ---------------------------------------------------------------------------
-# quotient
-
-
-def test_quotient_rejects_constants():
-    ps = derive_params(2, 1.0, 3.0)
-    with pytest.raises(ValueError):
-        quotient(ZonalField(2, [1.0]), ps)
+# the sharp quotient: C <F, L F> over the difference quotient, rhs / lhs
+# of the interpolation deficit
 
 
 def test_quotient_linearization_limit():
-    # Q(1 + eps Y_1) -> delta_1 / slope = 1/C as eps -> 0
+    # C <F, L F> / quotient -> C delta_1 / slope_1 = 1 along 1 + eps Y_1
     ps = derive_params(3, 2.0, 4.0)
-    C = sharp_constant(3, 2.0)
-    vals = [quotient(ZonalField(3, [1.0, eps]), ps) * C for eps in (1e-2, 1e-3, 1e-4)]
+    vals = [sharp_quotient(ZonalField(3, [1.0, eps]), ps) for eps in (1e-2, 1e-3, 1e-4)]
     gaps = [abs(v - 1.0) for v in vals]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
 
 
 def test_quotient_dominates_sharp_threshold():
-    # C * Q >= 1 for every non-constant field
+    # the sharp quotient is >= 1 for every non-constant field
     for n, s, q, coeffs in [
         (1, 0.5, 3.0, [1.0, 0.0, 0.3]),
         (3, 2.0, 4.0, [1.0, 0.2, -0.1, 0.4]),
         (2, 1.0, 2.5, [0.5, 0.5]),
     ]:
         ps = derive_params(n, s, q)
-        val = quotient(field_from_descriptor({"coeffs": [[k, c] for k, c in
-                                              enumerate(coeffs) if c]}, n), ps)
-        assert val * sharp_constant(n, s) >= 1.0 - 1e-10
+        fld = field_from_descriptor({"coeffs": [[k, c] for k, c in enumerate(coeffs) if c]}, n)
+        assert sharp_quotient(fld, ps) >= 1.0 - 1e-10
 
 
 def test_quotient_strict_above_threshold_off_optimum():
-    # a field with energy beyond degree 1 sits strictly above 1/C
+    # a field with energy beyond degree 1 sits strictly above 1
     ps = derive_params(1, 0.5, 3.0)
-    val = quotient(ZonalField(1, [1.0, 0.0, 0.3]), ps)
-    assert val * sharp_constant(1, 0.5) > 1.0 + 1e-3
+    assert sharp_quotient(ZonalField(1, [1.0, 0.0, 0.3]), ps) > 1.0 + 1e-3
 
 
 def test_quotient_entropy_denominator_at_two():
     ps = derive_params(1, 0.5, 2.0)
     fld = ZonalField(1, [1.0, 1e-4])
-    assert quotient(fld, ps) * sharp_constant(1, 0.5) == pytest.approx(1.0, abs=1e-7)
+    assert sharp_quotient(fld, ps) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_quotient_custom_numerator():
+    # ||F||_2^2 over the difference quotient, against the route through the norms
     ps = derive_params(2, 1.0, 3.0)
     fld = ZonalField(2, [1.0, 0.3])
-    ones = np.ones(fld.coeffs.size)
-    got = quotient(fld, ps, numerator_eigs=ones)
-    den = (lq_norm(fld, 3.0) ** 2 - lq_norm(fld, 2.0) ** 2) / (3.0 - 2.0)
+    rule = sphere_rule(2, RULE_NODES)
+    got = quadratic_form(fld, np.ones(fld.coeffs.size)) / difference_quotient(fld, ps, rule)
+    den = (lq_norm(fld, 3.0, rule) ** 2 - lq_norm(fld, 2.0, rule) ** 2) / (3.0 - 2.0)
     assert got == pytest.approx(float((fld.coeffs ** 2).sum()) / den, rel=1e-12)
 
 

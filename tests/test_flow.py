@@ -14,7 +14,7 @@ import fracsphere
 from fracsphere.field import field_from_descriptor
 from fracsphere.flow import (ENTROPY_FLOOR, MAX_STEPS, FlowConfig, FlowOps, fit_rate,
                              rk4_step, run_flow)
-from fracsphere.spectrum import delta_sequence, sharp_constant
+from fracsphere.spectrum import delta_sequence, derive_params
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +280,7 @@ def test_exponential_bound_every_sample(short_run):
 
 def test_fitted_rate_near_spectral_gap(short_run):
     assert short_run.theoretical_rate == pytest.approx(
-        2.0 / sharp_constant(1, 0.5), rel=1e-14)
+        2.0 / derive_params(1, 0.5, 1.0).constant, rel=1e-14)
     assert abs(short_run.ratio - 1.0) <= 0.02
 
 

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from fracsphere.field import ZonalField, field_from_descriptor, quadratic_form
 from fracsphere.inequality import (EQUALITY_CASES, KINDS, RANDOM_CASES,
                                    REPORT_HEADER, InequalityReport, deficit,
-                                   deficit_square, equality_suite, funk_hecke_mu,
-                                   linearization_probe, random_suite,
-                                   report_row, reports_csv, taylor_remainder)
+                                   deficit_square, equality_suite, random_suite,
+                                   report_row, reports_csv)
 from fracsphere.spectrum import derive_params, remainder_sequence
-from reference import taylor_bounds, taylor_case_constant
+from reference import (funk_hecke_mu, sharp_quotient, taylor_bounds,
+                       taylor_case_constant, taylor_remainder)
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +285,9 @@ PROBE_CASES = [(1, 0.5, 3.0), (3, 2.0, 4.0), (2, 1.0, 3.5), (3, 2.0, 1.5),
 
 @pytest.mark.parametrize("n,s,q", PROBE_CASES)
 def test_probe_shrinks_with_eps(n, s, q):
-    probes = [linearization_probe(n, s, q, eps) for eps in (1e-2, 1e-3, 1e-4)]
+    # rhs / lhs - 1 of the sharp inequality along 1 + eps Y_1
+    ps = derive_params(n, s, q)
+    probes = [sharp_quotient(ZonalField(n, [1.0, eps]), ps) - 1.0 for eps in (1e-2, 1e-3, 1e-4)]
     mags = [abs(p) for p in probes]
     assert mags[0] > mags[1] > mags[2]
     for eps, p in zip((1e-2, 1e-3, 1e-4), probes):
@@ -294,8 +296,8 @@ def test_probe_shrinks_with_eps(n, s, q):
 
 
 def test_probe_scales_quadratically():
-    a = linearization_probe(3, 2.0, 4.0, 1e-3)
-    b = linearization_probe(3, 2.0, 4.0, 2e-3)
+    ps = derive_params(3, 2.0, 4.0)
+    a, b = (sharp_quotient(ZonalField(3, [1.0, eps]), ps) - 1.0 for eps in (1e-3, 2e-3))
     assert b / a == pytest.approx(4.0, rel=1e-2)
 
 

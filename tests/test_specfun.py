@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from fracsphere import specfun
 from fracsphere.inequality import equality_suite, random_suite
-from fracsphere.specfun import (QuadratureRule, gauss_jacobi, gegenbauer,
-                                gegenbauer_all, gegenbauer_at_one, log_gamma,
-                                rule_cache_info, sphere_rule)
+from fracsphere.specfun import (QuadratureRule, gauss_jacobi, gegenbauer_all,
+                                log_gamma, rule_cache_info, sphere_rule)
 from reference import gamma_ratio
 
 # ---------------------------------------------------------------------------
@@ -174,17 +173,22 @@ def test_midpoint_phase_gives_cosine_and_sine_coefficients():
 # Gegenbauer
 
 
+def _gegenbauer(k, alpha, z):
+    """C_k^(alpha)(z) at one point, the last row of gegenbauer_all."""
+    return float(gegenbauer_all(k, alpha, z)[k, 0])
+
+
 def test_gegenbauer_degree_zero_is_one():
     for alpha in (0.0, 0.5, 1.0, 2.5):
-        assert gegenbauer(0, alpha, 0.37) == 1.0
+        assert _gegenbauer(0, alpha, 0.37) == 1.0
 
 
 def test_gegenbauer_legendre_values():
     # alpha = 1/2 is the Legendre family: P_1(z) = z, P_k(1) = 1
-    assert gegenbauer(1, 0.5, 0.3) == pytest.approx(0.3, rel=1e-15)
-    assert gegenbauer(4, 0.5, 1.0) == pytest.approx(1.0, rel=1e-13)
+    assert _gegenbauer(1, 0.5, 0.3) == pytest.approx(0.3, rel=1e-15)
+    assert _gegenbauer(4, 0.5, 1.0) == pytest.approx(1.0, rel=1e-13)
     # P_2(z) = (3 z^2 - 1) / 2
-    assert gegenbauer(2, 0.5, 0.6) == pytest.approx(0.5 * (3 * 0.36 - 1), rel=1e-14)
+    assert _gegenbauer(2, 0.5, 0.6) == pytest.approx(0.5 * (3 * 0.36 - 1), rel=1e-14)
 
 
 def test_gegenbauer_chebyshev_limit():
@@ -195,26 +199,26 @@ def test_gegenbauer_chebyshev_limit():
 
 
 def test_gegenbauer_at_one():
-    # C_k^(alpha)(1) = binom(k + 2 alpha - 1, k)
-    assert gegenbauer_at_one(3, 1.0) == pytest.approx(4.0, rel=1e-14)  # U_3(1)
-    assert gegenbauer_at_one(5, 0.5) == pytest.approx(1.0, rel=1e-13)
-    assert gegenbauer_at_one(2, 1.5) == pytest.approx(6.0, rel=1e-13)
-    assert gegenbauer_at_one(7, 0.0) == 1.0
+    # C_k^(alpha)(1) = binom(k + 2 alpha - 1, k); 1 in the Chebyshev normalization
+    assert _gegenbauer(3, 1.0, 1.0) == pytest.approx(4.0, rel=1e-14)  # U_3(1)
+    assert _gegenbauer(5, 0.5, 1.0) == pytest.approx(1.0, rel=1e-13)
+    assert _gegenbauer(2, 1.5, 1.0) == pytest.approx(6.0, rel=1e-13)
+    assert _gegenbauer(7, 0.0, 1.0) == 1.0
 
 
 def test_gegenbauer_rejects_outside_interval():
     with pytest.raises(ValueError):
-        gegenbauer(3, 0.5, 1.0001)
+        gegenbauer_all(3, 0.5, 1.0001)
 
 
 def test_gegenbauer_rejects_nan_argument():
     with pytest.raises(ValueError):
-        gegenbauer(2, 0.5, float("nan"))
+        gegenbauer_all(2, 0.5, float("nan"))
 
 
 def test_gegenbauer_rejects_negative_degree():
     with pytest.raises(ValueError):
-        gegenbauer(-1, 0.5, 0.3)
+        gegenbauer_all(-1, 0.5, 0.3)
 
 
 @given(st.integers(min_value=2, max_value=40),
@@ -445,7 +449,8 @@ def _scan_seeded_rule(m, a, b):
 
 
 # sphere rules (a = b = (n-2)/2) at the sizes of field, deficit and
-# square; funk_hecke_mu's k + 12 nodes at ((n-2-lam)/2, (n-2)/2); and
+# square; the k + 12 nodes at ((n-2-lam)/2, (n-2)/2) of the Funk-Hecke
+# oracle reference.funk_hecke_mu; and
 # exponents near both ends of the admissible range
 REFERENCE_GRID = (
     [(m, e, e) for m in (1, 2, 5, 33, 128, 160, 256, 272)
@@ -503,7 +508,7 @@ def test_weights_match_30_digit_reference():
     and 1e-12, where the 20-node rule still reads 1e-14."""
     mp = pytest.importorskip("mpmath").mp
     cases = [(sphere_rule(n, 976), (0, 1, 487, 488, 974, 975)) for n in (2, 3, 4)]
-    cases += [(gauss_jacobi(20, -0.25, 0.5), range(20)),   # funk_hecke_mu(3, 1.5, 8)
+    cases += [(gauss_jacobi(20, -0.25, 0.5), range(20)),   # the Funk-Hecke oracle at (3, 1.5, 8)
               (gauss_jacobi(200, 2.5, -0.5), (0, 1, 100, 198, 199)),
               (gauss_jacobi(300, 0.0, 1.0), (0, 1, 150, 298, 299))]
     with mp.workdps(30):

@@ -11,8 +11,10 @@ from fracsphere.spectrum import (CONSTANTS_HEADER, ParameterSet, ScanReport,
                                  constants_row, delta_sequence,
                                  derive_params, gamma_sequence, monotonicity_scan,
                                  operator_eigenvalue, remainder_sequence,
-                                 sharp_constant, slope_sequence)
+                                 slope_sequence)
 from fracsphere import specfun
+from fracsphere.field import ZonalField
+from fracsphere.inequality import deficit
 from fracsphere.specfun import log_gamma
 from reference import alpha_sequence, gamma_ratio
 
@@ -307,25 +309,33 @@ def test_operator_k_rejected_at_endpoint():
 
 
 # ---------------------------------------------------------------------------
-# sharp constant
+# sharp constant: ParameterSet.constant, read at q = 1 (C does not
+# depend on q, and q = 1 is admissible for every order)
 
 
 def test_sharp_constant_examples():
-    assert sharp_constant(3, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert sharp_constant(1, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert sharp_constant(2, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert derive_params(3, 2.0, 1.0).constant == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert derive_params(1, 1.0, 1.0).constant == pytest.approx(1.0, rel=1e-14)
+    assert derive_params(2, 1.0, 1.0).constant == pytest.approx(1.0, rel=1e-14)
     # frozen: Gamma(1.25)/(0.5 Gamma(0.75))
-    assert sharp_constant(1, 0.5) == pytest.approx(1.4793375595943194, rel=1e-13)
+    c = derive_params(1, 0.5, 1.0).constant
+    assert c == pytest.approx(1.4793375595943194, rel=1e-13)
 
 
 def test_sharp_constant_endpoint_factorial():
-    assert sharp_constant(2, 2.0) == pytest.approx(0.5, rel=1e-13)
-    assert sharp_constant(3, 3.0) == pytest.approx(1.0 / 6.0, rel=1e-13)
+    assert derive_params(2, 2.0, 1.0).constant == pytest.approx(0.5, rel=1e-13)
+    assert derive_params(3, 3.0, 1.0).constant == pytest.approx(1.0 / 6.0, rel=1e-13)
 
 
 def test_sharp_constant_rejects_zero_order():
-    with pytest.raises(ValueError):
-        sharp_constant(2, 0.0)
+    # s = 0 has no constant of this form (the entropy form there carries
+    # n/2): C is NaN, which every gate fails, and each kind scaled by C
+    # refuses the order
+    ps = derive_params(2, 0.0, 1.0)
+    assert math.isnan(ps.constant)
+    for kind in ("interpolation", "hls", "poincare", "logsob", "improved"):
+        with pytest.raises(ValueError):
+            deficit(ZonalField(2, [1.0, 0.1]), ps, kind)
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -334,7 +344,8 @@ def test_sharp_constant_rejects_zero_order():
 def test_spectral_gap_identity(n, frac):
     # delta_1(x_crit) * C = 1 for every admissible order
     s = frac * n
-    assert delta_sequence(n, s, 1)[1] * sharp_constant(n, s) == pytest.approx(1.0, rel=1e-12)
+    c = derive_params(n, s, 1.0).constant
+    assert delta_sequence(n, s, 1)[1] * c == pytest.approx(1.0, rel=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -344,7 +355,7 @@ def test_sharp_constant_critical_form(n, frac):
     # C = kappa / (q_star - 2) when s is strictly interior
     s = frac * n
     ps = derive_params(n, s)
-    assert sharp_constant(n, s) == pytest.approx(ps.kappa / (ps.q_star - 2.0), rel=1e-12)
+    assert ps.constant == pytest.approx(ps.kappa / (ps.q_star - 2.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
