@@ -24,9 +24,8 @@ list or dict option that is not a JSON string, array or object, a
 q_grid or s_grid entry that is not a number and an --out path that is a
 directory or lies in a directory that does not exist are bad input.
 All outputs are deterministic for a fixed config and seed, byte for
-byte.  The environment variable FRACSPHERE_TOL (default 1e-10; finite
-and >= 0, else bad input) sets the deficit gate of verify, flow and
-euclid.  Exit status is 1 when a gate fails (see gate) and 2 on bad input.
+byte.  Each gate checks one bound, fixed in the code and listed in the
+README.  Exit status is 1 when a gate fails (see gate) and 2 on bad input.
 """
 
 import argparse
@@ -46,23 +45,9 @@ from .spectrum import (CONSTANTS_HEADER, MAX_DEGREE, constants_row,
                        delta_sequence, derive_params, gamma_sequence,
                        monotonicity_scan, remainder_sequence)
 
-DEFAULT_TOL = 1e-10
 MAX_SCAN_DIMENSIONS = 1000      # 200 times the default 5, at about 5 ms per dimension
 MAX_VERIFY_COUNT = 20000        # 100 times the default 200, at about 0.5 ms per report
 MAX_EUCLID_KMAX = 100   # 25 times the default 4; one residual per degree, 7 to 12 ms each
-
-
-def tolerance():
-    """The deficit gate FRACSPHERE_TOL, a finite number >= 0; a NaN or
-    infinite gate would pass every check and a negative one fail them."""
-    raw = os.environ.get("FRACSPHERE_TOL")
-    try:
-        tol = DEFAULT_TOL if raw is None else float(raw)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"FRACSPHERE_TOL must be a finite number >= 0, got {raw!r}")
-    return tol
 
 
 def gate(command, value, bound, message):
@@ -220,7 +205,6 @@ def _check_row(i, row):
 
 
 def cmd_verify(opt):
-    tol = tolerance()
     if opt["count"] > MAX_VERIFY_COUNT:
         raise ValueError(f"count must be at most {MAX_VERIFY_COUNT}, got {opt['count']}")
     before = rule_cache_info()
@@ -229,11 +213,11 @@ def cmd_verify(opt):
     _write(opt["out"], reports_csv(reports))
     ok = True
     for r in reports:
-        ok &= gate("verify", -r.relative_deficit, max(tol, KINDS[r.kind].gate_floor),
+        ok &= gate("verify", -r.relative_deficit, KINDS[r.kind].gate,
                    f"{r.kind} n={r.n} s={r.s} q={r.q} "
                    f"relative deficit {r.relative_deficit:.3e}")
         if r.equality_case:
-            ok &= gate("verify", abs(r.deficit), max(tol, 1e-10),
+            ok &= gate("verify", abs(r.deficit), 1e-10,
                        f"equality case {r.kind} n={r.n} s={r.s} deficit {r.deficit:.3e}")
     worst = min(r.relative_deficit for r in reports)
     print(f"verify: {len(reports)} reports, min relative deficit {worst:.3e}, "
@@ -313,13 +297,12 @@ def _scan_constant_landscape(opt):
 
 
 def cmd_flow(opt):
-    tol = tolerance()
     out = opt.pop("out")
     res = run_flow(FlowConfig(**opt))
     _write(out, res.csv())
     _write(os.path.splitext(out)[0] + ".json", res.summary() + "\n")
     for t, e, b in zip(res.times, res.entropy, res.bound):
-        if not gate("flow", e, b * (1.0 + 1e-9) + tol,
+        if not gate("flow", e, b * (1.0 + 1e-9) + 1e-10,
                     f"entropy {e:.3e} not within bound {b:.3e} at t={t}"):
             return False
     if not gate("flow", res.mass_drift, 1e-8, f"mass drift {res.mass_drift:.3e} above 1e-8"):
@@ -331,7 +314,6 @@ def cmd_flow(opt):
 
 
 def cmd_euclid(opt):
-    tol = tolerance()
     mode, s, q, kmax = opt["mode"], opt["s"], opt["q"], opt["kmax"]
     if not 0 <= kmax <= MAX_EUCLID_KMAX:
         raise ValueError(f"kmax must be >= 0 and at most {MAX_EUCLID_KMAX}, got {kmax}")
@@ -356,7 +338,7 @@ def cmd_euclid(opt):
         summary.update(deficit=finite_or_null(report.deficit),
                        lhs=finite_or_null(report.lhs), rhs=finite_or_null(report.rhs))
         parts.append(f"optimizer deficit {report.deficit:.3e}")
-        ok &= gate("euclid", -report.deficit, max(tol, 1e-8),
+        ok &= gate("euclid", -report.deficit, 1e-8,
                    f"optimizer deficit {report.deficit:.3e}")
 
     _write(opt["out"], json.dumps(summary, sort_keys=True, allow_nan=False) + "\n")

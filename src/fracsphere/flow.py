@@ -22,8 +22,10 @@ time.  Mirrored, the midpoints are the uniform 2m-point grid of the full
 circle: w extends as an even function and the flux as an odd one, so
 both linear stages of the right-hand side are Fourier multipliers on a
 real FFT of length 2m, O(m log m) per evaluation (Makhoul, IEEE TASSP
-1980).  w -> d/dtheta psi multiplies mode k <= kmax by i q delta_k / k;
-the divergence multiplies mode k <= 2 kmax of the flux by i k.  Mode 0
+1980).  On every mode 0 < k < m the grid resolves, w -> d/dtheta psi
+multiplies by i q delta_k / k and the divergence of the flux by i k, so
+the flow damps every mode that the entropy integrates; kmax only sizes
+the grid, m = max(128, 4 kmax), and caps the initial degree.  Mode 0
 of du/dt is exactly zero, so mass is conserved to roundoff.  The cosine
 coefficients of a nodal vector come from the same transform with the
 half-step phase exp(-i pi k / 2m) of the midpoints.
@@ -39,7 +41,8 @@ from .field import field_from_descriptor, finite_or_null, lq_quotient
 from .specfun import midpoint_phase
 from .spectrum import delta_sequence, derive_params
 
-MAX_STEPS = 10 ** 7     # over 1000 times the 6000 steps of the default run
+MAX_STEPS = 10 ** 7     # on the default 128-point grid; 1000 times the default 6000
+MAX_WORK = 128 * MAX_STEPS      # steps times grid points; 19531 steps (< 25 min) at MAX_KMAX
 MAX_KMAX = 2 ** 14      # 512 times the default 32; about 70 ms and 15 MB per step there
 
 
@@ -114,25 +117,24 @@ class FlowOps:
                              f">= 1, got {cfg.kmax} and {cfg.sample_every}")
         if not (cfg.dt > 0.0 and cfg.t_max > 0.0):     # NaN fails too
             raise ValueError(f"dt and t_max must be > 0, got {cfg.dt} and {cfg.t_max}")
-        self.steps = round(min(cfg.t_max / cfg.dt, 2.0 * MAX_STEPS))    # t_max / dt may be inf
-        if not 1 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"t_max / dt must round to between 1 and {MAX_STEPS} steps, "
-                             f"got {cfg.t_max / cfg.dt:.6g}")
+        self.m = m = max(128, 4 * cfg.kmax)
+        max_steps = MAX_WORK // m
+        self.steps = round(min(cfg.t_max / cfg.dt, 2.0 * max_steps))    # t_max / dt may be inf
+        if not 1 <= self.steps <= max_steps:
+            raise ValueError(f"t_max / dt must round to between 1 and {max_steps} steps "
+                             f"on {m} grid points, got {cfg.t_max / cfg.dt:.6g}")
         self.cfg = cfg
         self.ps = derive_params(1, cfg.s, cfg.q)
         self.q = cfg.q
-        kmax = cfg.kmax
-        m = max(128, 4 * kmax)
-        self.m = m
-        self.delta = delta_sequence(1, cfg.s, kmax)
+        self.delta = delta_sequence(1, cfg.s, m - 1)
         k = np.arange(m + 1)
-        # cos k theta -> q d/dtheta psi = -(q delta_k / k) sin k theta, k <= kmax
+        # cos k theta -> q d/dtheta psi = -(q delta_k / k) sin k theta, 0 < k < m
         self.mpsi = np.zeros(m + 1, dtype=complex)
-        self.mpsi[1:kmax + 1] = 1j * self.q * self.delta[1:] / k[1:kmax + 1]
-        # sin k theta -> d/dtheta, k cos k theta, on the band k <= 2 kmax
-        self.mdiv = np.where((k >= 1) & (k <= 2 * kmax), 1j * k, 0.0)
+        self.mpsi[1:m] = 1j * self.q * self.delta[1:] / k[1:m]
+        # sin k theta -> d/dtheta, k cos k theta, 0 < k < m
+        self.mdiv = np.where((k >= 1) & (k < m), 1j * k, 0.0)
         # DFT of the even extension -> coefficients on 1, sqrt(2) cos k theta
-        self.to_cos = midpoint_phase(kmax, 2 * m)
+        self.to_cos = midpoint_phase(m - 1, 2 * m)
 
     def init_values(self):
         try:
@@ -151,7 +153,7 @@ class FlowOps:
         return np.maximum(u, self.cfg.clamp_floor)
 
     def cos_coeffs(self, v):
-        hat = np.fft.rfft(np.concatenate((v, v[::-1])))[:self.cfg.kmax + 1]
+        hat = np.fft.rfft(np.concatenate((v, v[::-1])))[:self.m]
         return (hat * self.to_cos).real
 
     def rhs(self, u):
@@ -184,7 +186,7 @@ def rk4_step(ops, u, dt):
     if not np.isfinite(out).all():
         raise FloatingPointError(
             f"flow produced non-finite values at dt={dt}; reduce the step "
-            f"size (stability limit scales like 1/delta_kmax)")
+            f"size (stability limit scales like 1/delta_(m-1) of the m-point grid)")
     return out
 
 

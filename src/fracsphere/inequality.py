@@ -116,7 +116,7 @@ class Kind:
     exponent: Callable
     equality: Callable = is_constant
     nodes: tuple = (160, 6)     # the rule has max(m0, r * (K + 1)) nodes; None: no rule
-    gate_floor: float = 0.0     # verify fails a relative deficit below -max(tol, gate_floor)
+    gate: float = 1e-10         # verify fails a relative deficit below -gate
 
 
 _Q, _Q_STAR, _SHARP = attrgetter("q"), attrgetter("q_star"), attrgetter("constant")
@@ -148,7 +148,7 @@ KINDS = {
     # order at the optimizers, hence the looser 1e-8 roundoff gate
     "square": Kind(lambda ps: 0.0 < ps.s < ps.n,
                    "the squared-deficit form needs s in (0, n)",
-                   _square_sides, _Q_STAR, nodes=(256, 16), gate_floor=1e-8),
+                   _square_sides, _Q_STAR, nodes=(256, 16), gate=1e-8),
 }
 
 

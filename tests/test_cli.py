@@ -209,13 +209,18 @@ def test_unread_flag_exits_2(command, flag, tmp_path, capsys):
     assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
+def _readme_commands():
+    """The argv of every fracsphere command in the README's sh blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("fracsphere ")]
+
+
 def test_readme_commands_parse():
     # every README command parses and resolves, and an --out names the
     # same kind of file as the command's default output; nothing is run
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
-    commands = [shlex.split(line)[1:] for block in blocks
-                for line in block.splitlines() if line.startswith("fracsphere ")]
+    commands = _readme_commands()
     assert len(commands) >= 7
     parser = cli.build_parser()
     for argv in commands:
@@ -226,6 +231,14 @@ def test_readme_commands_parse():
         default = cli.OPTIONS[argv[0]]["out"][1]
         if default is not None:
             assert Path(opt["out"]).suffix == Path(default).suffix, argv
+
+
+def test_readme_commands_run_cleanly(tmp_path, monkeypatch, capsys):
+    # every documented command passes its own gates: exit 0, nothing on stderr
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands():
+        rc, _, err = run(capsys, argv)
+        assert (rc, err) == (0, ""), f"fracsphere {shlex.join(argv)}"
 
 
 # ------------------------------------------------------------ config files
@@ -345,6 +358,23 @@ def test_scan_refuses_more_dimensions_than_the_cap_before_scanning(monkeypatch, 
                    f"dimensions, got n = {cli.MAX_SCAN_DIMENSIONS + 1}\n")
     with pytest.raises(AssertionError, match="the scan ran"):     # the cap itself is allowed
         main(["scan", "--n", str(cli.MAX_SCAN_DIMENSIONS), "--out", str(out)])
+
+
+def test_flow_refuses_more_work_than_the_cap_before_any_step(monkeypatch, tmp_path, capsys):
+    # steps times grid points is capped: 10^4 time units at MAX_KMAX would
+    # take days, and the cap there is 19531 steps of dt 1e-3
+    def step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(flow, "rk4_step", step)
+    out = tmp_path / "flow.csv"
+    kmax = str(flow.MAX_KMAX)
+    rc, stdout, err = run(capsys, ["flow", "--kmax", kmax, "--t-max", "10000", "--out", str(out)])
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert err == ("fracsphere flow: t_max / dt must round to between 1 and 19531 steps "
+                   "on 65536 grid points, got 1e+07\n")
+    with pytest.raises(AssertionError, match="a step ran"):     # the cap itself is allowed
+        main(["flow", "--kmax", kmax, "--t-max", "19.531", "--out", str(out)])
 
 
 def test_size_caps_admit_the_cap(tmp_path, capsys):
@@ -707,34 +737,6 @@ def test_euclid_rejects_unknown_mode_from_config(tmp_path, capsys):
     assert "unknown mode" in err
 
 
-# --------------------------------------------------------------- tolerance
-
-def test_tolerance_default(monkeypatch):
-    monkeypatch.delenv("FRACSPHERE_TOL", raising=False)
-    assert cli.tolerance() == 1e-10
-
-
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("FRACSPHERE_TOL", "0.5")
-    assert cli.tolerance() == 0.5
-
-
-@pytest.mark.parametrize("command", ["verify", "flow", "euclid"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
-def test_bad_tolerance_exits_2_before_any_work(command, value, tmp_path, capsys, monkeypatch):
-    # a NaN or infinite gate would pass every check, a negative one fail them
-    monkeypatch.setenv("FRACSPHERE_TOL", value)
-    monkeypatch.setattr(cli, "run_flow", lambda cfg: pytest.fail("the flow ran"))
-    monkeypatch.setattr(cli, "equality_suite", lambda: pytest.fail("verify ran"))
-    monkeypatch.setattr(cli, "eigen_residual", lambda *a: pytest.fail("euclid ran"))
-    out = tmp_path / "out.csv"
-    rc, stdout, err = run(capsys, [command, "--out", str(out)])
-    assert rc == 2
-    assert stdout == "" and not out.exists()
-    assert err == (f"fracsphere {command}: FRACSPHERE_TOL must be a finite "
-                   f"number >= 0, got {value!r}\n")
-
-
 def test_huge_init_degree_exits_2_without_allocating(tmp_path, capsys, monkeypatch):
     # the 8 GB coefficient vector of degree 1e9 is never requested
     class NoNumpy:
@@ -751,13 +753,16 @@ def test_huge_init_degree_exits_2_without_allocating(tmp_path, capsys, monkeypat
     assert err == "fracsphere flow: init has degree 1000000000 > kmax = 32\n"
 
 
-def test_verify_respects_loose_tolerance(tmp_path, capsys, monkeypatch):
-    # with a huge gate nothing can fail, whatever the deficits are
+def test_no_environment_variable_loosens_a_verdict(tmp_path, capsys, monkeypatch):
+    # every gate checks a bound fixed in the code; this variable once set
+    # the deficit gate, and 1e6 passed any deficit
     monkeypatch.setenv("FRACSPHERE_TOL", "1e6")
-    rc, out, err = run(capsys, ["verify", "--count", "3", "--seed", "0",
-                                "--out", str(tmp_path / "r.csv")])
-    assert rc == 0
-    assert err == ""
+    monkeypatch.setattr(cli, "equality_suite",
+                        _equality_report(deficit=-1e-3, relative_deficit=-1e-3))
+    rc, _, err = run(capsys, ["verify", "--count", "0", "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    lines = err.splitlines()
+    assert lines and all(line.startswith("verify: FAIL ") for line in lines)
 
 
 # ------------------------------------------------------------------- gates

@@ -148,26 +148,26 @@ def test_huge_init_degree_is_rejected_before_allocation(init, monkeypatch):
 
 
 class DenseFlow:
-    """FlowOps by explicit cosine/sine sums over the m midpoints,
-    O(kmax m) per right-hand side: an independent reference for the
-    Fourier-multiplier form.  The angles k theta_i are reduced mod 2 pi
-    in integer arithmetic, so the matrices are accurate to roundoff at
-    every k."""
+    """FlowOps by explicit cosine/sine sums over the m midpoints, on
+    every mode 0 < k < m, O(m^2) per right-hand side: an independent
+    reference for the Fourier-multiplier form.  The angles k theta_i are
+    reduced mod 2 pi in integer arithmetic, so the matrices are accurate
+    to roundoff at every k."""
 
     def __init__(self, ops):
-        m, kmax = ops.m, ops.cfg.kmax
-        self.ops, self.m, self.kmax, self.q = ops, m, kmax, ops.q
+        m = ops.m
+        self.ops, self.m, self.q = ops, m, ops.q
 
         def basis(fn, k):
             turns = np.outer(k, 2 * np.arange(m) + 1) % (4 * m)
             return math.sqrt(2.0) * fn(np.pi * turns / (2 * m))
 
-        self.cosb = basis(np.cos, np.arange(kmax + 1))
+        self.cosb = basis(np.cos, np.arange(m))
         self.cosb[0] = 1.0
-        self.ks = np.arange(1, 2 * kmax + 1)
+        self.ks = np.arange(1, m)
         self.sinb = basis(np.sin, self.ks)
-        self.cosb_wide = basis(np.cos, self.ks)
-        self.grad_mult = -self.q * ops.delta[1:] / self.ks[:kmax]
+        self.delta = delta_sequence(1, ops.cfg.s, m - 1)
+        self.grad_mult = -self.q * self.delta[1:] / self.ks
 
     def init_values(self):
         fld = field_from_descriptor(self.ops.cfg.init, 1)
@@ -177,16 +177,19 @@ class DenseFlow:
         return self.cosb @ v / self.m
 
     def rhs(self, u):
+        # mode 0 of w is not in the operator; removed before the sums, its
+        # leak through the rounded basis cannot reach the amplified top modes
         u = np.maximum(u, self.ops.cfg.clamp_floor)
-        a = self.cos_coeffs(u ** (1.0 / self.q))
-        dpsi = (self.grad_mult * a[1:]) @ self.sinb[:self.kmax]
+        w = u ** (1.0 / self.q)
+        a = self.cos_coeffs(w - w[0])
+        dpsi = (self.grad_mult * a[1:]) @ self.sinb
         flux = u ** (1.0 - 1.0 / self.q) * dpsi
         b = self.sinb @ flux / self.m
-        return (b * self.ks) @ self.cosb_wide
+        return (b * self.ks) @ self.cosb[1:]
 
     def dissipation(self, u):
         a = self.cos_coeffs(np.maximum(u, self.ops.cfg.clamp_floor) ** (1.0 / self.q))
-        return 2.0 * float((self.ops.delta * a * a).sum())
+        return 2.0 * float((self.delta * a * a).sum())
 
 
 def positive_profile(kmax, seed):
@@ -278,6 +281,23 @@ def test_exponential_bound_every_sample(short_run):
     assert np.all(short_run.entropy <= short_run.bound * (1.0 + 1e-9) + 1e-15)
 
 
+@pytest.mark.parametrize("s,q,init,mode", [
+    (1.0, 3.0, [[0, 1.0], [5, 0.5], [9, 0.15]], 1),
+    (1.0, 3.0, [[0, 1.0], [2, 0.65]], 2),
+    (0.5, 4.0, [[0, 1.0], [2, 0.65]], 2),
+])
+def test_far_from_constant_data_meet_the_bound(s, q, init, mode):
+    # the nonlinearity moves energy into every mode of the grid; a flow
+    # that damped only k <= kmax stalled on these data above the bound
+    # E(0) exp(-2t/C) (the first) or at a few per cent of the rate (the
+    # others).  The asymptotic rate is 2 delta_j of the slowest excited
+    # mode j: mode 1 from 2 * 5 - 9, only even modes from degree 2
+    res = run_flow(FlowConfig(s=s, q=q, init={"coeffs": init}))
+    assert np.all(res.entropy <= res.bound * (1.0 + 1e-9) + 1e-10)
+    delta = delta_sequence(1, s, mode)
+    assert res.ratio == pytest.approx(delta[mode] / delta[1], rel=5e-3)
+
+
 def test_fitted_rate_near_spectral_gap(short_run):
     assert short_run.theoretical_rate == pytest.approx(
         2.0 / derive_params(1, 0.5, 1.0).constant, rel=1e-14)
@@ -316,6 +336,14 @@ def test_step_count_lies_between_one_and_max_steps():
                 {"dt": 1e-300, "t_max": 1e300}, {"dt": 1e-6, "t_max": 10.00001}):
         with pytest.raises(ValueError, match="must round to between 1 and"):
             FlowOps(FlowConfig(**bad))
+
+
+def test_step_count_cap_scales_with_the_grid():
+    # one cap on steps times grid points: 10^7 steps on the default
+    # 128-point grid, half as many on the 256 points of kmax 64
+    assert FlowOps(FlowConfig(kmax=64, dt=1e-6, t_max=5.0)).steps == MAX_STEPS // 2
+    with pytest.raises(ValueError, match="must round to between 1 and 5000000 steps"):
+        FlowOps(FlowConfig(kmax=64, dt=1e-6, t_max=5.00001))
 
 
 def test_blow_up_ends_the_run_with_a_nan_sample():
