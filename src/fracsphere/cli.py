@@ -207,6 +207,9 @@ def _check_row(i, row):
 def cmd_verify(opt):
     if opt["count"] > MAX_VERIFY_COUNT:
         raise ValueError(f"count must be at most {MAX_VERIFY_COUNT}, got {opt['count']}")
+    for key in ("count", "seed"):       # random_suite would refuse them after the equality cases
+        if opt[key] < 0:
+            raise ValueError(f"{key} must be a non-negative integer, got {opt[key]}")
     before = rule_cache_info()
     reports = equality_suite() + random_suite(opt["seed"], opt["count"])
     after = rule_cache_info()
@@ -320,7 +323,7 @@ def cmd_euclid(opt):
     if q is None:
         q = 0.5 * (2.0 + derive_params(1, s).q_star)
     ps = derive_params(1, s, q)
-    eu = EuclidParams(n=1, s=s, L=opt["L"], N=opt["N"])
+    eu = EuclidParams(s=s, L=opt["L"], N=opt["N"])
     summary = {"q": q, "s": s}
     parts, ok = [], True        # parts of the verdict line, and the verdict
 
@@ -333,8 +336,7 @@ def cmd_euclid(opt):
         parts.append(f"worst eigen-residual {max(residuals.values()):.3e}")
 
     if mode in ("thm16", "all"):
-        report = thm16_deficit(lambda x: f_star(s, x), ps,
-                               descriptor=json.dumps({"family": "pullback_fstar"}))
+        report = thm16_deficit(lambda x: f_star(s, x), ps)
         summary.update(deficit=finite_or_null(report.deficit),
                        lhs=finite_or_null(report.lhs), rhs=finite_or_null(report.rhs))
         parts.append(f"optimizer deficit {report.deficit:.3e}")

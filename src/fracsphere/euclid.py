@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import CONSTANT_FIELD_THRESHOLD
+from .inequality import InequalityReport
 from .specfun import log_gamma, midpoint_phase
 from .spectrum import gamma_sequence
 
@@ -37,14 +38,13 @@ MAX_N = 2 ** 20         # 32 times the default grid; about 0.3 s and 130 MB per 
 
 @dataclass(frozen=True)
 class EuclidParams:
-    n: int
+    """Order s in (0, 1) and the line grid x_i = -L + i h, i < N, h = 2L/N (n = 1)."""
+
     s: float
     L: float = 60.0
     N: int = 2 ** 15
 
     def __post_init__(self):
-        if self.n != 1:
-            raise ValueError("the line transport is implemented for n = 1")
         if not 0.0 < self.s < 1.0:
             raise ValueError("need 0 < s < n = 1")
         if not self.N >= 2:
@@ -56,7 +56,7 @@ class EuclidParams:
 
     @property
     def mu(self):
-        return 0.5 * (self.n - self.s)
+        return 0.5 * (1 - self.s)
 
     @property
     def h(self):
@@ -153,7 +153,7 @@ def eigen_residual(s, k, L=EuclidParams.L, N=EuclidParams.N):
     not to the roundoff level at the grid edge where periodization would
     be harmless; the mean corrections make that safe.
     """
-    eu = EuclidParams(n=1, s=s, L=L, N=N)
+    eu = EuclidParams(s=s, L=L, N=N)
     x = eu.grid()
     js = (k, k + 2, k + 4, k + 6)
     # x * x overflows for a huge L; the NaN residual then fails the gate
@@ -191,7 +191,7 @@ def thm16_coefficients(ps):
     return a, b
 
 
-def thm16_deficit(f, ps, descriptor=""):
+def thm16_deficit(f, ps):
     """Deficit of the weighted interpolation inequality on the line,
 
         a * int f (-Lap)^(s/2) f dx + b * int f^2 (1+x^2)^(-s) dx
@@ -207,10 +207,8 @@ def thm16_deficit(f, ps, descriptor=""):
 
     f must be a vectorized callable on the line.  Returns an
     InequalityReport with kind 'line_interpolation' (rhs = a * Dirichlet
-    + b * weighted L2).
+    + b * weighted L2) and the descriptor {"family": "unnamed_callable"}.
     """
-    from .inequality import InequalityReport
-
     n, s, q = ps.n, ps.s, ps.q
     if n != 1 or not 0.0 < s < 1.0:
         raise ValueError("the line deficit needs n = 1 and s in (0, 1)")
@@ -242,5 +240,5 @@ def thm16_deficit(f, ps, descriptor=""):
     tail = float((ck ** 2 + dk ** 2).sum())
     return InequalityReport.from_sides(
         "line_interpolation", ps, q, lhs, rhs,
-        descriptor or json.dumps({"family": "unnamed_callable"}),
+        json.dumps({"family": "unnamed_callable"}),
         tail <= CONSTANT_FIELD_THRESHOLD * c0 ** 2)

@@ -141,8 +141,6 @@ def field_from_descriptor(desc, n, max_degree=None):
     Supported families:
       {"coeffs": [[k, c], ...]}                  explicit coefficients
       {"family": "one_plus_eps_y1", "eps": e}    F = 1 + e Y_1
-      {"family": "pullback_fstar"}               line optimizer pulled back,
-                                                 which is the constant field
       {"family": "random_band_limited",
        "kmax": K, "seed": m, "scale": r}         1 + r * (seeded modes)
 
@@ -172,8 +170,6 @@ def field_from_descriptor(desc, n, max_degree=None):
     if fam == "one_plus_eps_y1":
         degree(1)
         return ZonalField(n=n, coeffs=[1.0, float(key("eps"))])
-    if fam == "pullback_fstar":
-        return ZonalField(n=n, coeffs=[1.0])
     if fam == "random_band_limited":
         kmax = degree(count("kmax"))
         scale = float(key("scale")) if "scale" in desc else 0.3

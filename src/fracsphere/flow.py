@@ -18,8 +18,11 @@ datum approaches 2 delta_1 = 2/C from above.
 
 Discretization: nodal values at the Chebyshev midpoints theta_i =
 pi (i + 1/2) / m of [0, pi] (uniform weights 1/m), classical RK4 in
-time.  Mirrored, the midpoints are the uniform 2m-point grid of the full
-circle: w extends as an even function and the flux as an odd one, so
+time, whose dt must keep dt * delta_(m-1) within its real-axis stability
+limit (RK4_REAL_LIMIT): about any constant the flow linearises to -L_s,
+with eigenvalues -delta_k at every level and q.  Mirrored, the
+midpoints are the uniform 2m-point grid of the full circle: w extends
+as an even function and the flux as an odd one, so
 both linear stages of the right-hand side are Fourier multipliers on a
 real FFT of length 2m, O(m log m) per evaluation (Makhoul, IEEE TASSP
 1980).  On every mode 0 < k < m the grid resolves, w -> d/dtheta psi
@@ -34,6 +37,7 @@ half-step phase exp(-i pi k / 2m) of the midpoints.
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,6 +48,8 @@ from .spectrum import delta_sequence, derive_params
 MAX_STEPS = 10 ** 7     # on the default 128-point grid; 1000 times the default 6000
 MAX_WORK = 128 * MAX_STEPS      # steps times grid points; 19531 steps (< 25 min) at MAX_KMAX
 MAX_KMAX = 2 ** 14      # 512 times the default 32; about 70 ms and 15 MB per step there
+# RK4 is stable on -x, x real, up to |R(-x)| = 1 at this root of x^3 - 4x^2 + 12x - 24
+RK4_REAL_LIMIT = 2.785293563405282
 
 
 @dataclass
@@ -57,7 +63,7 @@ class FlowConfig:
     sample_every: int = 50
     init: dict = dc_field(default_factory=lambda: {"family": "one_plus_eps_y1",
                                                    "eps": 0.01})
-    clamp_floor: float = 1e-12
+    clamp_floor: ClassVar[float] = 1e-12
 
 
 @dataclass
@@ -127,6 +133,9 @@ class FlowOps:
         self.ps = derive_params(1, cfg.s, cfg.q)
         self.q = cfg.q
         self.delta = delta_sequence(1, cfg.s, m - 1)
+        if cfg.dt * self.delta[-1] > RK4_REAL_LIMIT:
+            raise ValueError(f"dt must be at most {RK4_REAL_LIMIT / self.delta[-1]:.6g} "
+                             f"on {m} grid points at s = {cfg.s}")
         k = np.arange(m + 1)
         # cos k theta -> q d/dtheta psi = -(q delta_k / k) sin k theta, 0 < k < m
         self.mpsi = np.zeros(m + 1, dtype=complex)
@@ -184,9 +193,7 @@ def rk4_step(ops, u, dt):
     k4 = ops.rhs(u + dt * k3)
     out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(out).all():
-        raise FloatingPointError(
-            f"flow produced non-finite values at dt={dt}; reduce the step "
-            f"size (stability limit scales like 1/delta_(m-1) of the m-point grid)")
+        raise FloatingPointError(f"flow produced non-finite values at dt={dt}")
     return out
 
 

@@ -99,35 +99,29 @@ def gegenbauer_all(kmax, alpha, z):
 class QuadratureRule:
     """Gauss-Jacobi rule for the weight (1-z)^a (1+z)^b on [-1, 1].
 
-    nodes are ascending, weights are the raw Jacobi weights;
-    normalization is 1 / mu0 with mu0 the exact total mass, so
-    weights * normalization is a probability measure.
+    nodes are ascending, weights are the raw Jacobi weights and
+    prob_weights = weights * (1 / mu0), with mu0 the exact total mass, their
+    probability measure; all three arrays are read-only.
     """
 
     a: float
     b: float
     nodes: np.ndarray
     weights: np.ndarray
-    normalization: float
-
-    @property
-    def prob_weights(self):
-        return self.weights * self.normalization
+    prob_weights: np.ndarray
 
     def __len__(self):
         return self.nodes.size
 
 
 def _jacobi_eval(m, a, b, x):
-    """P_m^(a,b)(x) together with P_{m-1}; vectorized in x.
+    """P_m^(a,b)(x) together with P_{m-1}, m >= 1; vectorized in x.
 
     Runs in whatever float dtype x carries, so the final polishing pass
     can call it with extended precision.
     """
     x = np.asarray(x)
     pm1 = np.ones_like(x)
-    if m == 0:
-        return pm1, np.zeros_like(x)
     pm = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
     # j = 1 is seeded explicitly: the generic recurrence degenerates
     # when a + b = 0 or -1.  The coefficients of j = 2..m are formed once,
@@ -249,9 +243,9 @@ def _build_rule(m, a, b):
                  + log_gamma(b + 1.0) - log_gamma(a + b + 2.0))
     w *= np.longdouble(mu0) / w.sum()
     nodes, weights = xe.astype(float), w.astype(float)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(a=a, b=b, nodes=nodes, weights=weights,
-                          normalization=1.0 / mu0)
+    prob_weights = weights * (1.0 / mu0)
+    nodes.flags.writeable = weights.flags.writeable = prob_weights.flags.writeable = False
+    return QuadratureRule(a=a, b=b, nodes=nodes, weights=weights, prob_weights=prob_weights)
 
 
 def rule_cache_info():

@@ -170,10 +170,8 @@ def operator_eigenvalue(ps, kind, kmax):
     """
     n, s = ps.n, ps.s
     if kind == "L":
-        if s == 0.0:
-            return np.zeros(kmax + 1)
-        d = delta_sequence(n, s, kmax)
-        return d if s > 0 else -d
+        d = delta_sequence(n, s, kmax)      # exactly +0.0 at s = 0
+        return d if s >= 0 else -d
     if kind == "K":
         if s == n:
             raise ValueError("kernel operator degenerates at s = n")

@@ -11,6 +11,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import fracsphere.field
-from fracsphere import cli, euclid, flow
+from fracsphere import cli, euclid, flow, specfun
 from fracsphere.cli import main
 from fracsphere.flow import FlowResult
 from fracsphere.inequality import REPORT_HEADER, equality_suite
@@ -234,11 +235,21 @@ def test_readme_commands_parse():
 
 
 def test_readme_commands_run_cleanly(tmp_path, monkeypatch, capsys):
-    # every documented command passes its own gates: exit 0, nothing on stderr
-    monkeypatch.chdir(tmp_path)
+    # every documented command passes its own gates (exit 0, nothing on
+    # stderr) and is deterministic: run twice, in two directories, it
+    # writes the same files and the same stdout, byte for byte
     for argv in _readme_commands():
-        rc, _, err = run(capsys, argv)
-        assert (rc, err) == (0, ""), f"fracsphere {shlex.join(argv)}"
+        runs = []
+        for name in ("a", "b"):
+            where = tmp_path / name
+            shutil.rmtree(where, ignore_errors=True)
+            where.mkdir()
+            monkeypatch.chdir(where)
+            specfun._build_rule.cache_clear()   # as in a new process: verify counts the builds
+            rc, out, err = run(capsys, argv)
+            assert (rc, err) == (0, ""), f"fracsphere {shlex.join(argv)}"
+            runs.append((out, {p.name: p.read_bytes() for p in where.iterdir()}))
+        assert runs[0] == runs[1], f"fracsphere {shlex.join(argv)}"
 
 
 # ------------------------------------------------------------ config files
@@ -387,7 +398,7 @@ def test_size_caps_admit_the_cap(tmp_path, capsys):
                             "--kmax", str(cli.MAX_DEGREE), "--out", str(tmp_path / "s.json")])
     assert rc == 0
     flow.FlowOps(flow.FlowConfig(kmax=flow.MAX_KMAX))     # builds its operators, no step
-    euclid.EuclidParams(1, 0.5, N=euclid.MAX_N)           # validates, allocates nothing
+    euclid.EuclidParams(0.5, N=euclid.MAX_N)              # validates, allocates nothing
 
 
 def test_verify_refuses_more_reports_than_the_cap_before_any_report(monkeypatch, tmp_path,
@@ -405,6 +416,24 @@ def test_verify_refuses_more_reports_than_the_cap_before_any_report(monkeypatch,
                    f"got {count}\n")
     with pytest.raises(AssertionError, match="a suite ran"):     # the cap itself is allowed
         main(["verify", "--count", str(cli.MAX_VERIFY_COUNT), "--out", str(out)])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "-1", "--count", "0"], "seed must be a non-negative integer, got -1"),
+    (["--seed", "-1", "--count", "3"], "seed must be a non-negative integer, got -1"),
+    (["--count", "-1"], "count must be a non-negative integer, got -1"),
+])
+def test_verify_refuses_a_negative_seed_or_count_before_any_report(argv, message, monkeypatch,
+                                                                    tmp_path, capsys):
+    def suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "equality_suite", suite)
+    monkeypatch.setattr(cli, "random_suite", suite)
+    out = tmp_path / "reports.csv"
+    rc, stdout, err = run(capsys, ["verify", *argv, "--out", str(out)])
+    assert rc == 2 and stdout == "" and not out.exists()
+    assert err == f"fracsphere verify: {message}\n"
 
 
 def test_euclid_refuses_more_degrees_than_the_cap_before_any_residual(monkeypatch, tmp_path,
@@ -607,14 +636,34 @@ def test_flow_deterministic_bytes(tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_flow_blow_up_fails_with_strict_json(tmp_path, capsys):
+def _inf_rhs(ops, u):
+    """A stand-in FlowOps.rhs: every step blows up, and rk4_step refuses it."""
+    return np.full_like(u, np.inf)
+
+
+def test_flow_blow_up_fails_with_strict_json(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(flow.FlowOps, "rhs", _inf_rhs)
     path = tmp_path / "run.csv"
-    rc, _, err = run(capsys, ["flow", "--dt", "0.05", "--s", "1", "--kmax", "128",
-                              "--out", str(path)])
+    rc, _, err = run(capsys, ["flow", "--s", "1", "--kmax", "128", "--out", str(path)])
     assert rc == 1
     assert "FAIL" in err
     summary = json.loads((tmp_path / "run.json").read_text(), parse_constant=_refuse)
     assert summary["fitted_rate"] is None and summary["ratio"] is None
+
+
+def test_flow_refuses_an_unstable_step_before_any_output(tmp_path, capsys):
+    # dt * delta_(m-1) = 1e-3 * 4095 lies beyond RK4's real-axis limit 2.785
+    path = tmp_path / "run.csv"
+    rc, out, err = run(capsys, ["flow", "--s", "1", "--kmax", "1024", "--t-max", "0.2",
+                                "--out", str(path)])
+    assert (rc, out) == (2, "")
+    assert err == ("fracsphere flow: dt must be at most 0.000680169 on 4096 grid points "
+                   "at s = 1.0\n")
+    assert list(tmp_path.iterdir()) == []
+    # 1e-3 * 2047 lies within it
+    rc, _, err = run(capsys, ["flow", "--s", "1", "--kmax", "512", "--t-max", "0.2",
+                              "--out", str(path)])
+    assert (rc, err) == (0, "")
 
 
 def test_flow_at_q_two(tmp_path, capsys):
@@ -794,17 +843,19 @@ _NAN_LINE_REPORT = type("Report", (), {"deficit": math.nan, "lhs": math.nan, "rh
 
 @pytest.mark.parametrize("argv,config,patch,fail", [
     (["verify", "--count", "0"], None,
-     ("equality_suite", _equality_report(relative_deficit=math.nan)),
+     (cli, "equality_suite", _equality_report(relative_deficit=math.nan)),
      "verify: FAIL interpolation n=1 s=0.5 q=3.0 relative deficit nan"),
-    (["verify", "--count", "0"], None, ("equality_suite", _equality_report(deficit=math.nan)),
+    (["verify", "--count", "0"], None,
+     (cli, "equality_suite", _equality_report(deficit=math.nan)),
      "verify: FAIL equality case interpolation n=1 s=0.5 deficit nan"),
-    (["flow"], None, ("run_flow", _flow_result([1e-4, math.nan], [1.0, 1.0])),
+    (["flow"], None, (cli, "run_flow", _flow_result([1e-4, math.nan], [1.0, 1.0])),
      "flow: FAIL entropy nan not within bound 1.000e-04 at t=1.0"),
-    (["flow"], None, ("run_flow", _flow_result([1e-4, 1e-5], [1.0, math.nan])),
+    (["flow"], None, (cli, "run_flow", _flow_result([1e-4, 1e-5], [1.0, math.nan])),
      "flow: FAIL mass drift nan above 1e-8"),
     (["euclid", "--mode", "eigen"], {"L": 1e300, "N": 2 ** 10, "kmax": 0}, None,
      "euclid: FAIL eigen-residual nan at k=0 not within 1e-3"),
-    (["euclid", "--mode", "thm16"], None, ("thm16_deficit", lambda *a, **k: _NAN_LINE_REPORT),
+    (["euclid", "--mode", "thm16"], None,
+     (cli, "thm16_deficit", lambda *a, **k: _NAN_LINE_REPORT),
      "euclid: FAIL optimizer deficit nan"),
     (["scan", "--n", "1", "--kmax", "3"], {"q_grid": [1.5, math.nan]}, None,
      "scan: FAIL 2 slope increments not positive"),
@@ -812,14 +863,14 @@ _NAN_LINE_REPORT = type("Report", (), {"deficit": math.nan, "lhs": math.nan, "rh
     (["scan", "--mode", "s_grid"], {"s_grid": [0.0, 1.0]}, None,
      "scan: FAIL constant at s=0.0 spreads nan across q"),
     # a blow-up of the flow fails the entropy gate, with no traceback
-    (["flow", "--dt", "0.2", "--s", "1", "--kmax", "128", "--t-max", "20"], None, None,
-     "flow: FAIL entropy"),
+    (["flow", "--s", "1", "--kmax", "128", "--t-max", "20"], None,
+     (flow.FlowOps, "rhs", _inf_rhs), "flow: FAIL entropy"),
 ])
 def test_failing_config_exits_1_with_fail_lines(argv, config, patch, fail, tmp_path, capsys,
                                                 monkeypatch):
     # every gate fails a NaN, and an exit of 1 always comes with a FAIL line
     if patch is not None:
-        monkeypatch.setattr(cli, *patch)
+        monkeypatch.setattr(*patch)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(tmp_path / "cfg.json")]

@@ -38,16 +38,14 @@ def dirichlet_oracle(gf, s):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        EuclidParams(2, 0.5)
+        EuclidParams(0.0)
     with pytest.raises(ValueError):
-        EuclidParams(1, 0.0)
-    with pytest.raises(ValueError):
-        EuclidParams(1, 1.0)
+        EuclidParams(1.0)
     for bad in ({"N": 0}, {"N": 1}, {"L": 0.0}, {"L": -5.0},
                 {"L": float("inf")}, {"L": float("nan")}):
         with pytest.raises(ValueError):
-            EuclidParams(1, 0.5, **bad)
-    eu = EuclidParams(1, 0.5, L=30.0, N=2 ** 10)
+            EuclidParams(0.5, **bad)
+    eu = EuclidParams(0.5, L=30.0, N=2 ** 10)
     assert eu.mu == 0.25
     assert eu.h == pytest.approx(60.0 / 1024)
     assert eu.grid().size == 1024 and eu.grid()[0] == -30.0
@@ -68,7 +66,7 @@ def test_stereo_roundtrip():
 
 def test_jacobian_integrates_to_circle_length():
     assert jacobian(0.0) == 2.0
-    eu = EuclidParams(1, 0.5)
+    eu = EuclidParams(0.5)
     val, _ = weighted_norm(grid_field(jacobian, eu), 1.0)
     assert val == pytest.approx(2.0 * math.pi, rel=1e-9)
 
@@ -115,7 +113,7 @@ def test_chebyshev_rows_match_arccos_oracle():
     # the recurrence behind eigen_residual against one arccos per degree,
     # on the grid eigen_residual uses by default
     s = 0.5
-    x = EuclidParams(1, s).grid()
+    x = EuclidParams(s).grid()
     u = 1.0 + x * x
     degrees = tuple(range(18))
     rows = _chebyshev_rows((1.0 - x * x) / u, degrees)
@@ -139,7 +137,7 @@ GAUSS_POINT = 0.977741067446923798      # sqrt(2/pi) Gamma(3/4)
 
 @pytest.fixture(scope="module")
 def gauss30():
-    eu = EuclidParams(1, 0.5, L=30.0, N=2 ** 13)
+    eu = EuclidParams(0.5, L=30.0, N=2 ** 13)
     return grid_field(lambda x: np.exp(-x * x), eu)
 
 
@@ -170,7 +168,7 @@ def test_oracle_small_order_is_mean_free_identity(gauss30):
 
 
 def test_oracle_refuses_slowly_decaying_input():
-    eu = EuclidParams(1, 0.5)
+    eu = EuclidParams(0.5)
     slow = grid_field(lambda x: f_star(0.5, x), eu)
     with pytest.raises(ValueError, match="decay"):
         frac_laplacian_oracle(slow, 0.5)
@@ -192,7 +190,7 @@ def test_multiplier_makes_no_complex_transform(gauss30, monkeypatch):
 
 
 def test_oracle_accepts_zero_field():
-    eu = EuclidParams(1, 0.5, L=10.0, N=256)
+    eu = EuclidParams(0.5, L=10.0, N=256)
     out = frac_laplacian_oracle(GridField(x=eu.grid(), values=np.zeros(256)), 0.5)
     assert np.all(out.values == 0.0)
 
@@ -203,7 +201,7 @@ def test_oracle_accepts_zero_field():
 
 def test_weighted_norm_of_bare_profile():
     # int (1+x^2)^(-1/2-... ) dx with q=2, beta=1 is exactly pi
-    eu = EuclidParams(1, 0.5)
+    eu = EuclidParams(0.5)
     gf = grid_field(lambda x: (1.0 + x * x) ** -0.25, eu)
     val, frac = weighted_norm(gf, 2.0, beta=1.0)
     assert val == pytest.approx(math.pi, rel=1e-9)
@@ -211,21 +209,21 @@ def test_weighted_norm_of_bare_profile():
 
 
 def test_weighted_norm_plain_gaussian():
-    eu = EuclidParams(1, 0.5)
+    eu = EuclidParams(0.5)
     val, frac = weighted_norm(grid_field(lambda x: np.exp(-x * x), eu), 2.0)
     assert val == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
     assert frac == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weighted_norm_of_zero_field():
-    eu = EuclidParams(1, 0.5, L=10.0, N=256)
+    eu = EuclidParams(0.5, L=10.0, N=256)
     assert weighted_norm(GridField(x=eu.grid(), values=np.zeros(256)), 2.0) == (0.0, 0.0)
 
 
 def test_critical_norm_transport():
     # int |f|^q* dx = |S^1| ||F||_{q*}^{q*} under the conformal factor
     ps = derive_params(1, 0.5, 3.0)
-    eu = EuclidParams(1, 0.5)
+    eu = EuclidParams(0.5)
     F = lambda th: 1.0 + 0.2 * math.sqrt(2.0) * np.cos(th)
     f = grid_field(lambda x: pushforward(F, ps, x), eu)
     line, _ = weighted_norm(f, ps.q_star)
@@ -248,7 +246,7 @@ def test_conformal_dirichlet_invariance():
         return c[0] + math.sqrt(2.0) * (c[1] * np.cos(th) + c[2] * np.cos(2 * th)
                                         + c[3] * np.cos(3 * th))
 
-    eu = EuclidParams(1, 0.5, L=240.0, N=2 ** 16)
+    eu = EuclidParams(0.5, L=240.0, N=2 ** 16)
     f = grid_field(lambda x: pushforward(F, ps, x), eu)
     line = dirichlet_oracle(f, 0.5)
     gam = gamma_sequence(1, ps.x_crit, 3)

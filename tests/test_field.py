@@ -314,8 +314,6 @@ def test_descriptor_roundtrip():
 def test_descriptor_families():
     f1 = field_from_descriptor({"family": "one_plus_eps_y1", "eps": 0.25}, 3)
     np.testing.assert_array_equal(f1.coeffs, [1.0, 0.25])
-    f2 = field_from_descriptor({"family": "pullback_fstar"}, 1)
-    np.testing.assert_array_equal(f2.coeffs, [1.0])
     with pytest.raises(ValueError):
         field_from_descriptor({"family": "nope"}, 2)
 

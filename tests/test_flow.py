@@ -1,5 +1,6 @@
 """Entropy decay of the fractional diffusion flow on the circle."""
 
+import itertools
 import json
 import math
 import os
@@ -12,8 +13,8 @@ import pytest
 
 import fracsphere
 from fracsphere.field import field_from_descriptor
-from fracsphere.flow import (ENTROPY_FLOOR, MAX_STEPS, FlowConfig, FlowOps, fit_rate,
-                             rk4_step, run_flow)
+from fracsphere.flow import (ENTROPY_FLOOR, MAX_STEPS, RK4_REAL_LIMIT, FlowConfig, FlowOps,
+                             fit_rate, rk4_step, run_flow)
 from fracsphere.spectrum import delta_sequence, derive_params
 
 
@@ -331,7 +332,7 @@ def test_constant_initial_data_gives_flat_series():
 
 def test_step_count_lies_between_one_and_max_steps():
     assert FlowOps(FlowConfig(dt=1e-6, t_max=10.0)).steps == MAX_STEPS
-    assert FlowOps(FlowConfig(dt=1.0, t_max=0.6)).steps == 1
+    assert FlowOps(FlowConfig(dt=0.01, t_max=0.006)).steps == 1
     for bad in ({"dt": 1.0, "t_max": 0.4}, {"t_max": 1e-9}, {"dt": 1e-300},
                 {"dt": 1e-300, "t_max": 1e300}, {"dt": 1e-6, "t_max": 10.00001}):
         with pytest.raises(ValueError, match="must round to between 1 and"):
@@ -346,8 +347,47 @@ def test_step_count_cap_scales_with_the_grid():
         FlowOps(FlowConfig(kmax=64, dt=1e-6, t_max=5.00001))
 
 
-def test_blow_up_ends_the_run_with_a_nan_sample():
-    res = run_flow(FlowConfig(s=1.0, kmax=128, dt=0.2, t_max=20.0))
+def test_step_above_the_rk4_limit_is_refused():
+    # delta_k = k at s = 1: 2047 * 1e-3 is inside RK4's real-axis limit
+    # 2.785, 4095 * 1e-3 and 2787 * 1e-3 (kmax 697) are not
+    assert FlowOps(FlowConfig(s=1.0, kmax=512, t_max=0.2)).steps == 200
+    assert FlowOps(FlowConfig(s=1.0, kmax=696, t_max=0.2)).steps == 200
+    for kmax in (697, 1024):
+        with pytest.raises(ValueError, match=f"^dt must be at most .* on {4 * kmax} grid "
+                                             "points at s = 1.0$"):
+            FlowOps(FlowConfig(s=1.0, kmax=kmax, t_max=0.2))
+    # the step count is checked first
+    with pytest.raises(ValueError, match="must round to between 1 and"):
+        FlowOps(FlowConfig(s=1.0, kmax=1024, dt=1.0, t_max=0.4))
+
+
+def test_rk4_limit_is_where_the_top_mode_starts_to_grow():
+    # about u = 1 the step multiplies mode m - 1 by R(-dt delta_(m-1)),
+    # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: 0.92 at 0.98 times the limit, 1.23 at 1.05
+    ops = FlowOps(FlowConfig(s=1.0, kmax=128))
+    top = np.cos((ops.m - 1) * np.pi * (np.arange(ops.m) + 0.5) / ops.m)
+    for factor in (0.98, 1.05):
+        u = 1.0 + 1e-10 * top
+        for _ in range(50):
+            u = rk4_step(ops, u, factor * RK4_REAL_LIMIT / ops.delta[-1])
+        growth = abs(ops.cos_coeffs(u)[-1]) / (1e-10 / math.sqrt(2.0))
+        assert (growth > 1.0) == (factor > 1.0), (factor, growth)
+
+
+def _rhs_turning_inf(calls):
+    """FlowOps.rhs that returns inf from the given number of calls on."""
+    real, count = FlowOps.rhs, itertools.count()
+
+    def rhs(ops, u):
+        return real(ops, u) if next(count) < calls else np.full_like(u, np.inf)
+    return rhs
+
+
+def test_blow_up_ends_the_run_with_a_nan_sample(monkeypatch):
+    # a stable step does not blow up on smooth data; a stand-in right-hand
+    # side that turns inf after 100 steps makes rk4_step refuse the step
+    monkeypatch.setattr(FlowOps, "rhs", _rhs_turning_inf(4 * 100))
+    res = run_flow(FlowConfig(s=1.0, kmax=128, dt=1e-3, t_max=20.0))
     assert math.isnan(res.entropy[-1]) and math.isnan(res.mass[-1])
     assert np.isfinite(res.entropy[:-1]).all() and res.times[-1] < 20.0
 

@@ -385,7 +385,9 @@ def test_rule_arrays_are_read_only():
         rule.weights[:] = 1.0
     with pytest.raises(ValueError):
         rule.nodes *= 2.0
-    assert rule.prob_weights.flags.writeable     # a fresh array per call
+    with pytest.raises(ValueError):
+        rule.prob_weights[0] = 0.0
+    assert rule.prob_weights is gauss_jacobi(12, 0.5, 0.5).prob_weights    # built once
 
 
 def test_suites_build_each_distinct_rule_once(monkeypatch):
