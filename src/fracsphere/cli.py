@@ -9,7 +9,7 @@ config-only keys; all five also take --config and --out:
   verify      deficit reports for equality cases plus seeded random fields
               --count --seed
   scan        slope monotonicity scan, or the (q, s) constant landscape
-              --n --kmax --mode; q_grid s_grid
+              --n --kmax (lemma22 only) --mode; q_grid s_grid (s_grid only)
   flow        entropy decay of the fast-diffusion flow on the circle
               --s --q --kmax --dt --t-max; sample_every init
   euclid      line-side checks: eigen-residuals and optimizer deficit, as a
@@ -85,8 +85,8 @@ OPTIONS = {
                   "kmax": (int, 8, FLAG), "rows": (list, None, CONFIG),
                   "out": (str, None, FLAG)},
     "verify": {"count": (int, 200, FLAG), "seed": (int, 0, FLAG), "out": (str, None, FLAG)},
-    # n defaults to 5 for lemma22 and 3 for s_grid, q_grid to each mode's grid
-    "scan": {"n": (int, None, FLAG), "kmax": (int, 50, FLAG),
+    # only lemma22 reads kmax (default 50), only s_grid s_grid; n and q_grid default per mode
+    "scan": {"n": (int, None, FLAG), "kmax": (int, None, FLAG),
              "mode": (_one_of("lemma22", "s_grid"), "lemma22", FLAG),
              "q_grid": (list, None, CONFIG), "s_grid": (list, None, CONFIG),
              "out": (str, None, FLAG)},
@@ -234,21 +234,25 @@ def cmd_scan(opt):
         for value in opt[key] or ():
             if not is_number(value):
                 raise ValueError(f"{key} entries must be numbers, got {value!r}")
+    unread = {"lemma22": "s_grid", "s_grid": "kmax"}[opt["mode"]]
+    if opt[unread] is not None:
+        raise ValueError(f"{unread} is not read by scan --mode {opt['mode']}")
     if opt["mode"] == "s_grid":
         return _scan_constant_landscape(opt)
     nmax = 5 if opt["n"] is None else opt["n"]
+    kmax = 50 if opt["kmax"] is None else opt["kmax"]
     if nmax > MAX_SCAN_DIMENSIONS:
         raise ValueError(f"the scan covers at most {MAX_SCAN_DIMENSIONS} dimensions, "
                          f"got n = {nmax}")
     q_grid = opt["q_grid"]
     if q_grid is None:
         q_grid = [1.01] + [round(1.1 + 0.1 * i, 10) for i in range(189)]
-    rep = monotonicity_scan(range(1, nmax + 1), q_grid, opt["kmax"])
+    rep = monotonicity_scan(range(1, nmax + 1), q_grid, kmax)
     gap = finite_or_null(rep.min_gap)
     summary = json.dumps({
         "argmin": list(rep.argmin),
         "checked": rep.checked,
-        "kmax": opt["kmax"],
+        "kmax": kmax,
         "min_gap": gap,
         "n_max": nmax,
         "q_count": len(q_grid),

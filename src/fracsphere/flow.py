@@ -31,7 +31,9 @@ the flow damps every mode that the entropy integrates; kmax only sizes
 the grid, m = max(128, 4 kmax), and caps the initial degree.  Mode 0
 of du/dt is exactly zero, so mass is conserved to roundoff.  The cosine
 coefficients of a nodal vector come from the same transform with the
-half-step phase exp(-i pi k / 2m) of the midpoints.
+half-step phase exp(-i pi k / 2m) of the midpoints.  A step that leaves
+the positive finite states (any value <= 1e-12, inf or NaN) ends the run
+with a NaN sample at its t; an initial density <= 1e-12 is refused.
 """
 
 import json
@@ -63,7 +65,7 @@ class FlowConfig:
     sample_every: int = 50
     init: dict = dc_field(default_factory=lambda: {"family": "one_plus_eps_y1",
                                                    "eps": 0.01})
-    clamp_floor: ClassVar[float] = 1e-12
+    clamp_floor: ClassVar[float] = 1e-12    # a state must exceed it; bench/ reads this name
 
 
 @dataclass
@@ -154,19 +156,17 @@ class FlowOps:
         with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf refused below
             spec[:fld.kmax + 1] = fld.coeffs / self.to_cos[:fld.kmax + 1]
             w0 = np.fft.irfft(spec, 2 * self.m)[:self.m]
-        if not 0.0 < w0.min() <= w0.max() < math.inf:     # NaN fails too
-            raise ValueError("initial profile must be strictly positive and finite")
+        floor = self.cfg.clamp_floor
+        if not floor ** (1.0 / self.q) < w0.min() <= w0.max() < math.inf:    # NaN fails too
+            raise ValueError("initial profile must be strictly positive and finite, "
+                             f"u0 > {floor:g}")
         return w0 ** self.q
-
-    def _clamp(self, u):
-        return np.maximum(u, self.cfg.clamp_floor)
 
     def cos_coeffs(self, v):
         hat = np.fft.rfft(np.concatenate((v, v[::-1])))[:self.m]
         return (hat * self.to_cos).real
 
     def rhs(self, u):
-        u = self._clamp(u)
         w = u ** (1.0 / self.q)
         dpsi = _multiply(np.concatenate((w, w[::-1])), self.mpsi)
         flux = u ** (1.0 - 1.0 / self.q) * dpsi
@@ -174,26 +174,26 @@ class FlowOps:
 
     def entropy(self, u):
         """E_q[u]: the L^q quotient of w = u^(1/q) under the uniform weights."""
-        return lq_quotient(self._clamp(u) ** (1.0 / self.q), 1.0 / u.size, self.q)
+        return lq_quotient(u ** (1.0 / self.q), 1.0 / u.size, self.q)
 
     def mass(self, u):
         return u.mean()
 
     def dissipation(self, u):
         """-dE/dt along the flow: 2 sum_k delta_k a_k^2 for w = u^(1/q)."""
-        a = self.cos_coeffs(self._clamp(u) ** (1.0 / self.q))
+        a = self.cos_coeffs(u ** (1.0 / self.q))
         return 2.0 * float((self.delta * a * a).sum())
 
 
 def rk4_step(ops, u, dt):
-    """One classical Runge-Kutta step; refuses to continue past blow-up."""
+    """One classical Runge-Kutta step; refuses a result at or below the floor."""
     k1 = ops.rhs(u)
     k2 = ops.rhs(u + 0.5 * dt * k1)
     k3 = ops.rhs(u + 0.5 * dt * k2)
     k4 = ops.rhs(u + dt * k3)
     out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise FloatingPointError(f"flow produced non-finite values at dt={dt}")
+    if not ops.cfg.clamp_floor < out.min() <= out.max() < math.inf:     # NaN fails too
+        raise FloatingPointError(f"flow left the positive finite states at dt={dt}")
     return out
 
 
@@ -213,8 +213,7 @@ def fit_rate(times, entropy):
     if keep.sum() < 10:
         raise ValueError("insufficient data: the rate fit needs >= 10 "
                          "samples with entropy above the floor")
-    slope = np.polyfit(t[keep], np.log(e[keep]), 1)[0]
-    return -float(slope)
+    return -float(np.polyfit(t[keep], np.log(e[keep]), 1)[0])
 
 
 def run_flow(cfg):
@@ -222,11 +221,11 @@ def run_flow(cfg):
     u = ops.init_values()
     dt, steps = cfg.dt, ops.steps
     times, ent, mass = [0.0], [ops.entropy(u)], [ops.mass(u)]
-    with np.errstate(over="ignore", invalid="ignore"):      # rk4_step refuses inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):      # rk4_step refuses inf, NaN, u <= floor
         for i in range(1, steps + 1):
             try:
                 u = rk4_step(ops, u, dt)
-            except FloatingPointError:  # blow-up: a last, NaN sample fails the entropy gate
+            except FloatingPointError:  # a last, NaN sample fails the entropy gate
                 times.append(i * dt)
                 ent.append(math.nan)
                 mass.append(math.nan)
@@ -235,15 +234,12 @@ def run_flow(cfg):
                 times.append(i * dt)
                 ent.append(ops.entropy(u))
                 mass.append(ops.mass(u))
-    times = np.asarray(times)
-    ent = np.asarray(ent)
-    mass = np.asarray(mass)
+    times, ent, mass = map(np.asarray, (times, ent, mass))
     rate_theory = 2.0 / ops.ps.constant
     bound = ent[0] * np.exp(-rate_theory * times)
     try:
         fitted = fit_rate(times, ent)
     except ValueError:
         fitted = float("nan")  # flat series (constant initial data)
-    return FlowResult(config=cfg, times=times, entropy=ent, mass=mass,
-                      bound=bound, fitted_rate=fitted,
-                      theoretical_rate=rate_theory)
+    return FlowResult(config=cfg, times=times, entropy=ent, mass=mass, bound=bound,
+                      fitted_rate=fitted, theoretical_rate=rate_theory)

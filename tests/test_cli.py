@@ -130,6 +130,8 @@ def test_constants_rejects_bad_exponent(capsys):
     ["constants", "--kmax", str(cli.MAX_DEGREE + 1)],
     ["flow", "--kmax", str(flow.MAX_KMAX + 1)],
     ["scan", "--n", "1", "--kmax", str(cli.MAX_DEGREE + 1)],
+    # an option the mode does not read
+    ["scan", "--mode", "s_grid", "--n", "2", "--kmax", "7"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -340,6 +342,12 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     ("euclid", {"N": 10 ** 15}, f"grid size N must be at most {euclid.MAX_N}, got 10"),
     ("euclid", {"N": euclid.MAX_N + 1}, f"grid size N must be at most {euclid.MAX_N}, got"),
     ("euclid", {"kmax": 1e15, "N": 64}, "kmax must be >= 0 and at most"),
+    # each scan mode refuses the option only the other mode reads
+    ("scan", {"mode": "s_grid", "n": 2, "kmax": 7}, "kmax is not read by scan --mode s_grid"),
+    ("scan", {"s_grid": [0.5, 1.0]}, "s_grid is not read by scan --mode lemma22"),
+    # u0 = w0^4 is 5.2e-17 near theta = pi: positive, and below the flow's floor
+    ("flow", {"init": {"coeffs": [[0, 1.0], [1, 0.7071]]}},
+     "initial profile must be strictly positive and finite, u0 > 1e-12"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -666,6 +674,23 @@ def test_flow_refuses_an_unstable_step_before_any_output(tmp_path, capsys):
     assert (rc, err) == (0, "")
 
 
+# far from constant: min u0 is 5.8e-4 (tests/test_flow.py FAR_DATUM)
+_FAR = {"init": {"coeffs": [[0, 1.0], [5, 0.5], [9, 0.15]]}}
+
+
+def test_far_datum_on_the_default_grid_passes(tmp_path, capsys):
+    # kmax 32 keeps every state positive.  E(0.2) converged is 0.0219529444:
+    # RK4 at dt 3.125e-5 on 4096 points, where every state stays positive;
+    # kmax 64 at dt 2.5e-4 agrees to 2e-11
+    (tmp_path / "cfg.json").write_text(json.dumps(_FAR))
+    path = tmp_path / "run.csv"
+    rc, _, err = run(capsys, ["flow", "--config", str(tmp_path / "cfg.json"), "--s", "1",
+                              "--q", "3", "--t-max", "0.2", "--out", str(path)])
+    assert (rc, err) == (0, "")
+    t, e = (float(v) for v in path.read_text().splitlines()[-1].split(",")[:2])
+    assert t == 0.2 and abs(e - 0.0219529444) <= 1e-6
+
+
 def test_flow_at_q_two(tmp_path, capsys):
     # the entropy is the L^q quotient, exact at q = 2, so q = 2 is no special case
     cfg = tmp_path / "cfg.json"
@@ -865,6 +890,12 @@ _NAN_LINE_REPORT = type("Report", (), {"deficit": math.nan, "lhs": math.nan, "rh
     # a blow-up of the flow fails the entropy gate, with no traceback
     (["flow", "--s", "1", "--kmax", "128", "--t-max", "20"], None,
      (flow.FlowOps, "rhs", _inf_rhs), "flow: FAIL entropy"),
+    # far from constant on wide grids, RK4 drives u below zero: the run
+    # ends at that step with a NaN sample, nothing lifts the values
+    (["flow", "--s", "1", "--q", "3", "--t-max", "0.2", "--kmax", "128"], _FAR, None,
+     "flow: FAIL entropy nan not within bound 2.125e-01 at t=0.01"),
+    (["flow", "--s", "1", "--q", "3", "--t-max", "0.2", "--kmax", "256"], _FAR, None,
+     "flow: FAIL entropy nan not within bound 2.146e-01 at t=0.005"),
 ])
 def test_failing_config_exits_1_with_fail_lines(argv, config, patch, fail, tmp_path, capsys,
                                                 monkeypatch):

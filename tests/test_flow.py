@@ -400,6 +400,37 @@ def test_blowup_is_reported():
             u = rk4_step(ops, u, 1e4)
 
 
+# far from constant: min u0 is 5.8e-4, and on wide grids RK4 at the default
+# dt drives u below zero within a few steps, though dt is inside its limit
+FAR_DATUM = {"coeffs": [[0, 1.0], [5, 0.5], [9, 0.15]]}
+
+
+@pytest.mark.parametrize("kmax,t_last", [(128, 0.01), (256, 0.005)])
+def test_a_state_below_the_floor_ends_the_run_with_a_nan_sample(kmax, t_last):
+    # a floor that lifted such values let these runs finish quietly, with
+    # E(0.2) = 0.02189 at kmax 128 and 0.01866 at kmax 256
+    res = run_flow(FlowConfig(s=1.0, q=3.0, kmax=kmax, t_max=0.2, init=FAR_DATUM))
+    assert res.times[-1] == t_last
+    assert math.isnan(res.entropy[-1]) and math.isnan(res.mass[-1])
+    assert np.isfinite(res.entropy[:-1]).all()
+
+
+def test_rk4_step_refuses_a_result_at_the_floor():
+    ops = FlowOps(FlowConfig(q=1.0))    # at q = 1, rhs is linear and finite at any u
+    u = np.full(ops.m, ops.cfg.clamp_floor)
+    with pytest.raises(FloatingPointError, match="left the positive finite states"):
+        rk4_step(ops, u, 1e-3)
+    assert (rk4_step(ops, 2.0 * u, 1e-3) == 2.0 * u).all()
+
+
+def test_initial_density_at_the_floor_is_refused():
+    # w0 = 1 + 0.7071 sqrt(2) cos theta is 8.5e-5 at the node nearest theta = pi,
+    # so u0 = w0^4 is 5.2e-17 there: positive, and below the floor
+    ops = FlowOps(FlowConfig(init={"coeffs": [[0, 1.0], [1, 0.7071]]}))
+    with pytest.raises(ValueError, match=r"strictly positive and finite, u0 > 1e-12$"):
+        ops.init_values()
+
+
 # ---------------------------------------------------------------------------
 # rate fitting
 
