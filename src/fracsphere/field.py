@@ -7,8 +7,9 @@ and norms take the caller's Gauss-Jacobi rule in the latitude variable,
 exact for the polynomial integrands involved once it is large enough
 (analysis needs at least 2*kmax + 2 nodes).  lq_quotient is the one
 kernel of the quotient (||F||_q^2 - ||F||_2^2)/(q - 2) and of its q = 2
-limit, the entropy: difference_quotient, entropy2, every deficit kind
-and the flow's entropy call it.
+limit, the entropy: difference_quotient (every quotient and entropy
+deficit kind) and the flow's entropy call it.  entropy2, its q = 2 value,
+has no caller in the package; the benchmark harness traces it.
 """
 
 import json
@@ -120,14 +121,6 @@ def difference_quotient(fld, ps, rule):
 def entropy2(fld, rule):
     """Relative entropy F^2 log(|F| / ||F||_2) d(mu), lq_quotient at q = 2."""
     return lq_quotient(synthesize(fld, rule), rule.prob_weights, 2.0)
-
-
-CONSTANT_FIELD_THRESHOLD = 1e-24
-
-
-def is_constant(fld):
-    tail = float((fld.coeffs[1:] ** 2).sum())
-    return bool(tail <= CONSTANT_FIELD_THRESHOLD * fld.coeffs[0] ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ of du/dt is exactly zero, so mass is conserved to roundoff.  The cosine
 coefficients of a nodal vector come from the same transform with the
 half-step phase exp(-i pi k / 2m) of the midpoints.  A step that leaves
 the positive finite states (any value <= 1e-12, inf or NaN) ends the run
-with a NaN sample at its t; an initial density <= 1e-12 is refused.
+with a NaN sample at its t; an initial density <= 1e-12 or inf is refused.
 """
 
 import json
@@ -156,11 +156,12 @@ class FlowOps:
         with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf refused below
             spec[:fld.kmax + 1] = fld.coeffs / self.to_cos[:fld.kmax + 1]
             w0 = np.fft.irfft(spec, 2 * self.m)[:self.m]
+            u0 = w0 ** self.q
         floor = self.cfg.clamp_floor
-        if not floor ** (1.0 / self.q) < w0.min() <= w0.max() < math.inf:    # NaN fails too
+        if not (w0.min() > 0.0 and floor < u0.min() <= u0.max() < math.inf):  # NaN fails too
             raise ValueError("initial profile must be strictly positive and finite, "
                              f"u0 > {floor:g}")
-        return w0 ** self.q
+        return u0
 
     def cos_coeffs(self, v):
         hat = np.fft.rfft(np.concatenate((v, v[::-1])))[:self.m]

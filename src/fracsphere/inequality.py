@@ -4,10 +4,11 @@ Every inequality in the family has the shape lhs <= rhs with rhs built
 from a diagonal quadratic form and lhs from Lebesgue norms, mostly the
 quotient (||F||_q^2 - ||F||_2^2)/(q - 2) of field.lq_quotient, whose
 q = 2 value is the relative entropy of the logarithmic kinds.  deficit()
-looks the kind up in the table KINDS and evaluates both sides for a
-concrete zonal field; the report's deficit (rhs - lhs) must be
-nonnegative up to quadrature roundoff.  Also here: the equality and
-seeded random suites that verify reports, and their CSV form.
+looks the kind up in the table KINDS and evaluates both sides at ps.q
+for a concrete zonal field (sobolev and square admit only q = q_star,
+logsob and logsob_critical only q = 2); the report's deficit (rhs - lhs)
+must be nonnegative up to quadrature roundoff.  Also here: the equality
+and seeded random suites that verify reports, and their CSV form.
 """
 
 import json
@@ -17,9 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .field import (analyze, descriptor_of, difference_quotient, entropy2,
-                    field_from_descriptor, is_constant, lq_norm,
-                    quadratic_form, synthesize)
+from .field import (analyze, descriptor_of, difference_quotient,
+                    field_from_descriptor, lq_norm, quadratic_form, synthesize)
 from .specfun import sphere_rule
 from .spectrum import derive_params, operator_eigenvalue
 
@@ -35,15 +35,13 @@ class InequalityReport:
     deficit: float
     relative_deficit: float
     field_descriptor: str
-    equality_case: bool = False
 
     @classmethod
-    def from_sides(cls, kind, ps, q, lhs, rhs, descriptor, equality):
-        """Report of lhs <= rhs: deficit rhs - lhs, relative to max(1, |rhs|)."""
+    def from_sides(cls, kind, ps, lhs, rhs, descriptor):
+        """Report of lhs <= rhs at ps.q: deficit rhs - lhs, relative to max(1, |rhs|)."""
         d = rhs - lhs
-        return cls(kind=kind, n=ps.n, s=ps.s, q=q, lhs=lhs, rhs=rhs, deficit=d,
-                   relative_deficit=d / max(1.0, abs(rhs)),
-                   field_descriptor=descriptor, equality_case=equality)
+        return cls(kind=kind, n=ps.n, s=ps.s, q=ps.q, lhs=lhs, rhs=rhs, deficit=d,
+                   relative_deficit=d / max(1.0, abs(rhs)), field_descriptor=descriptor)
 
 
 REPORT_HEADER = "kind,n,s,q,lhs,rhs,deficit,relative_deficit,field_descriptor"
@@ -78,10 +76,6 @@ def _critical_norm(fld, ps, rule):
     return lq_norm(fld, ps.q_star, rule) ** 2
 
 
-def _entropy(fld, ps, rule):
-    return entropy2(fld, rule)
-
-
 def _form(lhs, operator, factor):
     """sides of lhs(F) <= factor(ps) * <F, operator F>."""
     def sides(fld, ps, rule):
@@ -109,55 +103,54 @@ def _square_sides(fld, ps, rule):
 @dataclass(frozen=True)
 class Kind:
     """One inequality of the family: sides(fld, ps, rule) gives (lhs, rhs)
-    where admits(ps) holds, and the report carries exponent(ps)."""
+    where admits(ps) holds."""
     admits: Callable
     message: str                # of the ValueError where admits(ps) fails
     sides: Callable
-    exponent: Callable
-    equality: Callable = is_constant
     nodes: tuple = (160, 6)     # the rule has max(m0, r * (K + 1)) nodes; None: no rule
     gate: float = 1e-10         # verify fails a relative deficit below -gate
 
 
-_Q, _Q_STAR, _SHARP = attrgetter("q"), attrgetter("q_star"), attrgetter("constant")
+_SHARP = attrgetter("constant")
 KINDS = {
     "interpolation": Kind(lambda ps: 0.0 < ps.s <= ps.n, "interpolation needs s in (0, n]",
-                          _form(difference_quotient, "L", _SHARP), _Q),
-    "sobolev": Kind(lambda ps: 0.0 < ps.s < ps.n,
-                    "the critical-exponent form needs s in (0, n)",
-                    _form(_critical_norm, "K", lambda ps: 1.0), _Q_STAR),
+                          _form(difference_quotient, "L", _SHARP)),
+    "sobolev": Kind(lambda ps: 0.0 < ps.s < ps.n and ps.q == ps.q_star,
+                    "the critical-exponent form needs s in (0, n) and q = q_star",
+                    _form(_critical_norm, "K", lambda ps: 1.0)),
     "hls": Kind(lambda ps: ps.s < 0.0, "the dual (negative-order) form needs s < 0",
-                _form(difference_quotient, "L", _SHARP), _Q),
+                _form(difference_quotient, "L", _SHARP)),
     "poincare": Kind(lambda ps: ps.s != 0.0,
                      "use the s = 0 kinds for the derivative operator",
-                     _form(_variance, "L", _SHARP), _Q, nodes=None,
-                     equality=lambda fld: bool(np.all(fld.coeffs[2:] == 0.0))),
-    "logsob": Kind(lambda ps: 0.0 < ps.s <= ps.n, "the entropy form needs s in (0, n]",
-                   _form(_entropy, "L", _SHARP), lambda ps: 2.0),
-    "logsob_critical": Kind(lambda ps: ps.s == 0.0, "the critical entropy form needs s = 0",
-                            _form(_entropy, "K0prime", lambda ps: 0.5 * ps.n),
-                            lambda ps: 2.0),
+                     _form(_variance, "L", _SHARP), nodes=None),
+    # the q = 2 quotient is the entropy: logsob and logsob_critical take its sides
+    "logsob": Kind(lambda ps: 0.0 < ps.s <= ps.n and ps.q == 2.0,
+                   "the entropy form needs s in (0, n] and q = 2",
+                   _form(difference_quotient, "L", _SHARP)),
+    "logsob_critical": Kind(lambda ps: ps.s == 0.0 and ps.q == 2.0,
+                            "the critical entropy form needs s = 0 and q = 2",
+                            _form(difference_quotient, "K0prime", lambda ps: 0.5 * ps.n)),
     "s0_subcritical": Kind(lambda ps: ps.s == 0.0 and ps.q < 2.0,
                            "the subcritical s = 0 form needs s = 0, q in [1, 2)",
-                           _form(difference_quotient, "K0prime", lambda ps: 0.5 * ps.n), _Q),
+                           _form(difference_quotient, "K0prime", lambda ps: 0.5 * ps.n)),
     "improved": Kind(lambda ps: 0.0 < ps.s < ps.n and ps.q < ps.q_star,
                      "the improved form needs s in (0, n) and q < q_star",
-                     _form(_quotient_plus_remainder, "L", _SHARP), _Q),
+                     _form(_quotient_plus_remainder, "L", _SHARP)),
     # G = sign(F) |F|^(q*-1): ||G||_p^2 - <G, K^-1 G> against
     # ||F||_q*^(2(q*-2)) (<F, K F> - ||F||_q*^2); both vanish to second
     # order at the optimizers, hence the looser 1e-8 roundoff gate
-    "square": Kind(lambda ps: 0.0 < ps.s < ps.n,
-                   "the squared-deficit form needs s in (0, n)",
-                   _square_sides, _Q_STAR, nodes=(256, 16), gate=1e-8),
+    "square": Kind(lambda ps: 0.0 < ps.s < ps.n and ps.q == ps.q_star,
+                   "the squared-deficit form needs s in (0, n) and q = q_star",
+                   _square_sides, nodes=(256, 16), gate=1e-8),
 }
 
 
 def deficit(fld, ps, kind):
     """Report of one inequality of the family, a key of KINDS, for a
-    concrete field.  Every quotient and entropy lhs comes from
-    field.lq_quotient, one formula for every q, so a kind keeps its name
-    and exponent as q approaches 2.  Raises ValueError for an unknown kind
-    or parameters the kind does not admit."""
+    concrete field, at the exponent ps.q.  Every quotient and entropy lhs
+    comes from field.lq_quotient, one formula for every q, so a kind keeps
+    its name as q approaches 2.  Raises ValueError for an unknown kind or
+    parameters the kind does not admit."""
     form = KINDS.get(kind)
     if form is None:
         raise ValueError(f"unknown inequality kind {kind!r}")
@@ -167,8 +160,7 @@ def deficit(fld, ps, kind):
     if form.nodes is not None:
         rule = sphere_rule(fld.n, max(form.nodes[0], form.nodes[1] * (fld.kmax + 1)))
     lhs, rhs = form.sides(fld, ps, rule)
-    return InequalityReport.from_sides(kind, ps, form.exponent(ps), lhs, rhs,
-                                       descriptor_of(fld), form.equality(fld))
+    return InequalityReport.from_sides(kind, ps, lhs, rhs, descriptor_of(fld))
 
 
 def deficit_square(fld, ps):
@@ -229,8 +221,8 @@ RANDOM_CASES = (
 
 
 def equality_suite():
-    """Reports for exact equality cases; every deficit is zero up to
-    quadrature roundoff and each report carries the equality flag."""
+    """Reports for the exact equality cases EQUALITY_CASES, in order:
+    every deficit is zero up to quadrature roundoff."""
     out = []
     for kind, n, s, q, desc in EQUALITY_CASES:
         ps = derive_params(n, s, q)

@@ -348,6 +348,9 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     # u0 = w0^4 is 5.2e-17 near theta = pi: positive, and below the flow's floor
     ("flow", {"init": {"coeffs": [[0, 1.0], [1, 0.7071]]}},
      "initial profile must be strictly positive and finite, u0 > 1e-12"),
+    # w0 is finite, and u0 = w0^4 overflows to inf: refused, with no numpy warning
+    ("flow", {"init": {"coeffs": [[0, 1e100]]}},
+     "initial profile must be strictly positive and finite, u0 > 1e-12"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -275,8 +275,8 @@ def test_eigen_residual_detects_wrong_eigenvalue(monkeypatch):
     true = eigen_residual(0.5, 1)
     assert true < 1e-4
     for wrong in (1, 3, 5, 7):
-        def perturbed(s, k, n=1, wrong=wrong):
-            return euclid_eigenvalue(s, k, n) * (1.0 + 1e-3 if k == wrong else 1.0)
+        def perturbed(s, k, wrong=wrong):
+            return euclid_eigenvalue(s, k) * (1.0 + 1e-3 if k == wrong else 1.0)
         monkeypatch.setattr(euclid, "euclid_eigenvalue", perturbed)
         assert eigen_residual(0.5, 1) >= 10.0 * true, wrong
 
@@ -290,7 +290,6 @@ def test_thm16_optimizer_is_equality_case():
     rep = thm16_deficit(lambda x: f_star(0.5, x), ps)
     assert rep.kind == "line_interpolation"
     assert abs(rep.deficit) <= 1e-10
-    assert rep.equality_case
     assert rep.lhs == pytest.approx(3.03352966508339587, rel=1e-12)
 
 
@@ -299,7 +298,6 @@ def test_thm16_perturbed_field_has_positive_deficit():
     rep = thm16_deficit(
         lambda x: f_star(0.5, x) * (1.0 + 0.1 * x / (1.0 + x * x)), ps)
     assert rep.deficit > 1e-7
-    assert not rep.equality_case
 
 
 def test_thm16_coefficients_at_entropy_endpoint():

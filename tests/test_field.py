@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from fracsphere.field import (ZonalField, analyze, descriptor_of,
                               difference_quotient, entropy2, field_from_descriptor,
-                              is_constant, lq_norm, lq_quotient, quadratic_form,
-                              synthesize, zonal_basis)
+                              lq_norm, lq_quotient, quadratic_form, synthesize,
+                              zonal_basis)
 from fracsphere.specfun import sphere_rule
 from fracsphere.spectrum import derive_params, operator_eigenvalue
 from reference import sharp_quotient
@@ -367,10 +367,3 @@ def test_random_band_limited_is_deterministic():
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
     assert a.kmax == 6
     assert np.abs(a.coeffs - np.eye(7)[0]).max() <= 0.4 + 1e-15
-
-
-def test_is_constant_threshold():
-    assert is_constant(ZonalField(2, [1.0]))
-    assert is_constant(ZonalField(2, [1.0, 1e-13]))
-    assert not is_constant(ZonalField(2, [1.0, 1e-10]))
-    assert not is_constant(ZonalField(2, [0.0, 1.0]))

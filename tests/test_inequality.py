@@ -35,7 +35,6 @@ def random_reports():
 def test_equality_suite_deficits_vanish(equality_reports):
     assert len(equality_reports) == len(EQUALITY_CASES)
     for r in equality_reports:
-        assert r.equality_case, r.kind
         assert abs(r.deficit) <= 1e-10, (r.kind, r.deficit)
 
 
@@ -66,9 +65,9 @@ def test_suite_covers_every_kind(random_reports):
 def test_poincare_equality_flag():
     ps = derive_params(3, 2.0)
     low = deficit(ZonalField(3, [0.4, 0.8]), ps, "poincare")
-    assert low.equality_case and abs(low.deficit) <= 1e-12
+    assert abs(low.deficit) <= 1e-12
     high = deficit(ZonalField(3, [0.4, 0.8, 0.3]), ps, "poincare")
-    assert not high.equality_case and high.deficit > 1e-3
+    assert high.deficit > 1e-3
 
 
 def test_sobolev_report_carries_critical_exponent():
@@ -107,6 +106,20 @@ def test_kind_parameter_mismatches_raise():
             deficit(fld, ps, kind)
     with pytest.raises(ValueError, match="unknown inequality kind"):
         deficit(fld, derive_params(2, 1.0, 3.0), "no_such_kind")
+
+
+@pytest.mark.parametrize("kind,n,s,q", [
+    ("sobolev", 2, 1.0, 3.0),
+    ("square", 2, 1.0, 3.0),
+    ("logsob", 2, 1.0, 3.0),
+    ("logsob_critical", 2, 0.0, 1.5),
+])
+def test_fixed_exponent_kinds_refuse_another_q(kind, n, s, q):
+    # the report's q is the parameter set's, so a kind stated at q_star or
+    # at 2 admits no other exponent
+    fld = ZonalField(n, [1.0, 0.1])
+    with pytest.raises(ValueError, match=re.escape(KINDS[kind].message)):
+        deficit(fld, derive_params(n, s, q), kind)
 
 
 def _s3_probe_lhs(c):
@@ -207,7 +220,7 @@ def test_improved_rejects_q_star_and_is_continuous_at_two():
 def test_square_vanishes_on_constants():
     ps = derive_params(1, 0.5)
     r = deficit_square(ZonalField(1, [1.0]), ps)
-    assert r.equality_case and r.deficit == pytest.approx(0.0, abs=1e-12)
+    assert r.deficit == pytest.approx(0.0, abs=1e-12)
 
 
 def test_square_nonnegative_off_optimum():

@@ -1,0 +1,107 @@
+"""Mutant scoreboard: which 1% errors in the spectral data the commands catch.
+
+Each mutant scales one quantity by 1.01 or by 0.99, in-process, by
+patching the name that the module using it imported.  Then the README
+commands run through cli.main, and a mutant counts as caught when one of
+them exits 1.  The caught set is asserted as a floor: a change may catch
+more mutants, never fewer.  The survivors are printed, not asserted.
+"""
+
+import dataclasses
+import time
+
+import numpy as np
+
+from fracsphere import cli, euclid, flow, inequality
+from fracsphere.euclid import euclid_eigenvalue
+from fracsphere.spectrum import (delta_sequence, derive_params, gamma_sequence,
+                                 operator_eigenvalue)
+
+# flow runs to t = 1, not the README's 6: RK4 steps dominate its cost (a
+# t = 6 run per mutant would take the test far past its budget), and the
+# mutants it catches fail the bound before t = 1
+COMMANDS = (
+    ["constants", "--n", "3", "--s", "2", "--kmax", "10"],
+    ["constants", "--n", "1", "--s", "-0.5", "--q", "1.2"],
+    ["verify", "--count", "200", "--seed", "0", "--out", "reports.csv"],
+    ["scan", "--out", "scan.json"],
+    ["scan", "--mode", "s_grid", "--n", "3", "--out", "landscape.csv"],
+    ["flow", "--s", "0.5", "--q", "4.0", "--t-max", "1.0", "--out", "flow.csv"],
+    ["euclid", "--s", "0.5", "--mode", "all", "--out", "euclid.json"],
+)
+
+# the mutants caught today; a change that catches another one adds it here
+CAUGHT_FLOOR = {"C+", "C-", "delta_1-", "line_lambda+", "line_lambda-"}
+BUDGET_S = 10.0
+
+
+def _scaled(values, index, factor):
+    out = np.array(values, dtype=float)
+    out[index] *= factor
+    return out
+
+
+def _patches(factor):
+    """Mutant name (without its sign) -> the (module, name, stand-in)
+    patches that scale its quantity by factor."""
+    def params(*args, **kwargs):
+        ps = derive_params(*args, **kwargs)
+        return dataclasses.replace(ps, constant=ps.constant * factor)
+
+    def eigenvalues(operator):      # degrees k >= 2 of one operator of the kinds
+        def scaled(ps, kind, kmax):
+            eigs = operator_eigenvalue(ps, kind, kmax)
+            return _scaled(eigs, slice(2, None), factor) if kind == operator else eigs
+        return scaled
+
+    def deltas(index):
+        return lambda n, s, kmax: _scaled(delta_sequence(n, s, kmax), index, factor)
+
+    def line_lambda(s, k):
+        return euclid_eigenvalue(s, k) * (factor if k >= 2 else 1.0)
+
+    def line_gamma(n, x, kmax):
+        return _scaled(gamma_sequence(n, x, kmax), slice(2, None), factor)
+
+    return {
+        "C": [(module, "derive_params", params) for module in (inequality, cli, flow)],
+        "K": [(inequality, "operator_eigenvalue", eigenvalues("K"))],
+        "L": [(inequality, "operator_eigenvalue", eigenvalues("L"))],
+        "delta_1": [(flow, "delta_sequence", deltas(1))],
+        "delta_k": [(flow, "delta_sequence", deltas(slice(2, None)))],
+        "line_lambda": [(euclid, "euclid_eigenvalue", line_lambda)],
+        "line_gamma": [(euclid, "gamma_sequence", line_gamma)],
+    }
+
+
+def _caught(tmp_path, monkeypatch):
+    """Whether some command exits 1; the first one that does ends the run."""
+    monkeypatch.chdir(tmp_path)
+    for argv in COMMANDS:
+        rc = cli.main(argv)
+        assert rc in (0, 1), (argv, rc)
+        if rc == 1:
+            return True
+    return False
+
+
+def test_mutant_scoreboard_keeps_its_caught_floor(tmp_path, monkeypatch, capsys):
+    t0 = time.perf_counter()
+    with monkeypatch.context() as m:
+        assert not _caught(tmp_path, m), "a command fails without a mutant"
+    caught = set()
+    for sign, factor in (("+", 1.01), ("-", 0.99)):
+        for name, patches in _patches(factor).items():
+            with monkeypatch.context() as m:
+                for module, attr, stand_in in patches:
+                    m.setattr(module, attr, stand_in)
+                if _caught(tmp_path, m):
+                    caught.add(name + sign)
+    elapsed = time.perf_counter() - t0
+    capsys.readouterr()         # the commands' own output
+    survivors = sorted({n + s for n in _patches(1.0) for s in "+-"} - caught)
+    print(f"caught {len(caught)} of {len(caught) + len(survivors)} in {elapsed:.1f} s "
+          f"({BUDGET_S:g} s budget): {', '.join(sorted(caught))}")
+    print(f"survivors: {', '.join(survivors)}")
+    assert caught >= CAUGHT_FLOOR, sorted(CAUGHT_FLOOR - caught)
+    assert elapsed < BUDGET_S, elapsed
