@@ -20,18 +20,20 @@ Discretization: nodal values at the Chebyshev midpoints theta_i =
 pi (i + 1/2) / m of [0, pi] (uniform weights 1/m), classical RK4 in
 time, whose dt must keep dt * delta_(m-1) within its real-axis stability
 limit (RK4_REAL_LIMIT): about any constant the flow linearises to -L_s,
-with eigenvalues -delta_k at every level and q.  Mirrored, the
-midpoints are the uniform 2m-point grid of the full circle: w extends
-as an even function and the flux as an odd one, so
-both linear stages of the right-hand side are Fourier multipliers on a
-real FFT of length 2m, O(m log m) per evaluation (Makhoul, IEEE TASSP
-1980).  On every mode 0 < k < m the grid resolves, w -> d/dtheta psi
-multiplies by i q delta_k / k and the divergence of the flux by i k, so
-the flow damps every mode that the entropy integrates; kmax only sizes
-the grid, m = max(128, 4 kmax), and caps the initial degree.  Mode 0
-of du/dt is exactly zero, so mass is conserved to roundoff.  The cosine
-coefficients of a nodal vector come from the same transform with the
-half-step phase exp(-i pi k / 2m) of the midpoints.  A step that leaves
+with eigenvalues -delta_k at every level and q.  Both linear stages
+of the right-hand side are cosine transforms of the m nodal values
+(DCT-II forward, DCT-III back), each one real FFT pair of length m on
+the nodes in Makhoul's order (IEEE TASSP 1980), O(m log m) per
+evaluation.  A sine on the midpoints is a cosine on the mirrored mode,
+sin k theta_i = (-1)^i cos (m - k) theta_i, and the two signs (-1)^i
+cancel in the flux, so no stage needs a sine transform.  On every mode
+0 < k < m the grid resolves, w -> d/dtheta psi multiplies cos k theta
+by -q delta_k / k into sin k theta and the divergence of the flux takes
+sin k theta to k cos k theta, so the flow damps every mode that the
+entropy integrates; kmax only sizes the grid, m = max(128, 4 kmax), and
+caps the initial degree.  Mode 0 of du/dt is exactly zero, so mass is
+conserved to roundoff.  The initial values and the cosine coefficients
+of a nodal vector come from the same transform pair.  A step that leaves
 the positive finite states (any value <= 1e-12, inf or NaN) ends the run
 with a NaN sample at its t; an initial density <= 1e-12 or inf is refused.
 """
@@ -44,12 +46,11 @@ from typing import ClassVar
 import numpy as np
 
 from .field import field_from_descriptor, finite_or_null, lq_quotient
-from .specfun import midpoint_phase
 from .spectrum import delta_sequence, derive_params
 
 MAX_STEPS = 10 ** 7     # on the default 128-point grid; 1000 times the default 6000
-MAX_WORK = 128 * MAX_STEPS      # steps times grid points; 19531 steps (< 25 min) at MAX_KMAX
-MAX_KMAX = 2 ** 14      # 512 times the default 32; about 70 ms and 15 MB per step there
+MAX_WORK = 128 * MAX_STEPS      # steps times grid points; 19531 steps (< 15 min) at MAX_KMAX
+MAX_KMAX = 2 ** 14      # 512 times the default 32; about 40 ms and 5 MB per step there
 # RK4 is stable on -x, x real, up to |R(-x)| = 1 at this root of x^3 - 4x^2 + 12x - 24
 RK4_REAL_LIMIT = 2.785293563405282
 
@@ -106,14 +107,8 @@ class FlowResult:
         }, sort_keys=True, allow_nan=False)
 
 
-def _multiply(ext, mult):
-    """Samples of a real periodic function on a uniform grid, times a
-    Fourier multiplier, back on the first half of the grid."""
-    return np.fft.irfft(np.fft.rfft(ext) * mult, ext.size)[:ext.size // 2]
-
-
 class FlowOps:
-    """Fourier multipliers of the spatial operator for one config."""
+    """The spatial operator for one config, on one real FFT pair of length m."""
 
     def __init__(self, cfg):
         if cfg.n != 1:
@@ -138,24 +133,44 @@ class FlowOps:
         if cfg.dt * self.delta[-1] > RK4_REAL_LIMIT:
             raise ValueError(f"dt must be at most {RK4_REAL_LIMIT / self.delta[-1]:.6g} "
                              f"on {m} grid points at s = {cfg.s}")
-        k = np.arange(m + 1)
-        # cos k theta -> q d/dtheta psi = -(q delta_k / k) sin k theta, 0 < k < m
-        self.mpsi = np.zeros(m + 1, dtype=complex)
-        self.mpsi[1:m] = 1j * self.q * self.delta[1:] / k[1:m]
-        # sin k theta -> d/dtheta, k cos k theta, 0 < k < m
-        self.mdiv = np.where((k >= 1) & (k < m), 1j * k, 0.0)
-        # DFT of the even extension -> coefficients on 1, sqrt(2) cos k theta
-        self.to_cos = midpoint_phase(m - 1, 2 * m)
+        # Makhoul's order v: even nodes up, then odd nodes down.  With Z_k =
+        # phase_k rfft(v)_k, k <= m/2, the sums C_k = sum_i u_i cos k theta_i
+        # are C_k = Re Z_k and C_(m-k) = -Im Z_k
+        i = np.arange(m)
+        self.order = np.concatenate((i[::2], i[::-2]))
+        self.nodal = np.where(i % 2, m - 1 - i // 2, i // 2)
+        self.phase = np.exp(-0.5j * np.pi * np.arange(m // 2 + 1) / m)
+        # sin k theta_i = (-1)^i cos (m - k) theta_i: w -> q d/dtheta psi takes
+        # cosine mode k to -(q delta_k / k) sin k theta, written on mode m - k,
+        # and the flux times the same (-1)^i has its sine mode k on mode
+        # j = m - k, which the divergence takes to (m - j) cos k theta
+        k = np.arange(m + 1.0)
+        grad = np.zeros(m + 1)
+        grad[1:m] = -self.q * self.delta[1:] / k[1:m]
+        self.grad = self._stage(grad)
+        self.div = self._stage(np.where((k > 0) & (k < m), m - k, 0.0))
+
+    def _stage(self, mult):
+        """(A, B) such that irfft(A V + B conj(V)), V = rfft(v), takes each
+        cosine mode 0 < j < m of v in transform order to mode m - j, times
+        mult_j; mult_0 = mult_m = 0."""
+        a, b = mult[::-1][:self.m // 2 + 1], mult[:self.m // 2 + 1]
+        return np.array((0.5j * (a - b), -0.5j * (a + b) / self.phase ** 2))
+
+    def _apply(self, stage, v):
+        hat = np.fft.rfft(v)
+        return np.fft.irfft(stage[0] * hat + stage[1] * hat.conj(), self.m)
 
     def init_values(self):
         try:
             fld = field_from_descriptor(self.cfg.init, 1, max_degree=self.cfg.kmax)
         except ValueError as exc:
             raise ValueError(f"init {exc}") from None
-        spec = np.zeros(self.m + 1, dtype=complex)
+        spec = np.zeros(self.m // 2 + 1, dtype=complex)     # kmax <= m/4: no mode m - k
         with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf refused below
-            spec[:fld.kmax + 1] = fld.coeffs / self.to_cos[:fld.kmax + 1]
-            w0 = np.fft.irfft(spec, 2 * self.m)[:self.m]
+            spec[:fld.kmax + 1] = fld.coeffs * self.m / math.sqrt(2.0) / self.phase[:fld.kmax + 1]
+            spec[0] *= math.sqrt(2.0)
+            w0 = np.fft.irfft(spec, self.m)[self.nodal]
             u0 = w0 ** self.q
         floor = self.cfg.clamp_floor
         if not (w0.min() > 0.0 and floor < u0.min() <= u0.max() < math.inf):  # NaN fails too
@@ -164,14 +179,16 @@ class FlowOps:
         return u0
 
     def cos_coeffs(self, v):
-        hat = np.fft.rfft(np.concatenate((v, v[::-1])))[:self.m]
-        return (hat * self.to_cos).real
+        """Coefficients of nodal values on 1 and sqrt(2) cos k theta, k < m."""
+        z = np.fft.rfft(v[self.order]) * self.phase
+        c = np.concatenate((z.real, -z.imag[-2:0:-1])) * (math.sqrt(2.0) / self.m)
+        c[0] /= math.sqrt(2.0)
+        return c
 
     def rhs(self, u):
-        w = u ** (1.0 / self.q)
-        dpsi = _multiply(np.concatenate((w, w[::-1])), self.mpsi)
-        flux = u ** (1.0 - 1.0 / self.q) * dpsi
-        return _multiply(np.concatenate((flux, -flux[::-1])), self.mdiv)
+        u = u[self.order]
+        dpsi = self._apply(self.grad, u ** (1.0 / self.q))     # times (-1)^i
+        return self._apply(self.div, u ** (1.0 - 1.0 / self.q) * dpsi)[self.nodal]
 
     def entropy(self, u):
         """E_q[u]: the L^q quotient of w = u^(1/q) under the uniform weights."""

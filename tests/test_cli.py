@@ -898,7 +898,7 @@ _NAN_LINE_REPORT = type("Report", (), {"deficit": math.nan, "lhs": math.nan, "rh
     (["flow", "--s", "1", "--q", "3", "--t-max", "0.2", "--kmax", "128"], _FAR, None,
      "flow: FAIL entropy nan not within bound 2.125e-01 at t=0.01"),
     (["flow", "--s", "1", "--q", "3", "--t-max", "0.2", "--kmax", "256"], _FAR, None,
-     "flow: FAIL entropy nan not within bound 2.146e-01 at t=0.005"),
+     "flow: FAIL entropy nan not within bound 2.142e-01 at t=0.006"),
 ])
 def test_failing_config_exits_1_with_fail_lines(argv, config, patch, fail, tmp_path, capsys,
                                                 monkeypatch):

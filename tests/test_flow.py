@@ -145,13 +145,13 @@ def test_huge_init_degree_is_rejected_before_allocation(init, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Fourier multipliers against the dense cosine/sine-matrix reference
+# the transform form of the operator against the dense cosine/sine-matrix reference
 
 
 class DenseFlow:
     """FlowOps by explicit cosine/sine sums over the m midpoints, on
     every mode 0 < k < m, O(m^2) per right-hand side: an independent
-    reference for the Fourier-multiplier form.  The angles k theta_i are
+    reference for the transform form.  The angles k theta_i are
     reduced mod 2 pi in integer arithmetic, so the matrices are accurate
     to roundoff at every k."""
 
@@ -205,7 +205,7 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("kmax", [1, 8, 32, 256])
+@pytest.mark.parametrize("kmax", [1, 8, 32, 256, 33, 100])
 @pytest.mark.parametrize("seed,q", [(0, 4.0), (1, 1.5), (2, 3.0)])
 def test_fourier_multipliers_match_dense_reference(kmax, seed, q):
     ops = FlowOps(FlowConfig(q=q, kmax=kmax, init=positive_profile(kmax, seed)))
@@ -217,6 +217,24 @@ def test_fourier_multipliers_match_dense_reference(kmax, seed, q):
     assert rel_err(du, ref.rhs(u)) <= 1e-12
     assert abs(du.mean()) <= 1e-15
     assert ops.dissipation(u) == pytest.approx(ref.dissipation(u), rel=1e-12)
+
+
+def test_rhs_makes_one_real_transform_pair_per_stage(monkeypatch):
+    ops = FlowOps(FlowConfig(kmax=256))
+    u = ops.init_values()
+    calls = []
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def transform(a, n=None, *args, **kwargs):
+            calls.append((name, np.shape(a)[-1] if n is None else n))
+            return real(a, n, *args, **kwargs)
+        return transform
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    ops.rhs(u)
+    assert sorted(calls) == [("irfft", ops.m)] * 2 + [("rfft", ops.m)] * 2
 
 
 def test_flow_ops_hold_only_grid_sized_arrays():
@@ -401,11 +419,13 @@ def test_blowup_is_reported():
 
 
 # far from constant: min u0 is 5.8e-4, and on wide grids RK4 at the default
-# dt drives u below zero within a few steps, though dt is inside its limit
+# dt drives u below zero within a few steps, though dt is inside its limit.
+# The unresolved top modes that do it grow from roundoff, so the step is
+# exact only for one transform: 1-ulp noise on u0 moves it by one at kmax 256
 FAR_DATUM = {"coeffs": [[0, 1.0], [5, 0.5], [9, 0.15]]}
 
 
-@pytest.mark.parametrize("kmax,t_last", [(128, 0.01), (256, 0.005)])
+@pytest.mark.parametrize("kmax,t_last", [(128, 0.01), (256, 0.006)])
 def test_a_state_below_the_floor_ends_the_run_with_a_nan_sample(kmax, t_last):
     # a floor that lifted such values let these runs finish quietly, with
     # E(0.2) = 0.02189 at kmax 128 and 0.01866 at kmax 256
