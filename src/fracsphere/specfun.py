@@ -6,11 +6,12 @@ from the standard library's math.lgamma (and gamma ratios that keep
 their digits for large arguments), Gegenbauer polynomials by their
 three-term recurrence, and Gauss-Jacobi nodes/weights found by Newton
 iteration from asymptotic angles and one extended-precision sweep.
-Symmetric rules (a = b, the latitude weight of every sphere) are solved
-on the upper half of the interval and mirrored, so they are exactly
-symmetric by construction.  Each Gauss-Jacobi rule is built once per
-process and shared, read-only, by every caller; rule_cache_info()
-reports how often one was built or reused.
+Symmetric rules (a = b, the latitude weight of every sphere) sweep the
+half-degree recurrence of Szego's quadratic transformation (Orthogonal
+Polynomials, 4.1) on the upper half of the interval and are mirrored,
+so they are exactly symmetric by construction.  Each Gauss-Jacobi rule
+is built once per process and shared, read-only, by every caller;
+rule_cache_info() reports how often one was built or reused.
 """
 
 import math
@@ -136,12 +137,6 @@ def _jacobi_eval(m, a, b, x):
     return pm, pm1
 
 
-def _jacobi_deriv(m, a, b, x, pm, pm1):
-    # valid only at interior points (1 - x^2 != 0)
-    return (m * (a - b - (2.0 * m + a + b) * x) * pm
-            + 2.0 * (m + a) * (m + b) * pm1) / ((2.0 * m + a + b) * (1.0 - x * x))
-
-
 def gauss_jacobi(m, a, b):
     """m-point Gauss-Jacobi rule for the weight (1-z)^a (1+z)^b, a, b > -1.
 
@@ -163,18 +158,23 @@ def gauss_jacobi(m, a, b):
     evaluates P_m, P_{m-1} and P' at those roots, takes a last Newton step
     d = -P/P', carries P' to x + d by P'' from the Jacobi ODE
     (1 - x^2) P'' = (a - b + (a+b+2) x) P' - m (m+a+b+1) P, and forms
-
-        w_i = 2^(a+b+1) * Gamma(m+a+1) Gamma(m+b+1)
-              / (Gamma(m+a+b+1) m! (1 - x_i^2) P_m'(x_i)^2).
+    w_i proportional to 1 / ((1 - x_i^2) P_m'(x_i)^2), scaled to the
+    closed-form mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2): the
+    Gamma constant of the Christoffel numbers is never formed.
 
     At the extreme roots the recurrence value feeding P' is small against
     the oscillation envelope: in double that costs about m^2 ulps, and
     large rules integrate worse than 1e-12 (as they do where long double
-    is double).  The weights are then rescaled to the closed-form mass.
+    is double).
 
-    For a = b the roots are symmetric about 0, so the solve, the polish
-    and the weights run on the upper half only (an odd m's middle root is
-    exactly 0), and the lower half is its mirror image: nodes are exactly
+    For a = b (every sphere rule) and m = 2k + e >= 2, e = 0 or 1, Szego's
+    quadratic transformation (Orthogonal Polynomials, 4.1) gives
+
+        P_m^(a,a)(x) = const * x^e P_k^(a, e-1/2)(2x^2 - 1),
+
+    so every sweep is a degree-k recurrence in z = 2x^2 - 1, half as long,
+    on the roots in the upper half only; the lower half is their mirror
+    image (an odd m's middle root is exactly 0), so nodes are exactly
     antisymmetric and weights exactly symmetric.
     """
     if not (m >= 1 and float(m).is_integer()):     # NaN and inf fail too
@@ -198,43 +198,61 @@ def _build_rule(m, a, b):
     if a == b and m % 2:
         x[h] = 0.0      # the middle root of an odd P_m is exactly 0
     x, ends = x[h:], ends[h:]
-    vals, _ = _jacobi_eval(m, a, b, ends)
+    # f = x^e P_k^(a,c)(z), a multiple of P_m: m = 2k + e and z = 2x^2 - 1
+    # when h > 0, else k = m, e = 0, c = b and z = x
+    k, e, c = (m // 2, m % 2, m % 2 - 0.5) if h else (m, 0, b)
+    s = 2 * k + a + c
+
+    def sweep(x):
+        z = 2.0 * x * x - 1.0 if h else x
+        pk, pk1 = _jacobi_eval(k, a, c, z)
+        return x ** e * pk, pk, pk1, z
+
+    def deriv(x, pk, pk1, z):
+        # f' = e P_k + x^e z'(x) P_k'(z); 1 - z^2 = 4 x^2 (1 - x^2) when h > 0,
+        # so f' is valid only at interior points (1 - x^2 != 0)
+        top = (k * (a - c - s * z) * pk + 2.0 * (k + a) * (k + c) * pk1) / (s * (1.0 - x * x))
+        return e * pk + x ** (e - 1) * top if h else top
+
+    vals = sweep(ends)[0]
     if not np.all(vals[:-1] * vals[1:] < 0):
         raise RuntimeError(f"asymptotic brackets miss roots of P_{m}^({a}, {b})")
 
     lo, hi, flo = ends[:-1], ends[1:], vals[:-1]
     for _ in range(60):
-        pm, pm1 = _jacobi_eval(m, a, b, x)
-        dp = _jacobi_deriv(m, a, b, x, pm, pm1)
+        f, pk, pk1, z = sweep(x)
+        df = deriv(x, pk, pk1, z)
         # an exact zero is a converged root: pin the bracket there, since
         # carrying flo = 0 forward would disable the sign test
-        exact = pm == 0.0
-        shrink_hi = pm * flo < 0
+        exact = f == 0.0
+        shrink_hi = f * flo < 0
         hi = np.where(exact, x, np.where(shrink_hi, x, hi))
         lo = np.where(exact, x, np.where(shrink_hi, lo, x))
-        flo = np.where(exact | shrink_hi, flo, pm)
-        xn = np.where(exact, x, x - pm / dp)
+        flo = np.where(exact | shrink_hi, flo, f)
+        xn = np.where(exact, x, x - f / df)
         # a converged root sits on a bracket end, where its last Newton
         # step of a few ulps may land outside: test the step before the
-        # bracket, or the safeguard bisects away from the root again
+        # bracket, or the safeguard bisects away from the root again.
+        # z = 2x^2 - 1 resolves x near 0 only to about 1e-16 / x, so a
+        # step that moves z by a few ulps is done too
         done = np.abs(xn - x) <= 1e-14 * (1.0 + np.abs(x))
+        if h:
+            done |= np.abs(2.0 * (xn - x) * (xn + x)) <= 1e-15 * (1.0 + np.abs(z))
         bad = ~done & ((xn <= lo) | (xn >= hi) | ~np.isfinite(xn))
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         x = xn
         if done.all():
             break
 
-    # the one extended-precision sweep: Newton step d, P' moved to x + d by P''
+    # the one extended-precision sweep: Newton step d, then f' moved to
+    # x + d by f'' from the ODE of P_m, which its multiple f solves too
     xe = x.astype(np.longdouble)
-    pm, pm1 = _jacobi_eval(m, a, b, xe)
-    dp = _jacobi_deriv(m, a, b, xe, pm, pm1)
-    d = -pm / dp
-    dp += d * ((a - b + (a + b + 2.0) * xe) * dp - m * (m + a + b + 1.0) * pm) / (1.0 - xe * xe)
+    f, pk, pk1, z = sweep(xe)
+    df = deriv(xe, pk, pk1, z)
+    d = -f / df
+    df += d * ((a - b + (a + b + 2.0) * xe) * df - m * (m + a + b + 1.0) * f) / (1.0 - xe * xe)
     xe += d
-    logc = (log_gamma(m + a + 1.0) + log_gamma(m + b + 1.0)
-            - log_gamma(m + a + b + 1.0) - log_gamma(m + 1.0)
-            + (a + b + 1.0) * np.log(2.0))
-    w = np.exp(np.longdouble(logc)) / ((1.0 - xe * xe) * dp * dp)
+    w = 1.0 / ((1.0 - xe * xe) * df * df)
     if h:
         xe = np.concatenate([-xe[m % 2:][::-1], xe])
         w = np.concatenate([w[m % 2:][::-1], w])

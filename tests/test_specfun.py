@@ -407,10 +407,17 @@ def test_suites_build_each_distinct_rule_once(monkeypatch):
     assert info.hits == len(keys) - len(set(keys))
 
 
+def _jacobi_deriv(m, a, b, x, pm, pm1):
+    # P_m' from P_m and P_{m-1}, valid only at interior points (1 - x^2 != 0)
+    return (m * (a - b - (2.0 * m + a + b) * x) * pm
+            + 2.0 * (m + a) * (m + b) * pm1) / ((2.0 * m + a + b) * (1.0 - x * x))
+
+
 def _scan_seeded_rule(m, a, b):
     """Reference builder: roots bracketed by a sign scan on an 8m-point
-    Chebyshev-angle grid, then the same safeguarded Newton solve,
-    one-sweep extended-precision polish and weights as gauss_jacobi."""
+    Chebyshev-angle grid, then a safeguarded Newton solve and a one-sweep
+    extended-precision polish like gauss_jacobi's, but on the full-degree
+    recurrence for every (a, b), with the Gamma constant in the weights."""
     theta = (np.arange(8 * m) + 0.3183098861837907) * np.pi / (8 * m)
     grid = np.concatenate([[-1.0], np.cos(theta)[::-1], [1.0]])
     vals, _ = specfun._jacobi_eval(m, a, b, grid)
@@ -422,7 +429,7 @@ def _scan_seeded_rule(m, a, b):
     x = 0.5 * (lo + hi)
     for _ in range(60):
         pm, pm1 = specfun._jacobi_eval(m, a, b, x)
-        dp = specfun._jacobi_deriv(m, a, b, x, pm, pm1)
+        dp = _jacobi_deriv(m, a, b, x, pm, pm1)
         exact = pm == 0.0
         shrink_hi = pm * flo < 0
         hi = np.where(exact, x, np.where(shrink_hi, x, hi))
@@ -436,7 +443,7 @@ def _scan_seeded_rule(m, a, b):
             break
     xe = x.astype(np.longdouble)
     pm, pm1 = specfun._jacobi_eval(m, a, b, xe)
-    dp = specfun._jacobi_deriv(m, a, b, xe, pm, pm1)
+    dp = _jacobi_deriv(m, a, b, xe, pm, pm1)
     d = -pm / dp
     dp += d * ((a - b + (a + b + 2.0) * xe) * dp - m * (m + a + b + 1.0) * pm) / (1.0 - xe * xe)
     xe += d
@@ -451,13 +458,13 @@ def _scan_seeded_rule(m, a, b):
 
 
 # sphere rules (a = b = (n-2)/2) at the sizes of field, deficit and
-# square; the k + 12 nodes at ((n-2-lam)/2, (n-2)/2) of the Funk-Hecke
+# square, and at 977 for the odd half-degree branch at scale; the k + 12 nodes at ((n-2-lam)/2, (n-2)/2) of the Funk-Hecke
 # oracle reference.funk_hecke_mu; and
 # exponents near both ends of the admissible range
 REFERENCE_GRID = (
     [(m, e, e) for m in (1, 2, 5, 33, 128, 160, 256, 272)
      for e in (-0.5, 0.0, 0.5, 1.0)]
-    + [(976, 0.0, 0.0), (976, 0.5, 0.5)]
+    + [(976, 0.0, 0.0), (976, 0.5, 0.5), (977, 0.0, 0.0), (977, 0.5, 0.5)]
     + [(m, 0.5 * (n - 2.0 - lam), 0.5 * (n - 2.0)) for m in (12, 16, 20)
        for n in (2, 3) for lam in (0.5, 1.0, 1.5, n - 0.25, n - 0.1)]
     + [(7, -0.99, 10.0), (40, 10.0, -0.99), (64, 1.5, 2.0), (16, -0.25, 0.0)]
@@ -510,6 +517,7 @@ def test_weights_match_30_digit_reference():
     and 1e-12, where the 20-node rule still reads 1e-14."""
     mp = pytest.importorskip("mpmath").mp
     cases = [(sphere_rule(n, 976), (0, 1, 487, 488, 974, 975)) for n in (2, 3, 4)]
+    cases += [(sphere_rule(3, 977), (0, 1, 487, 488, 489, 975, 976))]    # x P_k^(a,1/2), middle root 0
     cases += [(gauss_jacobi(20, -0.25, 0.5), range(20)),   # the Funk-Hecke oracle at (3, 1.5, 8)
               (gauss_jacobi(200, 2.5, -0.5), (0, 1, 100, 198, 199)),
               (gauss_jacobi(300, 0.0, 1.0), (0, 1, 150, 298, 299))]
@@ -533,21 +541,26 @@ def test_symmetric_rules_are_exact_mirrors(m, e):
 
 
 def test_symmetric_builds_sweep_half_the_points(monkeypatch):
-    sizes = []
+    # a = b and m >= 2: every sweep is the degree-m // 2 recurrence of
+    # Szego's quadratic transformation, on the upper-half roots only
+    sizes, degrees = [], []
     original = specfun._jacobi_eval
 
     def recording(m, a, b, x):
         sizes.append(np.size(x))
+        degrees.append(m)
         return original(m, a, b, x)
 
     monkeypatch.setattr(specfun, "_jacobi_eval", recording)
-    for m, a, b, most in ([(m, e, e, m // 2 + 2) for m in (1, 2, 3, 160, 161, 976)
-                           for e in (0.0, 0.5)]
-                          + [(m, 0.25, 1.5, m + 1) for m in (2, 33, 160)]):
+    for m, a, b, most, degree in ([(m, e, e, m // 2 + 2, max(m // 2, 1))
+                                   for m in (1, 2, 3, 160, 161, 976) for e in (0.0, 0.5)]
+                                  + [(m, 0.25, 1.5, m + 1, m) for m in (2, 33, 160)]):
         specfun._build_rule.cache_clear()
         sizes.clear()
+        degrees.clear()
         gauss_jacobi(m, a, b)
         assert sizes and max(sizes) <= most, (m, a, b, sizes)
+        assert set(degrees) == {degree}, (m, a, b, degrees)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
