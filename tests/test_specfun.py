@@ -458,9 +458,10 @@ def _scan_seeded_rule(m, a, b):
 
 
 # sphere rules (a = b = (n-2)/2) at the sizes of field, deficit and
-# square, and at 977 for the odd half-degree branch at scale; the k + 12 nodes at ((n-2-lam)/2, (n-2)/2) of the Funk-Hecke
-# oracle reference.funk_hecke_mu; and
-# exponents near both ends of the admissible range
+# square, and at 977 for the odd half-degree branch at scale; the k + 12
+# nodes at ((n-2-lam)/2, (n-2)/2) of the Funk-Hecke oracle
+# reference.funk_hecke_mu; and exponents near both ends of the
+# admissible range
 REFERENCE_GRID = (
     [(m, e, e) for m in (1, 2, 5, 33, 128, 160, 256, 272)
      for e in (-0.5, 0.0, 0.5, 1.0)]
