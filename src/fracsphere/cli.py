@@ -47,7 +47,7 @@ from .spectrum import (CONSTANTS_HEADER, MAX_DEGREE, constants_row,
 
 MAX_SCAN_DIMENSIONS = 1000      # 200 times the default 5, at about 5 ms per dimension
 MAX_VERIFY_COUNT = 20000        # 100 times the default 200, at about 0.5 ms per report
-MAX_EUCLID_KMAX = 100   # 25 times the default 4; one residual per degree, 7 to 12 ms each
+MAX_EUCLID_KMAX = 100   # 25 times the default 4; one residual per degree, 2 to 8 ms each
 
 
 def gate(command, value, bound, message):

@@ -13,16 +13,18 @@ and the two-endpoint interpolation deficit on the line.
 
 The residual applies the fractional Laplacian as the |xi|^s multiplier
 on one real FFT pair of a periodized grid (the symbol is real and even).
-That periodic surrogate zeroes the DC mode and bins |xi|^s coarsely
-near zero, which caps its accuracy around 1e-3 for slowly decaying
-fields, so the residual is taken on mean-corrected combinations
-insensitive to the DC loss, whose profiles T_j(z) come from one pass of
-the Chebyshev recurrence.  The deficit at the optimizer, which needs
-roundoff accuracy, is computed by exact transport to the circle.
+That surrogate zeroes the DC mode and bins |xi|^s coarsely near zero,
+which caps its accuracy around 1e-3 for slowly decaying fields, so the
+residual is taken on mean-corrected combinations insensitive to the DC
+loss, whose profiles T_j(z) come from the Chebyshev recurrence on three
+rotating buffers; its grid factors and symbol are memoised per (s, L, N).
+The deficit at the optimizer, which needs roundoff accuracy, is computed
+by exact transport to the circle.
 """
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .spectrum import gamma_sequence
 
 TWO_PI = 2.0 * np.pi
 LINE_NODES = 8192       # angular midpoints of the line deficit's transport to the circle
-MAX_N = 2 ** 20         # 32 times the default grid; about 0.3 s and 130 MB per residual
+MAX_N = 2 ** 20         # 32 times the default grid; about 0.2 s and 110 MB per residual
 
 
 @dataclass(frozen=True)
@@ -111,25 +113,33 @@ def euclid_eigenvalue(s, k):
                                    - log_gamma(k + 0.5 * (1 - s))))
 
 
-def _apply_multiplier(values, h, s):
-    """(-Lap)^(s/2) of samples on a periodized grid of spacing h."""
-    xi = TWO_PI * np.fft.rfftfreq(values.size, d=h)
-    return np.fft.irfft(xi ** s * np.fft.rfft(values), values.size)
-
-
 # ---------------------------------------------------------------------------
 # eigenfunction residual
 
 
-def _chebyshev_rows(z, degrees):
-    """T_j(z) for each j in the ascending degrees, by the recurrence
-    T_(j+1) = 2 z T_j - T_(j-1) with only the two latest rows kept."""
-    rows, prev, cur, two_z = [], np.ones_like(z), z, 2.0 * z
-    for j in range(degrees[-1] + 1):
+@lru_cache(maxsize=1)
+def _line_factors(s, L, N):
+    """eigen_residual's read-only u^(-mu), z = (1 - x^2)/u, u^(-s) and |xi|^s, u = 1 + x^2."""
+    eu = EuclidParams(s=s, L=L, N=N)
+    x = eu.grid()
+    # x * x overflows for a huge L; the NaN residual then fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 1.0 + x * x
+        factors = (u ** (-eu.mu), (1.0 - x * x) / u, u ** (-s),
+                   (TWO_PI * np.fft.rfftfreq(x.size, d=eu.h)) ** s)
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
+def _chebyshev_rows(z, envelope, degrees):
+    """envelope * T_j(z) per ascending degree j, by T_(j+1) = 2 z T_j - T_(j-1) on 3 buffers."""
+    rows, two_z, prev, cur, nxt = [], 2.0 * z, np.ones_like(z), z.copy(), np.empty_like(z)
+    for j in range(degrees[-1]):
         if j in degrees:
-            rows.append(prev)
-        prev, cur = cur, two_z * cur - prev
-    return rows
+            rows.append(np.multiply(prev, envelope))
+        prev, cur, nxt = cur, np.subtract(np.multiply(two_z, cur, out=nxt), prev, out=nxt), prev
+    return rows + [np.multiply(prev, envelope)]
 
 
 def eigen_residual(s, k, L=EuclidParams.L, N=EuclidParams.N):
@@ -152,23 +162,25 @@ def eigen_residual(s, k, L=EuclidParams.L, N=EuclidParams.N):
     not to the roundoff level at the grid edge where periodization would
     be harmless; the mean corrections make that safe.
     """
-    eu = EuclidParams(s=s, L=L, N=N)
-    x = eu.grid()
+    envelope, z, weight, symbol = _line_factors(s, L, N)
     js = (k, k + 2, k + 4, k + 6)
-    # x * x overflows for a huge L; the NaN residual then fails the gate
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = 1.0 + x * x
-        envelope = u ** (-eu.mu)
-        profiles = [t * envelope for t in _chebyshev_rows((1.0 - x * x) / u, js)]
+    profiles = _chebyshev_rows(z, envelope, js)
     # the three conditions on c as rows of m, with c_0 = 1
     m = np.array([[1.0] * 4, [j * j for j in js], [p.sum() for p in profiles]])
     c = np.concatenate([[1.0], np.linalg.solve(m[:, 1:], -m[:, 0])])
-    g = sum(ci * pi for ci, pi in zip(c, profiles))
-    lam = np.array([euclid_eigenvalue(s, j) for j in js])
-    rhs = u ** (-s) * sum(ci * li * pi for ci, li, pi in zip(c, lam, profiles))
-    lhs = _apply_multiplier(g, eu.h, s)
-    rhs0 = rhs - rhs.mean()
-    return float(np.linalg.norm(lhs - lhs.mean() - rhs0) / np.linalg.norm(rhs0))
+    g, rhs = np.zeros_like(z), np.zeros_like(z)       # summed in place as Python's sum does
+    for cj, j, p in zip(c, js, profiles):
+        g += p * cj
+        rhs += p * (cj * euclid_eigenvalue(s, j))
+    spec = np.fft.rfft(g)
+    del g       # its buffer is free again for the inverse transform
+    rhs *= weight
+    rhs -= rhs.mean()
+    spec *= symbol
+    lhs = np.fft.irfft(spec, z.size)
+    lhs -= lhs.mean()
+    lhs -= rhs
+    return float(np.linalg.norm(lhs) / np.linalg.norm(rhs))
 
 
 # ---------------------------------------------------------------------------

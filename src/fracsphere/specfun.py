@@ -277,4 +277,7 @@ def sphere_rule(n, m):
     measure on the n-sphere: weight (1-z^2)^((n-2)/2), normalized mass 1.
     """
     e = 0.5 * (n - 2.0)
-    return gauss_jacobi(m, e, e)
+    try:
+        return gauss_jacobi(m, e, e)
+    except RuntimeError:
+        raise ValueError(f"no {m}-node sphere rule for n = {n}: its root brackets fail") from None

@@ -17,6 +17,9 @@ identity of the paper checked with the package's primitives:
 - GridField, grid_field, frac_laplacian_oracle: the fractional Laplacian
   on a periodized line grid through the |xi|^s multiplier, against the
   circle-side Dirichlet form
+- eigen_residual_oracle: the line eigen-residual as it stood before its
+  factors were memoised and its recurrence ran in place, a fresh array
+  per operation; the package's must give the same floats
 - weighted_norm: line integrals with an algebraic tail correction,
   against circle-side norms under the stereographic transport
 - taylor_remainder, taylor_case_constant, taylor_bounds: the pointwise
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracsphere.euclid import _apply_multiplier
+from fracsphere import euclid
+from fracsphere.euclid import TWO_PI, EuclidParams
 from fracsphere.inequality import deficit
 from fracsphere.specfun import gauss_jacobi, gegenbauer_all, log_gamma
 from fracsphere.spectrum import gamma_sequence
@@ -119,6 +123,12 @@ def grid_field(fn, eu):
 DECAY_BOUND = 1e-8
 
 
+def _apply_multiplier(values, h, s):
+    """(-Lap)^(s/2) of samples on a periodized grid of spacing h."""
+    xi = TWO_PI * np.fft.rfftfreq(values.size, d=h)
+    return np.fft.irfft(xi ** s * np.fft.rfft(values), values.size)
+
+
 def frac_laplacian_oracle(gf, s):
     """Fractional Laplacian on the periodized grid via the |xi|^s multiplier.
 
@@ -133,6 +143,40 @@ def frac_laplacian_oracle(gf, s):
             f"edge is {edge / peak:.1e} of max|f| (bound {DECAY_BOUND:g}); "
             f"enlarge the window")
     return GridField(x=gf.x, values=_apply_multiplier(gf.values, gf.h, s))
+
+
+def _chebyshev_rows(z, degrees):
+    """T_j(z) for each j in the ascending degrees, by the recurrence
+    T_(j+1) = 2 z T_j - T_(j-1) with only the two latest rows kept."""
+    rows, prev, cur, two_z = [], np.ones_like(z), z, 2.0 * z
+    for j in range(degrees[-1] + 1):
+        if j in degrees:
+            rows.append(prev)
+        prev, cur = cur, two_z * cur - prev
+    return rows
+
+
+def eigen_residual_oracle(s, k, L=EuclidParams.L, N=EuclidParams.N):
+    """euclid.eigen_residual with every factor rebuilt and every
+    operation on a fresh array; the eigenvalues come from the package's
+    euclid_eigenvalue, looked up at call time."""
+    eu = EuclidParams(s=s, L=L, N=N)
+    x = eu.grid()
+    js = (k, k + 2, k + 4, k + 6)
+    # x * x overflows for a huge L; the NaN residual then fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 1.0 + x * x
+        envelope = u ** (-eu.mu)
+        profiles = [t * envelope for t in _chebyshev_rows((1.0 - x * x) / u, js)]
+    # the three conditions on c as rows of m, with c_0 = 1
+    m = np.array([[1.0] * 4, [j * j for j in js], [p.sum() for p in profiles]])
+    c = np.concatenate([[1.0], np.linalg.solve(m[:, 1:], -m[:, 0])])
+    g = sum(ci * pi for ci, pi in zip(c, profiles))
+    lam = np.array([euclid.euclid_eigenvalue(s, j) for j in js])
+    rhs = u ** (-s) * sum(ci * li * pi for ci, li, pi in zip(c, lam, profiles))
+    lhs = _apply_multiplier(g, eu.h, s)
+    rhs0 = rhs - rhs.mean()
+    return float(np.linalg.norm(lhs - lhs.mean() - rhs0) / np.linalg.norm(rhs0))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from fracsphere.euclid import (EuclidParams, _chebyshev_rows, eigen_residual,
 from fracsphere.field import ZonalField, lq_norm
 from fracsphere.specfun import sphere_rule
 from fracsphere.spectrum import derive_params, gamma_sequence
-from reference import GridField, frac_laplacian_oracle, grid_field, weighted_norm
+from reference import (GridField, eigen_residual_oracle, frac_laplacian_oracle, grid_field,
+                       weighted_norm)
 
 
 def eigen_profile(s, k, x):
@@ -115,14 +116,15 @@ def test_chebyshev_rows_match_arccos_oracle():
     s = 0.5
     x = EuclidParams(s).grid()
     u = 1.0 + x * x
+    z, envelope = (1.0 - x * x) / u, u ** -0.25
     degrees = tuple(range(18))
-    rows = _chebyshev_rows((1.0 - x * x) / u, degrees)
+    rows = _chebyshev_rows(z, envelope, degrees)
     assert len(rows) == len(degrees)
     for j, row in zip(degrees, rows):
-        np.testing.assert_allclose(row * u ** -0.25, eigen_profile(s, j, x),
+        np.testing.assert_allclose(row, eigen_profile(s, j, x),
                                    rtol=0.0, atol=5e-14)
     # a sparse choice of degrees returns just those rows
-    sparse = _chebyshev_rows((1.0 - x * x) / u, (11, 13, 15, 17))
+    sparse = _chebyshev_rows(z, envelope, (11, 13, 15, 17))
     for j, row in zip((11, 13, 15, 17), sparse):
         np.testing.assert_array_equal(row, rows[j])
 
@@ -267,6 +269,45 @@ def test_eigen_residual_decreases_with_resolution():
     coarse = eigen_residual(0.3, 1)
     fine = eigen_residual(0.3, 1, L=120.0, N=2 ** 16)
     assert fine < coarse
+
+
+@pytest.mark.parametrize("L,N", [(60.0, 2 ** 15), (120.0, 2 ** 16), (7.0, 1000), (60.0, 2)])
+def test_eigen_residual_matches_unmemoised_oracle_bitwise(L, N):
+    # memoised factors and in-place buffers change no float of the residual
+    for s in (0.01, 0.2, 0.3, 0.35, 0.5, 0.65, 0.8, 0.99):
+        for k in range(14):
+            assert eigen_residual(s, k, L, N) == eigen_residual_oracle(s, k, L, N), (s, k)
+
+
+def test_eigen_residual_nan_on_overflowing_grid_as_oracle():
+    assert math.isnan(eigen_residual(0.5, 1, 1e200))
+    assert math.isnan(eigen_residual_oracle(0.5, 1, 1e200))
+
+
+def test_line_factors_built_once_per_order():
+    cached = euclid._line_factors
+    cached.cache_clear()
+    for k in range(12):
+        eigen_residual(0.35, k)
+    info = cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 11, 1)
+    envelope, z, weight, symbol = cached(0.35, EuclidParams.L, EuclidParams.N)
+    assert symbol.size == EuclidParams.N // 2 + 1
+    for a in (envelope, z, weight, symbol):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+
+
+def test_bad_line_grid_leaves_nothing_in_factor_cache():
+    cached = euclid._line_factors
+    cached.cache_clear()
+    for s, L, N in [(0.0, 60.0, 2 ** 10), (1.0, 60.0, 2 ** 10), (0.5, 0.0, 2 ** 10),
+                    (0.5, float("nan"), 2 ** 10), (0.5, 60.0, 1), (0.5, 60.0, euclid.MAX_N + 1)]:
+        with pytest.raises(ValueError):
+            eigen_residual(s, 0, L, N)
+    assert cached.cache_info().currsize == 0
 
 
 def test_eigen_residual_detects_wrong_eigenvalue(monkeypatch):

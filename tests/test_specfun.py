@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsphere import specfun
-from fracsphere.inequality import equality_suite, random_suite
+from fracsphere.field import ZonalField
+from fracsphere.inequality import deficit, equality_suite, random_suite
 from fracsphere.specfun import (QuadratureRule, gauss_jacobi, gegenbauer_all,
                                 log_gamma, rule_cache_info, sphere_rule)
+from fracsphere.spectrum import derive_params
 from reference import gamma_ratio
 
 # ---------------------------------------------------------------------------
@@ -375,6 +377,19 @@ def test_rules_are_shared_per_key():
     assert sphere_rule(2, 160) is gauss_jacobi(160, 0, 0)
     assert sphere_rule(3, 64) is gauss_jacobi(64.0, 0.5, 0.5)
     assert gauss_jacobi(24, 0.25, 1.5) is not gauss_jacobi(24, 1.5, 0.25)
+
+
+def test_sphere_rule_of_a_high_dimension_is_a_value_error():
+    # the asymptotic brackets of P_160^(22, 22) miss roots: raw gauss_jacobi
+    # keeps its RuntimeError, the sphere rule names n and the node count
+    with pytest.raises(RuntimeError):
+        gauss_jacobi(160, 22.0, 22.0)
+    with pytest.raises(ValueError, match=r"^no 160-node sphere rule for n = 46: "):
+        sphere_rule(46, 160)
+    with pytest.raises(ValueError, match="n = 46"):
+        deficit(ZonalField(n=46, coeffs=[1.0, 0.1]), derive_params(46, 1.0, 2.02),
+                "interpolation")
+    assert sphere_rule(45, 160).nodes.size == 160
 
 
 def test_rule_arrays_are_read_only():
