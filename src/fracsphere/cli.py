@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from .euclid import EuclidParams, eigen_residual, f_star, thm16_deficit
-from .field import finite_or_null, is_number
+from .field import finite_or_null, is_number, shared_bases
 from .flow import FlowConfig, run_flow
 from .inequality import KINDS, equality_suite, random_suite, reports_csv
 from .specfun import rule_cache_info
@@ -46,7 +46,7 @@ from .spectrum import (CONSTANTS_HEADER, MAX_DEGREE, constants_row,
                        monotonicity_scan, remainder_sequence)
 
 MAX_SCAN_DIMENSIONS = 1000      # 200 times the default 5, at about 5 ms per dimension
-MAX_VERIFY_COUNT = 20000        # 100 times the default 200, at about 0.5 ms per report
+MAX_VERIFY_COUNT = 20000        # 100 times the default 200, at about 0.15 ms per report
 MAX_EUCLID_KMAX = 100   # 25 times the default 4; one residual per degree, 2 to 8 ms each
 
 
@@ -211,8 +211,9 @@ def cmd_verify(opt):
         if opt[key] < 0:
             raise ValueError(f"{key} must be a non-negative integer, got {opt[key]}")
     before = rule_cache_info()
-    equality = equality_suite()
-    reports = equality + random_suite(opt["seed"], opt["count"])
+    with shared_bases():        # one zonal basis table per (n, rule) for both suites
+        equality = equality_suite()
+        reports = equality + random_suite(opt["seed"], opt["count"])
     after = rule_cache_info()
     _write(opt["out"], reports_csv(reports))
     ok = True

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .field import is_number
 from .inequality import InequalityReport
 from .specfun import log_gamma, midpoint_phase
 from .spectrum import gamma_sequence
@@ -48,6 +49,10 @@ class EuclidParams:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError("need 0 < s < n = 1")
+        # an integral float (2.0 ** 15) is taken as its integer, as the CLI takes it
+        if not (is_number(self.N) and self.N % 1 == 0):     # NaN and inf fail
+            raise ValueError(f"grid size N must be an integer, got {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))
         if not self.N >= 2:
             raise ValueError(f"grid size N must be >= 2, got {self.N}")
         if self.N > MAX_N:

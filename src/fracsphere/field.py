@@ -10,10 +10,16 @@ kernel of the quotient (||F||_q^2 - ||F||_2^2)/(q - 2) and of its q = 2
 limit, the entropy: difference_quotient (every quotient and entropy
 deficit kind) and the flow's entropy call it.  entropy2, its q = 2 value,
 has no caller in the package; the benchmark harness traces it.
+
+Inside a shared_bases() block, such as the report suites of verify,
+zonal_basis keeps one normalized table per (n, rule), grown to the
+highest degree asked so far, and hands out read-only row slices of it;
+outside one it builds a fresh table on every call.
 """
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from numbers import Real
 
@@ -35,17 +41,51 @@ class ZonalField:
         return self.coeffs.size - 1
 
 
+# (n, id(rule)) -> (rule, table) while a shared_bases() block runs, else None
+_tables = None
+
+
+@contextmanager
+def shared_bases():
+    """Share zonal_basis tables for the duration of the block: one per
+    (n, rule), rebuilt only when a higher degree is asked for, dropped
+    when the outermost block ends.  A nested block shares the outer's."""
+    global _tables
+    outer = _tables
+    _tables = {} if outer is None else outer
+    try:
+        yield
+    finally:
+        _tables = outer
+
+
 def zonal_basis(n, kmax, rule):
     """Matrix Y[k, i] of normalized zonal harmonics at the rule nodes.
 
     Normalization constants h_k are computed with the same rule, which is
     exact for m >= kmax + 1 nodes; for n = 1 this reproduces
-    Y_k = sqrt(2) cos(k theta).
+    Y_k = sqrt(2) cos(k theta).  Inside shared_bases() the matrix is the
+    read-only slice of rows 0..kmax of the table kept for (n, rule),
+    the same floats as a fresh build, since each row depends only on its
+    own degree.
     """
-    alpha = 0.5 * (n - 1.0)
-    c = gegenbauer_all(kmax, alpha, rule.nodes)
-    h = np.sqrt((rule.prob_weights * c * c).sum(axis=1))
-    return c / h[:, None]
+    if _tables is None:
+        return _basis_table(n, kmax, rule)
+    # the rule is kept in the entry, so a recycled id cannot hit its table
+    entry = _tables.get((n, id(rule)))
+    if entry is None or entry[0] is not rule or len(entry[1]) <= kmax:
+        table = _basis_table(n, kmax, rule)
+        table.flags.writeable = False
+        entry = _tables[n, id(rule)] = (rule, table)
+    return entry[1][:kmax + 1]
+
+
+def _basis_table(n, kmax, rule):
+    c = gegenbauer_all(kmax, 0.5 * (n - 1.0), rule.nodes)
+    t = np.multiply(rule.prob_weights, c)
+    t *= c
+    c /= np.sqrt(t.sum(axis=1))[:, None]
+    return c
 
 
 def synthesize(fld, rule):

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .field import (analyze, descriptor_of, difference_quotient,
-                    field_from_descriptor, lq_norm, quadratic_form, synthesize)
+from .field import (analyze, descriptor_of, difference_quotient, field_from_descriptor,
+                    lq_norm, quadratic_form, shared_bases, synthesize)
 from .specfun import sphere_rule
 from .spectrum import derive_params, operator_eigenvalue
 
@@ -223,25 +223,24 @@ RANDOM_CASES = (
 def equality_suite():
     """Reports for the exact equality cases EQUALITY_CASES, in order:
     every deficit is zero up to quadrature roundoff."""
-    out = []
-    for kind, n, s, q, desc in EQUALITY_CASES:
-        ps = derive_params(n, s, q)
-        out.append(deficit(field_from_descriptor(desc, n), ps, kind))
-    return out
+    with shared_bases():
+        return [deficit(field_from_descriptor(desc, n), derive_params(n, s, q), kind)
+                for kind, n, s, q, desc in EQUALITY_CASES]
 
 
 def random_suite(seed, count):
     """Deterministic batch of seeded band-limited random fields cycling
-    through every inequality kind."""
+    through every inequality kind; one parameter set per case."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    cases = [(kind, n, derive_params(n, s, q)) for kind, n, s, q in RANDOM_CASES[:count]]
     out = []
     kmaxes = (4, 8, 16)
-    for i in range(count):
-        kind, n, s, q = RANDOM_CASES[i % len(RANDOM_CASES)]
-        desc = {"family": "random_band_limited",
-                "kmax": kmaxes[i % len(kmaxes)],
-                "seed": seed + i, "scale": 0.4}
-        ps = derive_params(n, s, q)
-        out.append(deficit(field_from_descriptor(desc, n), ps, kind))
+    with shared_bases():
+        for i in range(count):
+            kind, n, ps = cases[i % len(cases)]
+            desc = {"family": "random_band_limited",
+                    "kmax": kmaxes[i % len(kmaxes)],
+                    "seed": seed + i, "scale": 0.4}
+            out.append(deficit(field_from_descriptor(desc, n), ps, kind))
     return out

@@ -12,6 +12,10 @@ identity of the paper checked with the package's primitives:
 - funk_hecke_mu: kernel eigenvalues by Gauss-Jacobi quadrature against
   their closed form (the Funk-Hecke identity, acceptance check 03), on
   the package's gauss_jacobi, gegenbauer_all and gamma_sequence
+- zonal_basis_oracle: the normalized zonal basis as it stood before its
+  tables were shared, built afresh on every call with the expression
+  (w * c * c); the package's tables and their slices must give the same
+  floats
 - alpha_sequence: the negative logarithmic derivative of gamma_k, against
   a finite difference of the kernel eigenvalues in s (acceptance check 11)
 - GridField, grid_field, frac_laplacian_oracle: the fractional Laplacian
@@ -67,6 +71,13 @@ def sharp_quotient(fld, ps):
     kind = "interpolation" if s > 0.0 else "hls" if s < 0.0 else "logsob_critical"
     r = deficit(fld, ps, kind)
     return r.rhs / r.lhs
+
+
+def zonal_basis_oracle(n, kmax, rule):
+    """field.zonal_basis without shared tables or in-place arithmetic."""
+    c = gegenbauer_all(kmax, 0.5 * (n - 1.0), rule.nodes)
+    h = np.sqrt((rule.prob_weights * c * c).sum(axis=1))
+    return c / h[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from fracsphere.cli import main
 from fracsphere.flow import FlowResult
 from fracsphere.inequality import REPORT_HEADER, equality_suite
 from fracsphere.spectrum import CONSTANTS_HEADER
+from golden_outputs import readme_commands
 
 
 def run(capsys, argv):
@@ -212,18 +213,10 @@ def test_unread_flag_exits_2(command, flag, tmp_path, capsys):
     assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
-def _readme_commands():
-    """The argv of every fracsphere command in the README's sh blocks."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
-    return [shlex.split(line)[1:] for block in blocks
-            for line in block.splitlines() if line.startswith("fracsphere ")]
-
-
 def test_readme_commands_parse():
     # every README command parses and resolves, and an --out names the
     # same kind of file as the command's default output; nothing is run
-    commands = _readme_commands()
+    commands = readme_commands()
     assert len(commands) >= 7
     parser = cli.build_parser()
     for argv in commands:
@@ -240,7 +233,7 @@ def test_readme_commands_run_cleanly(tmp_path, monkeypatch, capsys):
     # every documented command passes its own gates (exit 0, nothing on
     # stderr) and is deterministic: run twice, in two directories, it
     # writes the same files and the same stdout, byte for byte
-    for argv in _readme_commands():
+    for argv in readme_commands():
         runs = []
         for name in ("a", "b"):
             where = tmp_path / name

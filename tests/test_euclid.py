@@ -46,6 +46,17 @@ def test_params_validation():
                 {"L": float("inf")}, {"L": float("nan")}):
         with pytest.raises(ValueError):
             EuclidParams(0.5, **bad)
+    # a grid size that is not an integer is refused, not rounded up by arange
+    for bad in (1000.5, True, False, float("nan"), float("inf"), "1024", None):
+        with pytest.raises(ValueError, match="grid size N must be an integer"):
+            EuclidParams(0.5, N=bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        eigen_residual(0.5, 0, 60.0, 1000.5)
+    # an integral float is the integer it holds, as the CLI's int options take it
+    for whole in (np.float64(2.0 ** 15), 2.0 ** 15, np.int64(2 ** 15)):
+        eu = EuclidParams(0.5, N=whole)
+        assert type(eu.N) is int and eu.N == 2 ** 15
+    assert eigen_residual(0.5, 1, 60.0, np.float64(2.0 ** 15)) == eigen_residual(0.5, 1)
     eu = EuclidParams(0.5, L=30.0, N=2 ** 10)
     assert eu.mu == 0.25
     assert eu.h == pytest.approx(60.0 / 1024)

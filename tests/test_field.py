@@ -2,19 +2,22 @@
 
 import json
 import math
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracsphere.field
+from fracsphere import cli
 from fracsphere.field import (ZonalField, analyze, descriptor_of,
                               difference_quotient, entropy2, field_from_descriptor,
-                              lq_norm, lq_quotient, quadratic_form, synthesize,
-                              zonal_basis)
+                              lq_norm, lq_quotient, quadratic_form, shared_bases,
+                              synthesize, zonal_basis)
 from fracsphere.specfun import sphere_rule
 from fracsphere.spectrum import derive_params, operator_eigenvalue
-from reference import sharp_quotient
+from reference import sharp_quotient, zonal_basis_oracle
 
 RULE_NODES = 128    # the latitude rule of these tests: analysis is exact up to degree 63
 
@@ -92,6 +95,79 @@ def test_analyze_refuses_small_rule():
     rule = sphere_rule(2, 8)
     with pytest.raises(ValueError):
         analyze(2, np.ones(8), rule, 4)   # needs >= 10 nodes
+
+
+# ---------------------------------------------------------------------------
+# shared basis tables
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("degrees", [(0, 3, 10, 40, 63), (63, 40, 10, 3, 0)],
+                         ids=["rising", "falling"])
+def test_shared_basis_slices_match_fresh_oracle_bitwise(n, degrees):
+    rule = sphere_rule(n, RULE_NODES)
+    with shared_bases():
+        for k in degrees:
+            basis = zonal_basis(n, k, rule)
+            fresh = zonal_basis_oracle(n, k, rule)
+            assert basis.shape == fresh.shape
+            assert basis.tobytes() == fresh.tobytes(), (n, k)
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0] = 0.0
+    # outside the block every call is a fresh, writable build, as before
+    basis = zonal_basis(n, degrees[-1], rule)
+    assert basis.flags.writeable
+    assert basis.tobytes() == zonal_basis_oracle(n, degrees[-1], rule).tobytes()
+
+
+def test_shared_bases_retain_nothing_after_the_block():
+    rule = sphere_rule(3, RULE_NODES)
+    with shared_bases():
+        with shared_bases():        # a nested block shares the outer's tables
+            table = weakref.ref(zonal_basis(3, 20, rule).base)
+        assert zonal_basis(3, 5, rule).base is table()
+    assert fracsphere.field._tables is None
+    assert table() is None
+    with pytest.raises(RuntimeError):
+        with shared_bases():
+            zonal_basis(3, 4, rule)
+            raise RuntimeError("the block ends by an exception")
+    assert fracsphere.field._tables is None
+
+
+def test_shared_basis_checks_the_rule_behind_a_recycled_id():
+    # a table is keyed on id(rule); an entry left by another rule under
+    # the same key must not be served
+    rule, other = sphere_rule(2, RULE_NODES), sphere_rule(2, RULE_NODES + 2)
+    with shared_bases():
+        stale = zonal_basis(2, 30, other).base
+        fracsphere.field._tables[2, id(rule)] = (other, stale)
+        basis = zonal_basis(2, 10, rule)
+        assert basis.base is not stale
+        assert basis.tobytes() == zonal_basis_oracle(2, 10, rule).tobytes()
+
+
+def test_readme_verify_builds_each_basis_table_once_per_degree_rise(tmp_path, monkeypatch,
+                                                                    capsys):
+    # without sharing the README verify builds 215 Gegenbauer tables; with
+    # it each (n, rule) is built once, and again only for a higher degree:
+    # 23 builds over 10 distinct (n, rule)
+    builds = {}
+    gegenbauer_all = fracsphere.field.gegenbauer_all
+
+    def counted(kmax, alpha, z):
+        builds.setdefault((alpha, len(z)), []).append(kmax)
+        return gegenbauer_all(kmax, alpha, z)
+
+    monkeypatch.setattr(fracsphere.field, "gegenbauer_all", counted)
+    assert cli.main(["verify", "--count", "200", "--seed", "0",
+                     "--out", str(tmp_path / "reports.csv")]) == 0
+    capsys.readouterr()
+    for key, degrees in builds.items():
+        assert degrees == sorted(set(degrees)), (key, degrees)
+    assert len(builds) == 10
+    assert sum(map(len, builds.values())) <= 23, builds
 
 
 # ---------------------------------------------------------------------------

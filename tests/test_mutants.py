@@ -1,7 +1,8 @@
 """Mutant scoreboard: which 1% errors in the spectral data the commands catch.
 
 Each mutant scales one quantity by 1.01 or by 0.99, in-process, by
-patching the name that the module using it imported.  Then the README
+patching the name that the module using it imported (for gamma_source,
+the name in every module that holds it, the defining one included).  Then the README
 commands run through cli.main, and a mutant counts as caught when one of
 them exits 1.  The caught set is asserted as a floor: a change may catch
 more mutants, never fewer.  The survivors are printed, not asserted.
@@ -12,7 +13,7 @@ import time
 
 import numpy as np
 
-from fracsphere import cli, euclid, flow, inequality
+from fracsphere import cli, euclid, flow, inequality, spectrum
 from fracsphere.euclid import euclid_eigenvalue
 from fracsphere.spectrum import (delta_sequence, derive_params, gamma_sequence,
                                  operator_eigenvalue)
@@ -60,7 +61,7 @@ def _patches(factor):
     def line_lambda(s, k):
         return euclid_eigenvalue(s, k) * (factor if k >= 2 else 1.0)
 
-    def line_gamma(n, x, kmax):
+    def gammas(n, x, kmax):
         return _scaled(gamma_sequence(n, x, kmax), slice(2, None), factor)
 
     return {
@@ -70,7 +71,11 @@ def _patches(factor):
         "delta_1": [(flow, "delta_sequence", deltas(1))],
         "delta_k": [(flow, "delta_sequence", deltas(slice(2, None)))],
         "line_lambda": [(euclid, "euclid_eigenvalue", line_lambda)],
-        "line_gamma": [(euclid, "gamma_sequence", line_gamma)],
+        "line_gamma": [(euclid, "gamma_sequence", gammas)],
+        # a wrong formula at the source, which every spectrum shares: K, L,
+        # the flow's delta and the line deficit's gamma all move together
+        "gamma_source": [(module, "gamma_sequence", gammas)
+                         for module in (spectrum, euclid, cli)],
     }
 
 
