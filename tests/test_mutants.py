@@ -2,9 +2,9 @@
 
 Each mutant scales one quantity by 1.01 or by 0.99, in-process, by
 patching the name that the module using it imported (for gamma_source,
-the name in every module that holds it, the defining one included).  Then the README
-commands run through cli.main, and a mutant counts as caught when one of
-them exits 1.  The caught set is asserted as a floor: a change may catch
+the name in every module that holds it, the defining one included).
+Then the README commands run through cli.main, and a mutant counts as
+caught when one of them exits 1.  The caught set is asserted as a floor: a change may catch
 more mutants, never fewer.  The survivors are printed, not asserted.
 """
 
