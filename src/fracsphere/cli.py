@@ -326,10 +326,10 @@ def cmd_euclid(opt):
     mode, s, q, kmax = opt["mode"], opt["s"], opt["q"], opt["kmax"]
     if not 0 <= kmax <= MAX_EUCLID_KMAX:
         raise ValueError(f"kmax must be >= 0 and at most {MAX_EUCLID_KMAX}, got {kmax}")
+    eu = EuclidParams(s=s, L=opt["L"], N=opt["N"])      # refuses s outside (0, 1) first
     if q is None:
         q = 0.5 * (2.0 + derive_params(1, s).q_star)
     ps = derive_params(1, s, q)
-    eu = EuclidParams(s=s, L=opt["L"], N=opt["N"])
     summary = {"q": q, "s": s}
     parts, ok = [], True        # parts of the verdict line, and the verdict
 

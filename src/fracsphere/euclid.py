@@ -7,9 +7,10 @@ eigenfunction residual check for the explicit diagonalization
 
     (-Lap)^(s/2) f_k = lam_k (1 + |x|^2)^(-s) f_k,
     f_k = T_k(z) (1 + |x|^2)^(-mu),  z = (1-|x|^2)/(1+|x|^2),
-    lam_k = 2^s Gamma(k + (1+s)/2) / Gamma(k + (1-s)/2),
+    lam_k = 2^s Gamma(k + (1+s)/2) / Gamma(k + (1-s)/2) = lam_0 gamma_k((1-s)/2),
 
-and the two-endpoint interpolation deficit on the line.
+with gamma_k from spectrum.gamma_sequence, the circle's spectrum that every
+other module reads, and the two-endpoint interpolation deficit on the line.
 
 The residual applies the fractional Laplacian as the |xi|^s multiplier
 on one real FFT pair of a periodized grid (the symbol is real and even).
@@ -30,7 +31,7 @@ import numpy as np
 
 from .field import is_number
 from .inequality import InequalityReport
-from .specfun import log_gamma, midpoint_phase
+from .specfun import gamma_ratio, log_gamma, midpoint_phase
 from .spectrum import gamma_sequence
 
 TWO_PI = 2.0 * np.pi
@@ -113,9 +114,9 @@ def f_star(s, x):
 
 
 def euclid_eigenvalue(s, k):
-    """lam_k = 2^s Gamma(k + (1+s)/2) / Gamma(k + (1-s)/2)."""
-    return float(2.0 ** s * np.exp(log_gamma(k + 0.5 * (1 + s))
-                                   - log_gamma(k + 0.5 * (1 - s))))
+    """lam_k = lam_0 gamma_k((1-s)/2), the circle's spectrum from spectrum.gamma_sequence."""
+    lam0 = 2.0 ** s * gamma_ratio(0.5 * (1 + s), 0.5 * (1 - s), s)
+    return float(lam0 * gamma_sequence(1, 0.5 * (1 - s), k)[k])
 
 
 # ---------------------------------------------------------------------------

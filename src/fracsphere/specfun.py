@@ -250,9 +250,11 @@ def _build_rule(m, a, b):
     f, pk, pk1, z = sweep(xe)
     df = deriv(xe, pk, pk1, z)
     d = -f / df
-    df += d * ((a - b + (a + b + 2.0) * xe) * df - m * (m + a + b + 1.0) * f) / (1.0 - xe * xe)
+    gap = 1.0 - xe * xe
+    df += d * ((a - b + (a + b + 2.0) * xe) * df - m * (m + a + b + 1.0) * f) / gap
+    # 1 - (x + d)^2 from the pre-step node: a rounded end node would cost ulp / theta^2
+    w = 1.0 / ((gap - d * (2.0 * xe + d)) * df * df)
     xe += d
-    w = 1.0 / ((1.0 - xe * xe) * df * df)
     if h:
         xe = np.concatenate([-xe[m % 2:][::-1], xe])
         w = np.concatenate([w[m % 2:][::-1], w])

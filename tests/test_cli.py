@@ -731,6 +731,16 @@ def test_euclid_eigen_mode(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "profile.json"]
 
 
+@pytest.mark.parametrize("s", ["-0.5", "0", "1", "1.5"])
+def test_euclid_order_outside_the_line_range_names_that_range(tmp_path, capsys, s):
+    # the default q is derived from s only after s is checked, so no message
+    # speaks of a q the user did not set
+    out = tmp_path / "euclid.json"
+    rc, stdout, err = run(capsys, ["euclid", "--s", s, "--out", str(out)])
+    assert (rc, stdout, err) == (2, "", "fracsphere euclid: need 0 < s < n = 1\n")
+    assert not out.exists()
+
+
 def test_euclid_thm16_mode(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "euclid", "L": 30.0, "N": 2 ** 12}))

@@ -115,6 +115,18 @@ def test_eigenvalue_ratios_match_sphere_spectrum():
                                rtol=1e-13)
 
 
+@pytest.mark.parametrize("s", [0.05, 0.2, 0.5, 0.8, 0.95])
+def test_eigenvalues_match_50_digit_gamma_ratio(s):
+    # independent of gamma_sequence: 2^s Gamma(k + (1+s)/2) / Gamma(k + (1-s)/2)
+    # in mpmath, up to k = 106, the top degree of a --kmax 100 residual
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(s)
+        for k in range(107):
+            want = 2 ** x * mpmath.gamma(k + (1 + x) / 2) / mpmath.gamma(k + (1 - x) / 2)
+            assert abs(euclid_eigenvalue(s, k) / want - 1) <= 5e-14, k
+
+
 def test_eigen_profile_degree_zero():
     x = np.linspace(-5.0, 5.0, 101)
     np.testing.assert_allclose(eigen_profile(0.5, 0, x),

@@ -31,8 +31,11 @@ COMMANDS = (
     ["euclid", "--s", "0.5", "--mode", "all", "--out", "euclid.json"],
 )
 
-# the mutants caught today; a change that catches another one adds it here
-CAUGHT_FLOOR = {"C+", "C-", "delta_1-", "line_lambda+", "line_lambda-"}
+# the mutants caught today; a change that catches another one adds it here.
+# euclid's eigen-residual reads lam_k from gamma_sequence, so it catches the
+# shared-source row and its own gamma_sequence name (exit 1) as well
+CAUGHT_FLOOR = {"C+", "C-", "delta_1-", "line_lambda+", "line_lambda-",
+                "gamma_source+", "gamma_source-", "line_gamma+", "line_gamma-"}
 BUDGET_S = 10.0
 
 

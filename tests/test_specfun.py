@@ -334,6 +334,14 @@ def test_chebyshev_weights_are_uniform():
         np.testing.assert_allclose(rule.weights, np.pi / m, rtol=2e-15)
 
 
+@pytest.mark.parametrize("m", [881, 1500])
+def test_chebyshev_weights_stay_uniform_at_the_extreme_roots(m):
+    # 1 - x^2 of a rounded node near +-1 (about theta^2) would cost ulp / theta^2
+    # of the end weights: 1.7e-14 at m = 881, 4.1e-14 at m = 1500
+    rule = gauss_jacobi(m, -0.5, -0.5)
+    np.testing.assert_allclose(rule.weights, np.pi / m, rtol=5e-15)
+
+
 def test_nodes_match_scipy():
     scipy_special = pytest.importorskip("scipy.special")
     for m, a, b in [(5, 0.0, 0.0), (20, -0.25, 0.0), (60, 0.5, 1.5)]:
