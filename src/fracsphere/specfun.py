@@ -9,7 +9,8 @@ iteration from asymptotic angles and one extended-precision sweep.
 Symmetric rules (a = b, the latitude weight of every sphere) sweep the
 half-degree recurrence of Szego's quadratic transformation (Orthogonal
 Polynomials, 4.1) on the upper half of the interval and are mirrored,
-so they are exactly symmetric by construction.  Each Gauss-Jacobi rule
+so they are exactly symmetric by construction.  Every recurrence step
+runs in place on preallocated arrays.  Each Gauss-Jacobi rule
 is built once per process and shared, read-only, by every caller;
 rule_cache_info() reports how often one was built or reused.
 """
@@ -84,15 +85,18 @@ def gegenbauer_all(kmax, alpha, z):
     out[0] = 1.0
     if kmax == 0:
         return out
-    if alpha == 0.0:
-        out[1] = z
-        for k in range(2, kmax + 1):
-            out[k] = 2.0 * z * out[k - 1] - out[k - 2]
-        return out
-    out[1] = 2.0 * alpha * z
-    for k in range(2, kmax + 1):
-        out[k] = (2.0 * z * (k + alpha - 1.0) * out[k - 1]
-                  - (k + 2.0 * alpha - 2.0) * out[k - 2]) / k
+    out[1] = z if alpha == 0.0 else 2.0 * alpha * z
+    # k C_k = 2 (k + alpha - 1) z C_{k-1} - (k + 2 alpha - 2) C_{k-2} (at alpha = 0,
+    # T_k = 2 z T_{k-1} - T_{k-2}), each row written in place by 4 operations
+    j = np.arange(2.0, kmax + 1.0)
+    up = np.full(j.size, 2.0) if alpha == 0.0 else 2.0 * (j + alpha - 1.0) / j
+    down = np.ones(j.size) if alpha == 0.0 else (j + 2.0 * alpha - 2.0) / j
+    t = np.empty_like(z)
+    for k, u, d in zip(range(2, kmax + 1), up.tolist(), down.tolist()):
+        np.multiply(z, u, out=out[k])
+        out[k] *= out[k - 1]
+        np.multiply(out[k - 2], d, out=t)
+        out[k] -= t
     return out
 
 
@@ -118,23 +122,40 @@ class QuadratureRule:
 def _jacobi_eval(m, a, b, x):
     """P_m^(a,b)(x) together with P_{m-1}, m >= 1; vectorized in x.
 
-    Runs in whatever float dtype x carries, so the final polishing pass
-    can call it with extended precision.
+    x may also be passed as the 1-tuple (w,) with w = 1 + x: the
+    recurrence then runs in w, which keeps the digits of points near -1
+    that the caller knows only through w.  Runs in whatever float dtype
+    x carries, so the final polishing pass can call it with extended
+    precision.
     """
-    x = np.asarray(x)
-    pm1 = np.ones_like(x)
-    pm = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    shifted = isinstance(x, tuple)
+    x = np.asarray(x[0] if shifted else x)
     # j = 1 is seeded explicitly: the generic recurrence degenerates
-    # when a + b = 0 or -1.  The coefficients of j = 2..m are formed once,
-    # as doubles, so each step does only the array arithmetic.
+    # when a + b = 0 or -1.  Step j is ((c2 + c3 x) P_{j-1} - c4 P_{j-2}) / c1,
+    # with c2 - c3 in place of c2 when the variable is w
+    p1, t = np.ones_like(x), np.empty_like(x)
+    p = 0.5 * (a + b + 2.0) * x + (-(b + 1.0) if shifted else 0.5 * (a - b))
     j = np.arange(2.0, m + 1.0)
     c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
-    c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b)
     c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
+    c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b) - (c3 if shifted else 0.0)
     c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
-    for c1, c2, c3, c4 in zip(c1.tolist(), c2.tolist(), c3.tolist(), c4.tolist()):
-        pm, pm1 = ((c2 + c3 * x) * pm - c4 * pm1) / c1, pm
-    return pm, pm1
+    # each step runs in place on p, p1 and t: in double, 5 operations on
+    # the quotients by c1, formed once; the extended-precision polish keeps
+    # the division, its coefficients cast once to its dtype
+    exact = x.dtype != np.float64
+    coef = ([c.astype(x.dtype) for c in (c2, c3, c4, c1)] if exact
+            else [(c / c1).tolist() for c in (c2, c3, c4)] + [c1.tolist()])
+    for q2, q3, q4, q1 in zip(*coef):
+        np.multiply(x, q3, out=t)
+        t += q2
+        t *= p
+        p1 *= q4
+        np.subtract(t, p1, out=p1)
+        if exact:
+            p1 /= q1
+        p, p1 = p1, p
+    return p, p1
 
 
 def gauss_jacobi(m, a, b):
@@ -172,10 +193,12 @@ def gauss_jacobi(m, a, b):
 
         P_m^(a,a)(x) = const * x^e P_k^(a, e-1/2)(2x^2 - 1),
 
-    so every sweep is a degree-k recurrence in z = 2x^2 - 1, half as long,
-    on the roots in the upper half only; the lower half is their mirror
-    image (an odd m's middle root is exactly 0), so nodes are exactly
-    antisymmetric and weights exactly symmetric.
+    so every sweep is a degree-k recurrence, half as long, on the roots
+    in the upper half only; the lower half is their mirror image (an odd
+    m's middle root is exactly 0), so nodes are exactly antisymmetric and
+    weights exactly symmetric.  The sweep variable is w = 1 + z = 2x^2,
+    exact near x = 0: the root nearest 0 sits where z is close to -1, and
+    z rounded there would cost its weight about k^2 ulps.
     """
     if not (m >= 1 and float(m).is_integer()):     # NaN and inf fail too
         raise ValueError(f"need a positive integer number of nodes, got {m!r}")
@@ -199,19 +222,21 @@ def _build_rule(m, a, b):
         x[h] = 0.0      # the middle root of an odd P_m is exactly 0
     x, ends = x[h:], ends[h:]
     # f = x^e P_k^(a,c)(z), a multiple of P_m: m = 2k + e and z = 2x^2 - 1
-    # when h > 0, else k = m, e = 0, c = b and z = x
+    # when h > 0, else k = m, e = 0, c = b and z = x.  When h > 0 the
+    # recurrence runs in w = 1 + z = 2x^2, which keeps its digits near x = 0
     k, e, c = (m // 2, m % 2, m % 2 - 0.5) if h else (m, 0, b)
     s = 2 * k + a + c
+    lin = a - c + s if h else a - c         # a - c - s z = lin - s v
 
     def sweep(x):
-        z = 2.0 * x * x - 1.0 if h else x
-        pk, pk1 = _jacobi_eval(k, a, c, z)
-        return x ** e * pk, pk, pk1, z
+        v = 2.0 * x * x if h else x
+        pk, pk1 = _jacobi_eval(k, a, c, (v,) if h else v)
+        return x ** e * pk, pk, pk1, v
 
-    def deriv(x, pk, pk1, z):
+    def deriv(x, pk, pk1, v):
         # f' = e P_k + x^e z'(x) P_k'(z); 1 - z^2 = 4 x^2 (1 - x^2) when h > 0,
         # so f' is valid only at interior points (1 - x^2 != 0)
-        top = (k * (a - c - s * z) * pk + 2.0 * (k + a) * (k + c) * pk1) / (s * (1.0 - x * x))
+        top = (k * (lin - s * v) * pk + 2.0 * (k + a) * (k + c) * pk1) / (s * (1.0 - x * x))
         return e * pk + x ** (e - 1) * top if h else top
 
     vals = sweep(ends)[0]
@@ -220,8 +245,8 @@ def _build_rule(m, a, b):
 
     lo, hi, flo = ends[:-1], ends[1:], vals[:-1]
     for _ in range(60):
-        f, pk, pk1, z = sweep(x)
-        df = deriv(x, pk, pk1, z)
+        f, pk, pk1, v = sweep(x)
+        df = deriv(x, pk, pk1, v)
         # an exact zero is a converged root: pin the bracket there, since
         # carrying flo = 0 forward would disable the sign test
         exact = f == 0.0
@@ -232,12 +257,8 @@ def _build_rule(m, a, b):
         xn = np.where(exact, x, x - f / df)
         # a converged root sits on a bracket end, where its last Newton
         # step of a few ulps may land outside: test the step before the
-        # bracket, or the safeguard bisects away from the root again.
-        # z = 2x^2 - 1 resolves x near 0 only to about 1e-16 / x, so a
-        # step that moves z by a few ulps is done too
+        # bracket, or the safeguard bisects away from the root again
         done = np.abs(xn - x) <= 1e-14 * (1.0 + np.abs(x))
-        if h:
-            done |= np.abs(2.0 * (xn - x) * (xn + x)) <= 1e-15 * (1.0 + np.abs(z))
         bad = ~done & ((xn <= lo) | (xn >= hi) | ~np.isfinite(xn))
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         x = xn
@@ -247,8 +268,8 @@ def _build_rule(m, a, b):
     # the one extended-precision sweep: Newton step d, then f' moved to
     # x + d by f'' from the ODE of P_m, which its multiple f solves too
     xe = x.astype(np.longdouble)
-    f, pk, pk1, z = sweep(xe)
-    df = deriv(xe, pk, pk1, z)
+    f, pk, pk1, v = sweep(xe)
+    df = deriv(xe, pk, pk1, v)
     d = -f / df
     gap = 1.0 - xe * xe
     df += d * ((a - b + (a + b + 2.0) * xe) * df - m * (m + a + b + 1.0) * f) / gap

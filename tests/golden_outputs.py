@@ -127,7 +127,9 @@ def _number(text):
 def movement(name, old, new):
     """Lines of the movement table of one output: per column, the
     largest absolute and relative change of its numbers, with the row
-    where each occurs, and the count of other cells that differ."""
+    where each occurs, and the count of other cells that differ.  A
+    change is relative to max(|old|, 1e-12 times the column's largest
+    |old|), so a roundoff-level cell that moves to 0 does not read as 1."""
     old, new = old.decode(), new.decode()
     lines = []
     rows = [len(text.splitlines()) for text in (old, new)]
@@ -137,6 +139,11 @@ def movement(name, old, new):
         a, b = _cells(name, old), _cells(name, new)
     except ValueError as exc:          # JSON that no longer parses
         return lines + [f"{name}: cannot compare cells: {exc}"]
+    scale = {}
+    for (column, _), text in a.items():
+        x = _number(text)
+        if x is not None and math.isfinite(x):
+            scale[column] = max(scale.get(column, 0.0), abs(x))
     columns = {}
     for key in sorted(set(a) | set(b), key=lambda k: (str(k[0]), k[1])):
         if a.get(key) == b.get(key):
@@ -147,7 +154,8 @@ def movement(name, old, new):
             col["text"].append(f"row {key[1]}: {a.get(key)!r} -> {b.get(key)!r}")
             continue
         d = abs(y - x)
-        r = d / abs(x) if x else math.inf
+        floor = max(abs(x), 1e-12 * scale[key[0]])
+        r = d / floor if floor else math.inf
         col["abs"] = max(col["abs"], (d, key[1]), key=lambda t: t[0])
         col["rel"] = max(col["rel"], (r, key[1]), key=lambda t: t[0])
     for column, col in columns.items():

@@ -46,6 +46,10 @@ def test_movement_table_names_column_row_and_size():
     assert doc == ["euclid.json [r.1]: largest absolute 5.000e-01 (row 1), "
                    "relative 2.500e-01 (row 1)",
                    "euclid.json [s]: 1 other cells differ, first row 1: '\"a\"' -> '\"b\"'"]
+    # a roundoff cell of an O(1) column moves against 1e-12 of the column's scale
+    assert movement("reports.csv", b"k,lhs\n1,8.3e-32\n2,0.5\n3,2.0\n",
+                    b"k,lhs\n1,0.0\n2,0.5000000000000011\n3,2.0\n") == [
+        "reports.csv [lhs]: largest absolute 1.110e-15 (row 3), relative 2.220e-15 (row 3)"]
     assert movement("flow.csv", b"t,e\n0,1\n", b"t,e\n0,1\n1,2\n") == [
         "flow.csv: 2 lines -> 3",
         "flow.csv [e]: 1 other cells differ, first row 3: None -> '2'",

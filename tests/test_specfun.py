@@ -334,10 +334,12 @@ def test_chebyshev_weights_are_uniform():
         np.testing.assert_allclose(rule.weights, np.pi / m, rtol=2e-15)
 
 
-@pytest.mark.parametrize("m", [881, 1500])
+@pytest.mark.parametrize("m", [881, 1500, 2000])
 def test_chebyshev_weights_stay_uniform_at_the_extreme_roots(m):
     # 1 - x^2 of a rounded node near +-1 (about theta^2) would cost ulp / theta^2
-    # of the end weights: 1.7e-14 at m = 881, 4.1e-14 at m = 1500
+    # of the end weights: 1.7e-14 at m = 881, 4.1e-14 at m = 1500.  The
+    # middle roots, swept in z = 2x^2 - 1 rounded near -1, would cost about
+    # k^2 ulps of long double: 2.1e-14 at m = 2000
     rule = gauss_jacobi(m, -0.5, -0.5)
     np.testing.assert_allclose(rule.weights, np.pi / m, rtol=5e-15)
 
@@ -607,6 +609,33 @@ def test_cold_build_sweeps_once_in_extended_precision(monkeypatch, m, a, b):
     gauss_jacobi(m, a, b)
     assert dtypes.count(np.longdouble) == 1, dtypes
     assert dtypes.count(np.float64) == len(dtypes) - 1 >= 2, dtypes
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is double on this platform")
+@pytest.mark.parametrize("k", [244, 488])
+@pytest.mark.parametrize("a,c", [(0.0, -0.5), (0.5, 0.5), (1.0, -0.5)])
+def test_extended_sweep_matches_40_digit_recurrence(k, a, c):
+    # the polish sweep as a symmetric build makes it, in w = 1 + z = 2x^2
+    # and long double, against the recurrence in mpmath at the same points:
+    # within 1e-15 of max |P|, where a sweep on double quotients misses by
+    # 5e-14 or more
+    mp = mpmath.mp
+    w = 2.0 * np.sin(np.linspace(0.0, 0.5 * np.pi, 62)[1:-1]) ** 2
+    got, _ = specfun._jacobi_eval(k, a, c, (w.astype(np.longdouble),))
+    with mp.workdps(40):
+        a, c, ref = mp.mpf(a), mp.mpf(c), []
+        for z in (mp.mpf(float(v)) - 1 for v in w):
+            p1, p = mp.mpf(1), (a - c) / 2 + (a + c + 2) / 2 * z
+            for j in range(2, k + 1):
+                s = 2 * j + a + c
+                p, p1 = ((s - 1) * (a * a - c * c + s * (s - 2) * z) * p
+                         - 2 * (j + a - 1) * (j + c - 1) * s * p1) / (2 * j * (j + a + c) * (s - 2)), p
+            ref.append(p)
+        # the long double as a sum of two doubles, both exact in mpmath
+        err = max(abs(mp.mpf(float(g)) + mp.mpf(float(g - np.longdouble(float(g)))) - r)
+                  for g, r in zip(got, ref))
+        assert err <= 1e-15 * max(abs(r) for r in ref)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9, 64])
