@@ -507,6 +507,17 @@ def test_asymptotic_seed_matches_scan_reference():
                                    err_msg=str((m, a, b)))
 
 
+def _mp_jacobi(m, a, b, x):
+    """P_m^(a,b)(x) by the Jacobi recurrence in mpmath (a, b, x mpf), with P_{m-1}."""
+    pm1, pm = 1, (a - b) / 2 + (a + b + 2) / 2 * x
+    for j in range(2, m + 1):
+        s = 2 * j + a + b
+        pm, pm1 = ((s - 1) * ((a * a - b * b) + s * (s - 2) * x) * pm
+                   - 2 * (j + a - 1) * (j + b - 1) * s * pm1) \
+            / (2 * j * (j + a + b) * (s - 2)), pm
+    return pm, pm1
+
+
 def _mp_jacobi_weight(m, a, b, x0, mp):
     """Independent reference for one Gauss-Jacobi weight: the Jacobi
     recurrence in mpmath, four Newton steps from the double node x0,
@@ -514,12 +525,7 @@ def _mp_jacobi_weight(m, a, b, x0, mp):
     a, b = mp.mpf(a), mp.mpf(b)
 
     def p_and_deriv(x):
-        pm1, pm = mp.mpf(1), (a - b) / 2 + (a + b + 2) / 2 * x
-        for j in range(2, m + 1):
-            s = 2 * j + a + b
-            pm, pm1 = ((s - 1) * ((a * a - b * b) + s * (s - 2) * x) * pm
-                       - 2 * (j + a - 1) * (j + b - 1) * s * pm1) \
-                / (2 * j * (j + a + b) * (s - 2)), pm
+        pm, pm1 = _mp_jacobi(m, a, b, x)
         dp = (m * (a - b - (2 * m + a + b) * x) * pm
               + 2 * (m + a) * (m + b) * pm1) / ((2 * m + a + b) * (1 - x * x))
         return pm, dp
@@ -624,14 +630,7 @@ def test_extended_sweep_matches_40_digit_recurrence(k, a, c):
     w = 2.0 * np.sin(np.linspace(0.0, 0.5 * np.pi, 62)[1:-1]) ** 2
     got, _ = specfun._jacobi_eval(k, a, c, (w.astype(np.longdouble),))
     with mp.workdps(40):
-        a, c, ref = mp.mpf(a), mp.mpf(c), []
-        for z in (mp.mpf(float(v)) - 1 for v in w):
-            p1, p = mp.mpf(1), (a - c) / 2 + (a + c + 2) / 2 * z
-            for j in range(2, k + 1):
-                s = 2 * j + a + c
-                p, p1 = ((s - 1) * (a * a - c * c + s * (s - 2) * z) * p
-                         - 2 * (j + a - 1) * (j + c - 1) * s * p1) / (2 * j * (j + a + c) * (s - 2)), p
-            ref.append(p)
+        ref = [_mp_jacobi(k, mp.mpf(a), mp.mpf(c), mp.mpf(float(v)) - 1)[0] for v in w]
         # the long double as a sum of two doubles, both exact in mpmath
         err = max(abs(mp.mpf(float(g)) + mp.mpf(float(g - np.longdouble(float(g)))) - r)
                   for g, r in zip(got, ref))
