@@ -196,10 +196,13 @@ def eigen_residual(s, k, L=EuclidParams.L, N=EuclidParams.N):
 def thm16_coefficients(ps):
     """Weights (a, b) of the Dirichlet and weighted-L2 terms.
 
-    Both are exact rational-gamma expressions; at q = 2 they reduce to
-    (0, 1) identically and the inequality collapses to an identity.
+    Both are exact rational-gamma expressions; at q = 2 they are (0, 1),
+    returned without dividing by q_star - 2 (0 for s below about 5.6e-17), and
+    the inequality collapses to an identity.
     """
     n, q, q_star = ps.n, ps.q, ps.q_star
+    if q == 2.0:
+        return 0.0, 1.0
     area = sphere_area(n)
     a = ((q - 2.0) / (q_star - 2.0) * ps.kappa
          * 2.0 ** (n * (2.0 / q_star - 2.0 / q)) * area ** (2.0 / q - 1.0))

@@ -25,7 +25,7 @@ from numbers import Real
 
 import numpy as np
 
-from .specfun import gegenbauer_all
+from .specfun import BLOCK, gegenbauer_all
 
 
 @dataclass
@@ -63,7 +63,8 @@ def zonal_basis(n, kmax, rule):
     """Matrix Y[k, i] of normalized zonal harmonics at the rule nodes.
 
     Normalization constants h_k are computed with the same rule, which is
-    exact for m >= kmax + 1 nodes; for n = 1 this reproduces
+    exact for m >= kmax + 1 nodes, BLOCK rows at a time, so the product
+    w c_k^2 never exists at the table's size; for n = 1 this reproduces
     Y_k = sqrt(2) cos(k theta).  Inside shared_bases() the matrix is the
     read-only slice of rows 0..kmax of the table kept for (n, rule),
     the same floats as a fresh build, since each row depends only on its
@@ -82,9 +83,11 @@ def zonal_basis(n, kmax, rule):
 
 def _basis_table(n, kmax, rule):
     c = gegenbauer_all(kmax, 0.5 * (n - 1.0), rule.nodes)
-    t = np.multiply(rule.prob_weights, c)
-    t *= c
-    c /= np.sqrt(t.sum(axis=1))[:, None]
+    t = np.empty((min(BLOCK, len(c)), len(rule)))
+    for rows in np.split(c, range(BLOCK, len(c), BLOCK)):
+        w = np.multiply(rule.prob_weights, rows, out=t[:len(rows)])
+        w *= rows
+        rows /= np.sqrt(w.sum(axis=1))[:, None]
     return c
 
 

@@ -9,10 +9,10 @@ iteration from asymptotic angles and one extended-precision sweep.
 Symmetric rules (a = b, the latitude weight of every sphere) sweep the
 half-degree recurrence of Szego's quadratic transformation (Orthogonal
 Polynomials, 4.1) on the upper half of the interval and are mirrored,
-so they are exactly symmetric by construction.  Every recurrence step
-runs in place on preallocated arrays.  Each Gauss-Jacobi rule
-is built once per process and shared, read-only, by every caller;
-rule_cache_info() reports how often one was built or reused.
+so they are exactly symmetric by construction.  Recurrence steps run in
+place on factors formed by outer products, BLOCK steps at a time for Jacobi.
+Each Gauss-Jacobi rule is built once per process and shared, read-only,
+by every caller; rule_cache_info() reports how often one was built or reused.
 """
 
 import math
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+BLOCK = 64      # rows or recurrence steps that share one temporary block
 
 
 def log_gamma(x):
@@ -73,8 +75,9 @@ def midpoint_phase(kmax, M):
 def gegenbauer_all(kmax, alpha, z):
     """All Gegenbauer polynomials C_0 .. C_kmax at z, shape (kmax+1, len(z)).
 
-    Three-term recurrence; alpha = 0 takes the Chebyshev normalization
-    cos(k arccos z), the circle's limit, where the standard one vanishes.
+    Three-term recurrence, every row's z term from one outer product;
+    alpha = 0 takes the Chebyshev normalization cos(k arccos z), the
+    circle's limit, where the standard one vanishes.
     """
     if kmax < 0:
         raise ValueError(f"Gegenbauer degree must be >= 0, got {kmax}")
@@ -87,16 +90,14 @@ def gegenbauer_all(kmax, alpha, z):
         return out
     out[1] = z if alpha == 0.0 else 2.0 * alpha * z
     # k C_k = 2 (k + alpha - 1) z C_{k-1} - (k + 2 alpha - 2) C_{k-2} (at alpha = 0,
-    # T_k = 2 z T_{k-1} - T_{k-2}), each row written in place by 4 operations
+    # T_k = 2 z T_{k-1} - T_{k-2}); each row in place by 3 operations (2 at alpha = 0)
     j = np.arange(2.0, kmax + 1.0)
     up = np.full(j.size, 2.0) if alpha == 0.0 else 2.0 * (j + alpha - 1.0) / j
-    down = np.ones(j.size) if alpha == 0.0 else (j + 2.0 * alpha - 2.0) / j
+    np.multiply.outer(up, z, out=out[2:])
     t = np.empty_like(z)
-    for k, u, d in zip(range(2, kmax + 1), up.tolist(), down.tolist()):
-        np.multiply(z, u, out=out[k])
+    for k, d in zip(range(2, kmax + 1), ((j + 2.0 * alpha - 2.0) / j).tolist()):
         out[k] *= out[k - 1]
-        np.multiply(out[k - 2], d, out=t)
-        out[k] -= t
+        out[k] -= out[k - 2] if alpha == 0.0 else np.multiply(out[k - 2], d, out=t)
     return out
 
 
@@ -133,28 +134,30 @@ def _jacobi_eval(m, a, b, x):
     # j = 1 is seeded explicitly: the generic recurrence degenerates
     # when a + b = 0 or -1.  Step j is ((c2 + c3 x) P_{j-1} - c4 P_{j-2}) / c1,
     # with c2 - c3 in place of c2 when the variable is w
-    p1, t = np.ones_like(x), np.empty_like(x)
+    p1 = np.ones_like(x)
     p = 0.5 * (a + b + 2.0) * x + (-(b + 1.0) if shifted else 0.5 * (a - b))
     j = np.arange(2.0, m + 1.0)
     c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
     c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
     c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b) - (c3 if shifted else 0.0)
     c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
-    # each step runs in place on p, p1 and t: in double, 5 operations on
-    # the quotients by c1, formed once; the extended-precision polish keeps
+    # the factors q2 + q3 x of BLOCK steps are one outer product; each step
+    # then runs in place on its factor row, p and p1: in double, 3 operations
+    # on the quotients by c1, formed once; the extended-precision polish keeps
     # the division, its coefficients cast once to its dtype
     exact = x.dtype != np.float64
-    coef = ([c.astype(x.dtype) for c in (c2, c3, c4, c1)] if exact
-            else [(c / c1).tolist() for c in (c2, c3, c4)] + [c1.tolist()])
-    for q2, q3, q4, q1 in zip(*coef):
-        np.multiply(x, q3, out=t)
-        t += q2
-        t *= p
-        p1 *= q4
-        np.subtract(t, p1, out=p1)
-        if exact:
-            p1 /= q1
-        p, p1 = p1, p
+    q2, q3, q4, q1 = ([c.astype(x.dtype) for c in (c2, c3, c4, c1)] if exact
+                      else [c / c1 for c in (c2, c3, c4)] + [c1])
+    for i in range(0, j.size, BLOCK):
+        rows = np.multiply.outer(q3[i:i + BLOCK], x)
+        rows += q2[i:i + BLOCK, None]
+        for t, u, v in zip(rows, q4[i:i + BLOCK], q1[i:i + BLOCK]):
+            t *= p
+            p1 *= u
+            np.subtract(t, p1, out=p1)
+            if exact:
+                p1 /= v
+            p, p1 = p1, p
     return p, p1
 
 

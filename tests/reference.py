@@ -16,6 +16,10 @@ identity of the paper checked with the package's primitives:
   tables were shared, built afresh on every call with the expression
   (w * c * c); the package's tables and their slices must give the same
   floats
+- jacobi_eval_oracle, gegenbauer_all_oracle: specfun._jacobi_eval and
+  specfun.gegenbauer_all as they stood before their step factors and row
+  products were formed in blocks, one step at a time and a fresh array
+  per operation; the package's must give the same floats
 - alpha_sequence: the negative logarithmic derivative of gamma_k, against
   a finite difference of the kernel eigenvalues in s (acceptance check 11)
 - GridField, grid_field, frac_laplacian_oracle: the fractional Laplacian
@@ -78,6 +82,38 @@ def zonal_basis_oracle(n, kmax, rule):
     c = gegenbauer_all(kmax, 0.5 * (n - 1.0), rule.nodes)
     h = np.sqrt((rule.prob_weights * c * c).sum(axis=1))
     return c / h[:, None]
+
+
+def jacobi_eval_oracle(m, a, b, x):
+    """specfun._jacobi_eval one recurrence step at a time: in double on the
+    quotients by c1, in any other dtype on the coefficients cast to it,
+    dividing by c1 at every step."""
+    shifted = isinstance(x, tuple)
+    x = np.asarray(x[0] if shifted else x)
+    p1 = np.ones_like(x)
+    p = 0.5 * (a + b + 2.0) * x + (-(b + 1.0) if shifted else 0.5 * (a - b))
+    for j in range(2, m + 1):
+        c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
+        c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
+        c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b) - (c3 if shifted else 0.0)
+        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
+        if x.dtype == np.float64:
+            p, p1 = (x * (c3 / c1) + c2 / c1) * p - c4 / c1 * p1, p
+        else:
+            c1, c2, c3, c4 = (x.dtype.type(c) for c in (c1, c2, c3, c4))
+            p, p1 = ((x * c3 + c2) * p - c4 * p1) / c1, p
+    return p, p1
+
+
+def gegenbauer_all_oracle(kmax, alpha, z):
+    """specfun.gegenbauer_all one row at a time, for kmax >= 1."""
+    z = np.asarray(z, dtype=float)
+    rows = [np.ones_like(z), z if alpha == 0.0 else 2.0 * alpha * z]
+    for k in range(2, kmax + 1):
+        up = 2.0 if alpha == 0.0 else 2.0 * (k + alpha - 1.0) / k
+        down = 1.0 if alpha == 0.0 else (k + 2.0 * alpha - 2.0) / k
+        rows.append(up * z * rows[-1] - down * rows[-2])
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

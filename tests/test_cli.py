@@ -756,6 +756,22 @@ def test_euclid_thm16_mode(tmp_path, capsys):
     assert summary["q"] == 3.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--s", "1e-17"],
+    ["--s", "5e-17", "--mode", "thm16"],
+    ["--s", "5e-17", "--q", "2", "--mode", "thm16"],
+])
+def test_euclid_order_where_the_critical_exponent_rounds_to_two(tmp_path, capsys, argv):
+    # q_star = 2 / (1 - s) rounds to 2.0 here, so q = 2: the weights are
+    # (0, 1) without dividing by q_star - 2, and the optimizer deficit is 0
+    path = tmp_path / "e.json"
+    rc, out, err = run(capsys, ["euclid", *argv, "--out", str(path)])
+    assert (rc, err) == (0, "")
+    assert "optimizer deficit 0.000e+00" in out
+    summary = json.loads(path.read_text())
+    assert (summary["q"], summary["deficit"]) == (2.0, 0.0)
+
+
 def test_euclid_default_exponent_is_midpoint(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "euclid", "kmax": 0,

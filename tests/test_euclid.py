@@ -367,6 +367,8 @@ def test_thm16_perturbed_field_has_positive_deficit():
 def test_thm16_coefficients_at_entropy_endpoint():
     a, b = thm16_coefficients(derive_params(1, 0.5, 2.0))
     assert a == 0.0 and b == 1.0
+    # q_star = 2 / (1 - s) rounds to 2.0 at this s: still (0, 1), no division
+    assert thm16_coefficients(derive_params(1, 1e-17, 2.0)) == (0.0, 1.0)
 
 
 def test_thm16_coefficients_sum_rule():

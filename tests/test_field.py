@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import weakref
 
 import mpmath
@@ -119,6 +120,27 @@ def test_shared_basis_slices_match_fresh_oracle_bitwise(n, degrees):
     basis = zonal_basis(n, degrees[-1], rule)
     assert basis.flags.writeable
     assert basis.tobytes() == zonal_basis_oracle(n, degrees[-1], rule).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_block_normalised_tables_match_fresh_oracle_bitwise(n):
+    # 976 nodes, as the largest deficit-sweep rule, and degrees on each side
+    # of the row blocks of specfun.BLOCK = 64
+    rule = sphere_rule(n, 976)
+    for k in (63, 64, 65, 487):
+        assert zonal_basis(n, k, rule).tobytes() == zonal_basis_oracle(n, k, rule).tobytes(), k
+
+
+def test_basis_table_peak_memory_is_the_table_and_one_row_block():
+    # the product w c c is formed 64 rows at a time, never at the table's size
+    rule = sphere_rule(3, 976)
+    tracemalloc.start()
+    try:
+        table = fracsphere.field._basis_table(3, 487, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 1.5 * 2 ** 20, (peak, table.nbytes)
 
 
 def test_shared_bases_retain_nothing_after_the_block():

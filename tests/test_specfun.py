@@ -19,7 +19,7 @@ from fracsphere.inequality import deficit, equality_suite, random_suite
 from fracsphere.specfun import (QuadratureRule, gauss_jacobi, gegenbauer_all,
                                 log_gamma, rule_cache_info, sphere_rule)
 from fracsphere.spectrum import derive_params
-from reference import gamma_ratio
+from reference import gamma_ratio, gegenbauer_all_oracle, jacobi_eval_oracle
 
 # ---------------------------------------------------------------------------
 # log_gamma
@@ -243,6 +243,17 @@ def test_gegenbauer_matches_scipy():
         mine = gegenbauer_all(k, alpha, z)[k]
         ref = scipy_special.eval_gegenbauer(k, alpha, z)
         np.testing.assert_allclose(mine, ref, rtol=1e-11, atol=1e-11)
+
+
+# 64 = specfun.BLOCK: one step or row short of, at and past a block edge
+ORACLE_DEGREES = [1, 2, 63, 64, 65, 128, 129, 488]
+
+
+@pytest.mark.parametrize("k", ORACLE_DEGREES)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.5])
+def test_gegenbauer_rows_match_the_per_row_oracle(k, alpha):
+    z = np.cos(np.linspace(0.0, np.pi, 977))
+    assert np.array_equal(gegenbauer_all(k, alpha, z), gegenbauer_all_oracle(k, alpha, z))
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +646,19 @@ def test_extended_sweep_matches_40_digit_recurrence(k, a, c):
         err = max(abs(mp.mpf(float(g)) + mp.mpf(float(g - np.longdouble(float(g)))) - r)
                   for g, r in zip(got, ref))
         assert err <= 1e-15 * max(abs(r) for r in ref)
+
+
+@pytest.mark.parametrize("k", ORACLE_DEGREES)
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.0, -0.5), (1.0, 0.5), (0.25, 1.5)])
+def test_jacobi_eval_matches_the_per_step_oracle(k, dtype, a, b):
+    # blocked step factors change no float, in either dtype, in x or in w
+    x = np.cos(np.linspace(0.0, np.pi, 245)).astype(dtype)
+    for arg in (x, (1.0 + x,)):
+        got, want = specfun._jacobi_eval(k, a, b, arg), jacobi_eval_oracle(k, a, b, arg)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype
+            assert np.array_equal(g, w), (k, a, b, dtype, type(arg))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9, 64])
