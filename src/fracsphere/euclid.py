@@ -10,7 +10,9 @@ eigenfunction residual check for the explicit diagonalization
     lam_k = 2^s Gamma(k + (1+s)/2) / Gamma(k + (1-s)/2) = lam_0 gamma_k((1-s)/2),
 
 with gamma_k from spectrum.gamma_sequence, the circle's spectrum that every
-other module reads, and the two-endpoint interpolation deficit on the line.
+other module reads, and the two-endpoint interpolation deficit on the line,
+the n = 1 case only: its sphere area is TWO_PI and its weight exponent
+beta = 2(1 - q/q_star), so the module has no Gamma formula of its own.
 
 The residual applies the fractional Laplacian as the |xi|^s multiplier
 on one real FFT pair of a periodized grid (the symbol is real and even).
@@ -31,7 +33,7 @@ import numpy as np
 
 from .field import is_number
 from .inequality import InequalityReport
-from .specfun import gamma_ratio, log_gamma, midpoint_phase
+from .specfun import gamma_ratio, midpoint_phase
 from .spectrum import gamma_sequence
 
 TWO_PI = 2.0 * np.pi
@@ -90,10 +92,6 @@ def stereo_inverse(angle):
 
 def jacobian(x):
     return 2.0 / (1.0 + x * x)
-
-
-def sphere_area(n):
-    return float(2.0 * np.pi ** (0.5 * (n + 1)) / np.exp(log_gamma(0.5 * (n + 1))))
 
 
 def pushforward(sphere_fn, ps, x):
@@ -194,20 +192,18 @@ def eigen_residual(s, k, L=EuclidParams.L, N=EuclidParams.N):
 
 
 def thm16_coefficients(ps):
-    """Weights (a, b) of the Dirichlet and weighted-L2 terms.
+    """Weights (a, b) of the Dirichlet and weighted-L2 terms (n = 1, |S^1| = 2 pi).
 
     Both are exact rational-gamma expressions; at q = 2 they are (0, 1),
     returned without dividing by q_star - 2 (0 for s below about 5.6e-17), and
     the inequality collapses to an identity.
     """
-    n, q, q_star = ps.n, ps.q, ps.q_star
+    q, q_star = ps.q, ps.q_star
     if q == 2.0:
         return 0.0, 1.0
-    area = sphere_area(n)
     a = ((q - 2.0) / (q_star - 2.0) * ps.kappa
-         * 2.0 ** (n * (2.0 / q_star - 2.0 / q)) * area ** (2.0 / q - 1.0))
-    b = ((q_star - q) / (q_star - 2.0)
-         * 2.0 ** (n * (1.0 - 2.0 / q)) * area ** (2.0 / q - 1.0))
+         * 2.0 ** (2.0 / q_star - 2.0 / q) * TWO_PI ** (2.0 / q - 1.0))
+    b = (q_star - q) / (q_star - 2.0) * 2.0 ** (1.0 - 2.0 / q) * TWO_PI ** (2.0 / q - 1.0)
     return a, b
 
 
@@ -217,7 +213,7 @@ def thm16_deficit(f, ps):
         a * int f (-Lap)^(s/2) f dx + b * int f^2 (1+x^2)^(-s) dx
             >= ( int |f|^q (1+x^2)^(-beta/2) dx )^(2/q),
 
-    beta = 2n(1 - q/q_star), with (a, b) from thm16_coefficients,
+    beta = 2(1 - q/q_star) (n = 1), with (a, b) from thm16_coefficients,
     evaluated by exact transport to the circle: F = |J|^(-1/q*) f(x(theta))
     on LINE_NODES uniform midpoints, Fourier analysis of F, and the diagonal
     form of the Dirichlet integral.  All three terms are circle-side
@@ -229,12 +225,11 @@ def thm16_deficit(f, ps):
     InequalityReport with kind 'line_interpolation' (rhs = a * Dirichlet
     + b * weighted L2) and the descriptor {"family": "unnamed_callable"}.
     """
-    n, s, q = ps.n, ps.s, ps.q
-    if n != 1 or not 0.0 < s < 1.0:
+    s, q, q_star = ps.s, ps.q, ps.q_star
+    if ps.n != 1 or not 0.0 < s < 1.0:
         raise ValueError("the line deficit needs n = 1 and s in (0, 1)")
-    if not 2.0 <= q <= ps.q_star:
-        raise ValueError(f"exponent must lie in [2, {ps.q_star}], got {q}")
-    q_star = ps.q_star
+    if not 2.0 <= q <= q_star:
+        raise ValueError(f"exponent must lie in [2, {q_star}], got {q}")
 
     M = LINE_NODES
     theta = TWO_PI * (np.arange(M) + 0.5) / M
@@ -244,15 +239,14 @@ def thm16_deficit(f, ps):
 
     # midpoint samples -> coefficients on sqrt(2) cos k theta, sqrt(2) sin k theta
     kmax = M // 2 - 1
-    hat = np.fft.rfft(big_f)[1:kmax + 1] * midpoint_phase(kmax, M)[1:]
+    hat = np.fft.rfft(big_f)[1:kmax + 1] * midpoint_phase(kmax, M)
     c0 = float(big_f.mean())
     ck, dk = hat.real, -hat.imag
 
-    area = sphere_area(n)
-    gam = gamma_sequence(n, ps.x_crit, kmax)
-    hdot = area / ps.kappa * (c0 ** 2 + float((gam[1:] * (ck ** 2 + dk ** 2)).sum()))
-    w2 = 2.0 ** (n * (2.0 / q_star - 1.0)) * area * float((big_f ** 2).mean())
-    lhs = (2.0 ** (2.0 * n * (1.0 / q_star - 1.0 / q)) * area ** (2.0 / q)
+    gam = gamma_sequence(1, ps.x_crit, kmax)
+    hdot = TWO_PI / ps.kappa * (c0 ** 2 + float((gam[1:] * (ck ** 2 + dk ** 2)).sum()))
+    w2 = 2.0 ** (2.0 / q_star - 1.0) * TWO_PI * float((big_f ** 2).mean())
+    lhs = (2.0 ** (2.0 * (1.0 / q_star - 1.0 / q)) * TWO_PI ** (2.0 / q)
            * float((np.abs(big_f) ** q).mean()) ** (2.0 / q))
 
     a, b = thm16_coefficients(ps)

@@ -14,7 +14,8 @@ has no caller in the package; the benchmark harness traces it.
 Inside a shared_bases() block, such as the report suites of verify,
 zonal_basis keeps one normalized table per (n, rule), grown to the
 highest degree asked so far, and hands out read-only row slices of it;
-outside one it builds a fresh table on every call.
+outside one it builds a fresh table on every call.  A rule hashes by
+identity, and the key keeps it alive: two builds of one rule get a table each.
 """
 
 import json
@@ -41,7 +42,7 @@ class ZonalField:
         return self.coeffs.size - 1
 
 
-# (n, id(rule)) -> (rule, table) while a shared_bases() block runs, else None
+# (n, rule) -> table while a shared_bases() block runs, else None
 _tables = None
 
 
@@ -72,13 +73,11 @@ def zonal_basis(n, kmax, rule):
     """
     if _tables is None:
         return _basis_table(n, kmax, rule)
-    # the rule is kept in the entry, so a recycled id cannot hit its table
-    entry = _tables.get((n, id(rule)))
-    if entry is None or entry[0] is not rule or len(entry[1]) <= kmax:
-        table = _basis_table(n, kmax, rule)
+    table = _tables.get((n, rule))
+    if table is None or len(table) <= kmax:
+        table = _tables[n, rule] = _basis_table(n, kmax, rule)
         table.flags.writeable = False
-        entry = _tables[n, id(rule)] = (rule, table)
-    return entry[1][:kmax + 1]
+    return table[:kmax + 1]
 
 
 def _basis_table(n, kmax, rule):

@@ -65,11 +65,11 @@ def gamma_ratio(a, b, d):
 
 
 def midpoint_phase(kmax, M):
-    """Factors that turn rfft(F)[k], k = 0..kmax, of F at the M midpoints
-    2 pi (i + 1/2) / M into its coefficients on 1 and sqrt(2) exp(i k theta):
-    the half-step phase exp(-i pi k / M) times sqrt(2)/M (1/M at k = 0)."""
-    k = np.arange(kmax + 1)
-    return np.where(k == 0, 1.0, np.sqrt(2.0)) / M * np.exp(-1j * np.pi * k / M)
+    """Factors that turn rfft(F)[k], k = 1..kmax, of F at the M midpoints
+    2 pi (i + 1/2) / M into its coefficients on sqrt(2) exp(i k theta):
+    the half-step phase exp(-i pi k / M) times sqrt(2)/M."""
+    k = np.arange(1, kmax + 1)
+    return np.sqrt(2.0) / M * np.exp(-1j * np.pi * k / M)
 
 
 def gegenbauer_all(kmax, alpha, z):
@@ -101,13 +101,14 @@ def gegenbauer_all(kmax, alpha, z):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Jacobi rule for the weight (1-z)^a (1+z)^b on [-1, 1].
 
     nodes are ascending, weights are the raw Jacobi weights and
     prob_weights = weights * (1 / mu0), with mu0 the exact total mass, their
-    probability measure; all three arrays are read-only.
+    probability measure; all three arrays are read-only.  A rule compares
+    and hashes by identity, so it can key a table built on its nodes.
     """
 
     a: float

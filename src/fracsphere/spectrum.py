@@ -202,7 +202,7 @@ def monotonicity_scan(n_values, q_grid, kmax):
     smallest increment and where it occurred (inf and () where every
     increment is NaN).  An empty dimension range or a grid of fewer than
     two exponents checks nothing and is rejected, and so is an exponent
-    below 1 or infinite, which lies outside the family.
+    below 1 or infinite, outside the family, or repeated, a zero-width step.
     """
     if not 2 <= kmax <= MAX_DEGREE:
         raise ValueError(f"the scan needs degrees up to kmax in [2, {MAX_DEGREE}], got {kmax}")
@@ -213,6 +213,9 @@ def monotonicity_scan(n_values, q_grid, kmax):
     outside = q_grid[(q_grid < 1.0) | (q_grid == _INF)]      # a NaN stays a violation
     if outside.size:
         raise ValueError(f"the scan needs finite exponents q >= 1, got {outside[0]}")
+    repeated = q_grid[1:][q_grid[1:] == q_grid[:-1]]        # NaN != NaN
+    if repeated.size:
+        raise ValueError(f"the scan needs distinct exponents, got {repeated[0]} twice")
     min_gap = _INF
     argmin = ()
     checked = 0

@@ -33,17 +33,22 @@ identity of the paper checked with the package's primitives:
 - taylor_remainder, taylor_case_constant, taylor_bounds: the pointwise
   Taylor remainder of |1+t|^q and its case-wise bounds (acceptance
   check 10)
+- DenseFlow: the flow's operator by dense cosine/sine sums, against its
+  transform form, with the cosine coefficients and the dissipation
+  functional the package does not keep (acceptance check 07)
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fracsphere import euclid
 from fracsphere.euclid import TWO_PI, EuclidParams
+from fracsphere.field import field_from_descriptor
 from fracsphere.inequality import deficit
 from fracsphere.specfun import gauss_jacobi, gegenbauer_all, log_gamma
-from fracsphere.spectrum import gamma_sequence
+from fracsphere.spectrum import delta_sequence, gamma_sequence
 
 
 def gamma_ratio(a, b):
@@ -324,3 +329,56 @@ def taylor_bounds(t, q):
     if t > -1.0:
         return "small_negative", -max(cube, half) * abs(t) ** 3, 0.0
     return "large_negative", -max(1.0, half) * abs(t) ** q, abs(t) ** q
+
+
+# ---------------------------------------------------------------------------
+# the circle flow
+
+
+class DenseFlow:
+    """flow.FlowOps by explicit cosine/sine sums over the m midpoints, on
+    every mode 0 < k < m, O(m^2) per right-hand side: an independent
+    reference for the transform form.  The angles k theta_i are
+    reduced mod 2 pi in integer arithmetic, so the matrices are accurate
+    to roundoff at every k.  It also reads what the package does not:
+    the cosine coefficients of nodal values and the dissipation
+    -dE/dt = 2 sum_k delta_k a_k^2 of w = u^(1/q)."""
+
+    def __init__(self, ops):
+        m = ops.m
+        self.ops, self.m, self.q = ops, m, ops.cfg.q
+
+        def basis(fn, k):
+            turns = np.outer(k, 2 * np.arange(m) + 1) % (4 * m)
+            return math.sqrt(2.0) * fn(np.pi * turns / (2 * m))
+
+        self.cosb = basis(np.cos, np.arange(m))
+        self.cosb[0] = 1.0
+        self.ks = np.arange(1, m)
+        self.sinb = basis(np.sin, self.ks)
+        self.delta = delta_sequence(1, ops.cfg.s, m - 1)
+        self.grad_mult = -self.q * self.delta[1:] / self.ks
+
+    def init_values(self):
+        fld = field_from_descriptor(self.ops.cfg.init, 1)
+        return (fld.coeffs @ self.cosb[:fld.coeffs.size]) ** self.q
+
+    def cos_coeffs(self, v):
+        """Coefficients of nodal values on 1 and sqrt(2) cos k theta, k < m."""
+        return self.cosb @ v / self.m
+
+    def rhs(self, u):
+        # mode 0 of w is not in the operator; removed before the sums, its
+        # leak through the rounded basis cannot reach the amplified top modes
+        u = np.maximum(u, self.ops.cfg.clamp_floor)
+        w = u ** (1.0 / self.q)
+        a = self.cos_coeffs(w - w[0])
+        dpsi = (self.grad_mult * a[1:]) @ self.sinb
+        flux = u ** (1.0 - 1.0 / self.q) * dpsi
+        b = self.sinb @ flux / self.m
+        return (b * self.ks) @ self.cosb[1:]
+
+    def dissipation(self, u):
+        """-dE/dt along the flow: 2 sum_k delta_k a_k^2 for w = u^(1/q)."""
+        a = self.cos_coeffs(np.maximum(u, self.ops.cfg.clamp_floor) ** (1.0 / self.q))
+        return 2.0 * float((self.delta * a * a).sum())

@@ -344,6 +344,9 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     # w0 is finite, and u0 = w0^4 overflows to inf: refused, with no numpy warning
     ("flow", {"init": {"coeffs": [[0, 1e100]]}},
      "initial profile must be strictly positive and finite, u0 > 1e-12"),
+    # a repeated exponent is a zero-width step, not a failed slope lemma
+    ("scan", {"q_grid": [1.5, 3.0, 3.0, 4.0], "n": 2},
+     "the scan needs distinct exponents, got 3.0 twice"),
 ])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

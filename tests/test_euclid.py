@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fracsphere import euclid
-from fracsphere.euclid import (EuclidParams, _chebyshev_rows, eigen_residual,
+from fracsphere.euclid import (TWO_PI, EuclidParams, _chebyshev_rows, eigen_residual,
                                euclid_eigenvalue, f_star, jacobian,
-                               pushforward, sphere_area, stereo_angle,
+                               pushforward, stereo_angle,
                                stereo_inverse, thm16_coefficients,
                                thm16_deficit)
 from fracsphere.field import ZonalField, lq_norm
@@ -81,11 +81,6 @@ def test_jacobian_integrates_to_circle_length():
     eu = EuclidParams(0.5)
     val, _ = weighted_norm(grid_field(jacobian, eu), 1.0)
     assert val == pytest.approx(2.0 * math.pi, rel=1e-9)
-
-
-def test_sphere_area_values():
-    assert sphere_area(1) == pytest.approx(2.0 * math.pi, rel=1e-14)
-    assert sphere_area(2) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
 
 def test_pushforward_of_constant_is_optimizer():
@@ -253,7 +248,7 @@ def test_critical_norm_transport():
     f = grid_field(lambda x: pushforward(F, ps, x), eu)
     line, _ = weighted_norm(f, ps.q_star)
     norm = lq_norm(ZonalField(1, [1.0, 0.2]), ps.q_star, sphere_rule(1, 128))
-    circ = sphere_area(1) * norm ** ps.q_star
+    circ = TWO_PI * norm ** ps.q_star
     assert line == pytest.approx(circ, rel=2e-5)
 
 
@@ -275,7 +270,7 @@ def test_conformal_dirichlet_invariance():
     f = grid_field(lambda x: pushforward(F, ps, x), eu)
     line = dirichlet_oracle(f, 0.5)
     gam = gamma_sequence(1, ps.x_crit, 3)
-    circ = sphere_area(1) / ps.kappa * float((gam * c * c).sum())
+    circ = TWO_PI / ps.kappa * float((gam * c * c).sum())
     assert line == pytest.approx(circ, rel=1e-3)
 
 

