@@ -161,10 +161,12 @@ def test_shared_bases_retain_nothing_after_the_block():
 def test_shared_basis_keys_each_rule_object_by_identity():
     # a rule hashes by identity: a second build of the same (m, a, b), a
     # new object, gets a table of its own, and the key keeps each rule alive
+    built = []
     with shared_bases():
         for n in (1, 2, 3):
             rule = sphere_rule(n, RULE_NODES)
             first = zonal_basis(n, 30, rule)
+            built.append(weakref.ref(rule))
             specfun._build_rule.cache_clear()
             again = sphere_rule(n, RULE_NODES)
             assert again is not rule
@@ -175,6 +177,8 @@ def test_shared_basis_keys_each_rule_object_by_identity():
             oracle = zonal_basis_oracle(n, 30, rule).tobytes()
             assert first.tobytes() == oracle
             assert second.tobytes() == zonal_basis_oracle(n, 30, again).tobytes() == oracle
+        # the first builds of n = 1 and 2 are held by their keys alone
+        assert all(ref() is not None for ref in built)
 
 
 def test_readme_verify_builds_each_basis_table_once_per_degree_rise(tmp_path, monkeypatch,
