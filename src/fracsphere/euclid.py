@@ -25,7 +25,6 @@ The deficit at the optimizer, which needs roundoff accuracy, is computed
 by exact transport to the circle.
 """
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -223,7 +222,7 @@ def thm16_deficit(f, ps):
 
     f must be a vectorized callable on the line.  Returns an
     InequalityReport with kind 'line_interpolation' (rhs = a * Dirichlet
-    + b * weighted L2) and the descriptor {"family": "unnamed_callable"}.
+    + b * weighted L2) and no zonal field (None).
     """
     s, q, q_star = ps.s, ps.q, ps.q_star
     if ps.n != 1 or not 0.0 < s < 1.0:
@@ -251,5 +250,4 @@ def thm16_deficit(f, ps):
 
     a, b = thm16_coefficients(ps)
     rhs = a * hdot + b * w2
-    return InequalityReport.from_sides("line_interpolation", ps, lhs, rhs,
-                                       json.dumps({"family": "unnamed_callable"}))
+    return InequalityReport.from_sides("line_interpolation", ps, lhs, rhs, None)

@@ -12,10 +12,11 @@ deficit kind) and the flow's entropy call it.  entropy2, its q = 2 value,
 has no caller in the package; the benchmark harness traces it.
 
 Inside a shared_bases() block, such as the report suites of verify,
-zonal_basis keeps one normalized table per (n, rule), grown to the
-highest degree asked so far, and hands out read-only row slices of it;
-outside one it builds a fresh table on every call.  A rule hashes by
-identity, and the key keeps it alive: two builds of one rule get a table each.
+shared_rows keeps one table per key, zonal bases per (n, rule) and the
+deficit kinds' spectra per (n, s, q, operator), grown to the highest
+degree asked so far, and hands out read-only row slices of it; outside
+one every call builds afresh.  A rule hashes by identity, and the key
+keeps it alive: two builds of one rule get a table each.
 """
 
 import json
@@ -42,15 +43,13 @@ class ZonalField:
         return self.coeffs.size - 1
 
 
-# (n, rule) -> table while a shared_bases() block runs, else None
+# key -> table of shared_rows while a shared_bases() block runs, else None
 _tables = None
 
 
 @contextmanager
 def shared_bases():
-    """Share zonal_basis tables for the duration of the block: one per
-    (n, rule), rebuilt only when a higher degree is asked for, dropped
-    when the outermost block ends.  A nested block shares the outer's."""
+    """Keep shared_rows' tables until the outermost block ends; nested blocks share them."""
     global _tables
     outer = _tables
     _tables = {} if outer is None else outer
@@ -60,24 +59,28 @@ def shared_bases():
         _tables = outer
 
 
+def shared_rows(key, kmax, build):
+    """Rows 0..kmax of build(kmax), whose row k depends on k alone; inside
+    shared_bases() a read-only slice of the table kept under key."""
+    if _tables is None:
+        return build(kmax)
+    table = _tables.get(key)
+    if table is None or len(table) <= kmax:
+        table = _tables[key] = build(kmax)
+        table.flags.writeable = False
+    return table[:kmax + 1]
+
+
 def zonal_basis(n, kmax, rule):
     """Matrix Y[k, i] of normalized zonal harmonics at the rule nodes.
 
     Normalization constants h_k are computed with the same rule, which is
     exact for m >= kmax + 1 nodes, BLOCK rows at a time, so the product
     w c_k^2 never exists at the table's size; for n = 1 this reproduces
-    Y_k = sqrt(2) cos(k theta).  Inside shared_bases() the matrix is the
-    read-only slice of rows 0..kmax of the table kept for (n, rule),
-    the same floats as a fresh build, since each row depends only on its
-    own degree.
+    Y_k = sqrt(2) cos(k theta).  Inside shared_bases() the matrix is a
+    read-only slice of the table kept for (n, rule), the same floats.
     """
-    if _tables is None:
-        return _basis_table(n, kmax, rule)
-    table = _tables.get((n, rule))
-    if table is None or len(table) <= kmax:
-        table = _tables[n, rule] = _basis_table(n, kmax, rule)
-        table.flags.writeable = False
-    return table[:kmax + 1]
+    return shared_rows((n, rule), kmax, lambda k: _basis_table(n, k, rule))
 
 
 def _basis_table(n, kmax, rule):
@@ -208,12 +211,16 @@ def field_from_descriptor(desc, n, max_degree=None):
     if fam == "random_band_limited":
         kmax = degree(count("kmax"))
         scale = float(key("scale")) if "scale" in desc else 0.3
-        rng = np.random.default_rng(count("seed"))
-        c = rng.standard_normal(kmax + 1)
-        c *= scale / max(1.0, np.abs(c).max())
-        c[0] += 1.0
-        return ZonalField(n=n, coeffs=c)
+        return random_band_limited(n, kmax, count("seed"), scale)
     raise ValueError(f"unrecognized field descriptor: {desc!r}")
+
+
+def random_band_limited(n, kmax, seed, scale):
+    """1 + scale * c / max(1, max|c|), c the kmax + 1 normal draws of default_rng(seed)."""
+    c = np.random.default_rng(seed).standard_normal(kmax + 1)
+    c *= scale / max(1.0, np.abs(c).max())
+    c[0] += 1.0
+    return ZonalField(n=n, coeffs=c)
 
 
 def is_number(value):
@@ -253,5 +260,5 @@ def _coeff_vector(pairs, degree):
 
 
 def descriptor_of(fld):
-    pairs = [[int(k), float(c)] for k, c in enumerate(fld.coeffs) if c != 0.0]
+    pairs = [[k, c] for k, c in enumerate(fld.coeffs.tolist()) if c != 0.0]
     return json.dumps({"coeffs": pairs}, separators=(",", ":"))

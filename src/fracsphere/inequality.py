@@ -12,14 +12,16 @@ and seeded random suites that verify reports, and their CSV form.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from itertools import cycle
 from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from .field import (analyze, descriptor_of, difference_quotient, field_from_descriptor,
-                    lq_norm, quadratic_form, shared_bases, synthesize)
+from .field import (ZonalField, analyze, descriptor_of, difference_quotient,
+                    field_from_descriptor, lq_norm, quadratic_form, random_band_limited,
+                    shared_bases, shared_rows, synthesize)
 from .specfun import sphere_rule
 from .spectrum import derive_params, operator_eigenvalue
 
@@ -34,25 +36,22 @@ class InequalityReport:
     rhs: float
     deficit: float
     relative_deficit: float
-    field_descriptor: str
+    field: ZonalField | None = dc_field(compare=False)      # None on the line
 
     @classmethod
-    def from_sides(cls, kind, ps, lhs, rhs, descriptor):
+    def from_sides(cls, kind, ps, lhs, rhs, fld):
         """Report of lhs <= rhs at ps.q: deficit rhs - lhs, relative to max(1, |rhs|)."""
         d = rhs - lhs
         return cls(kind=kind, n=ps.n, s=ps.s, q=ps.q, lhs=lhs, rhs=rhs, deficit=d,
-                   relative_deficit=d / max(1.0, abs(rhs)), field_descriptor=descriptor)
+                   relative_deficit=d / max(1.0, abs(rhs)), field=fld)
 
 
 REPORT_HEADER = "kind,n,s,q,lhs,rhs,deficit,relative_deficit,field_descriptor"
 
 
 def report_row(r):
-    return ",".join([
-        r.kind, str(r.n), repr(r.s), repr(r.q), repr(r.lhs), repr(r.rhs),
-        repr(r.deficit), repr(r.relative_deficit),
-        json.dumps(r.field_descriptor),
-    ])
+    nums = (r.s, r.q, r.lhs, r.rhs, r.deficit, r.relative_deficit)
+    return ",".join([r.kind, str(r.n), *map(repr, nums), json.dumps(descriptor_of(r.field))])
 
 
 def reports_csv(reports):
@@ -63,9 +62,12 @@ def reports_csv(reports):
 # the inequality kinds
 
 
+def _spectrum(ps, op, kmax):     # keyed by numbers: a NaN constant equals nothing
+    return shared_rows((ps.n, ps.s, ps.q, op), kmax, lambda k: operator_eigenvalue(ps, op, k))
+
+
 def _quotient_plus_remainder(fld, ps, rule):
-    eps = operator_eigenvalue(ps, "R", fld.kmax)
-    return difference_quotient(fld, ps, rule) + quadratic_form(fld, eps)
+    return difference_quotient(fld, ps, rule) + quadratic_form(fld, _spectrum(ps, "R", fld.kmax))
 
 
 def _variance(fld, ps, rule):
@@ -79,7 +81,7 @@ def _critical_norm(fld, ps, rule):
 def _form(lhs, operator, factor):
     """sides of lhs(F) <= factor(ps) * <F, operator F>."""
     def sides(fld, ps, rule):
-        eigs = operator_eigenvalue(ps, operator, fld.kmax)
+        eigs = _spectrum(ps, operator, fld.kmax)
         return lhs(fld, ps, rule), factor(ps) * quadratic_form(fld, eigs)
     return sides
 
@@ -94,9 +96,9 @@ def _square_sides(fld, ps, rule):
 
     kg = len(rule) // 2 - 1
     g = analyze(ps.n, gvals, rule, kg)
-    lhs = norm_g_p ** 2 - quadratic_form(g, operator_eigenvalue(ps, "K_inv", kg))
+    lhs = norm_g_p ** 2 - quadratic_form(g, _spectrum(ps, "K_inv", kg))
     rhs = norm_qstar ** (2.0 * (ps.q_star - 2.0)) * (
-        quadratic_form(fld, operator_eigenvalue(ps, "K", fld.kmax)) - norm_qstar ** 2)
+        quadratic_form(fld, _spectrum(ps, "K", fld.kmax)) - norm_qstar ** 2)
     return lhs, rhs
 
 
@@ -160,7 +162,7 @@ def deficit(fld, ps, kind):
     if form.nodes is not None:
         rule = sphere_rule(fld.n, max(form.nodes[0], form.nodes[1] * (fld.kmax + 1)))
     lhs, rhs = form.sides(fld, ps, rule)
-    return InequalityReport.from_sides(kind, ps, lhs, rhs, descriptor_of(fld))
+    return InequalityReport.from_sides(kind, ps, lhs, rhs, fld)
 
 
 def deficit_square(fld, ps):
@@ -234,13 +236,6 @@ def random_suite(seed, count):
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     cases = [(kind, n, derive_params(n, s, q)) for kind, n, s, q in RANDOM_CASES[:count]]
-    out = []
-    kmaxes = (4, 8, 16)
     with shared_bases():
-        for i in range(count):
-            kind, n, ps = cases[i % len(cases)]
-            desc = {"family": "random_band_limited",
-                    "kmax": kmaxes[i % len(kmaxes)],
-                    "seed": seed + i, "scale": 0.4}
-            out.append(deficit(field_from_descriptor(desc, n), ps, kind))
-    return out
+        return [deficit(random_band_limited(n, (4, 8, 16)[i % 3], seed + i, 0.4), ps, kind)
+                for i, (kind, n, ps) in zip(range(count), cycle(cases))]

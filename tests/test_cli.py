@@ -258,96 +258,114 @@ def test_config_command_mismatch_raises(tmp_path, capsys):
     assert "'verify'" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command,content,message", [
-    ("verify", None, "cannot read config"),
-    ("verify", {"command": "verify", "count": 3, "kmax": 4},
+# Each row carries its own id tag, command-tag-message: a row added anywhere
+# takes a new tag and renames no other case.
+BAD_CONFIGS = [
+    ("None", "verify", None, "cannot read config"),
+    ("content1", "verify", {"command": "verify", "count": 3, "kmax": 4},
      "config keys not read by verify: kmax"),
-    ("constants", [1, 2], "must be a JSON object"),
-    ("scan", {"mode": "bogus"}, "unknown mode 'bogus'"),
-    ("flow", {"sample_every": 0}, "sample_every must be >= 1"),
-    ("euclid", {"kmax": -1}, "kmax must be >= 0"),
-    ("constants", {"kmax": 2.5}, "kmax must be an integer, got 2.5"),
-    ("flow", {"init": 5}, "init cannot be read as dict: 5"),
-    ("flow", {"init": {"family": "one_plus_eps_y1"}}, "has no key 'eps'"),
-    ("flow", {"init": {"coeffs": [[0, 1.0], [40, 0.01]]}},
+    ("content2", "constants", [1, 2], "must be a JSON object"),
+    ("content3", "scan", {"mode": "bogus"}, "unknown mode 'bogus'"),
+    ("content4", "flow", {"sample_every": 0}, "sample_every must be >= 1"),
+    ("content5", "euclid", {"kmax": -1}, "kmax must be >= 0"),
+    ("content6", "constants", {"kmax": 2.5}, "kmax must be an integer, got 2.5"),
+    ("content7", "flow", {"init": 5}, "init cannot be read as dict: 5"),
+    ("content8", "flow", {"init": {"family": "one_plus_eps_y1"}}, "has no key 'eps'"),
+    ("content9", "flow", {"init": {"coeffs": [[0, 1.0], [40, 0.01]]}},
      "init has degree 40 > kmax = 32"),
-    ("constants", {"rows": [{"n": 1, "s": 0.5}, {"s": 0.5}]},
+    ("content10", "constants", {"rows": [{"n": 1, "s": 0.5}, {"s": 0.5}]},
      "rows[1]: n must be a number, got None"),
-    ("constants", {"rows": [[3, 2.0]]}, "rows[0] must be an object, got [3, 2.0]"),
-    ("constants", {"rows": [{"n": 3, "s": "2"}]}, "rows[0]: s must be a number, got '2'"),
-    ("constants", {"rows": [{"n": 3, "s": 2.0, "q": [4]}]},
+    ("content11", "constants", {"rows": [[3, 2.0]]}, "rows[0] must be an object, got [3, 2.0]"),
+    ("content12", "constants", {"rows": [{"n": 3, "s": "2"}]},
+     "rows[0]: s must be a number, got '2'"),
+    ("content13", "constants", {"rows": [{"n": 3, "s": 2.0, "q": [4]}]},
      "rows[0]: q must be a number, got [4]"),
-    ("constants", {"rows": [{"n": 3, "s": 2.0, "Q": 4}]},
+    ("content14", "constants", {"rows": [{"n": 3, "s": 2.0, "Q": 4}]},
      "rows[0] has keys other than n, s, q: Q"),
-    ("constants", {"rows": []}, "rows is empty"),
-    ("constants", {"rows": [{"n": 1, "s": 0.5}], "n": 3},
+    ("content15", "constants", {"rows": []}, "rows is empty"),
+    ("content16", "constants", {"rows": [{"n": 1, "s": 0.5}], "n": 3},
      "rows cannot be combined with n, s or q"),
-    ("euclid", {"N": 0}, "grid size N must be >= 2, got 0"),
-    ("euclid", {"L": 0}, "half-width L must be finite and > 0, got 0.0"),
-    ("euclid", {"L": float("inf")}, "half-width L must be finite and > 0, got inf"),
-    ("flow", {"init": {"coeffs": []}}, "coeffs must be a non-empty list of [k, c] pairs"),
-    ("flow", {"init": {"coeffs": [[0, 1.0], [-1, 0.5]]}},
+    ("content17", "euclid", {"N": 0}, "grid size N must be >= 2, got 0"),
+    ("content18", "euclid", {"L": 0}, "half-width L must be finite and > 0, got 0.0"),
+    ("content19", "euclid", {"L": float("inf")}, "half-width L must be finite and > 0, got inf"),
+    ("content20", "flow", {"init": {"coeffs": []}},
+     "coeffs must be a non-empty list of [k, c] pairs"),
+    ("content21", "flow", {"init": {"coeffs": [[0, 1.0], [-1, 0.5]]}},
      "coeffs degree -1 is not a non-negative integer"),
-    ("flow", {"init": {"coeffs": [[0, 1.0], [1.5, 0.1]]}},
+    ("content22", "flow", {"init": {"coeffs": [[0, 1.0], [1.5, 0.1]]}},
      "coeffs degree 1.5 is not a non-negative integer"),
-    ("flow", {"init": {"coeffs": [[0, 1.0], [1, 0.1], [1, 0.2]]}}, "coeffs repeats degree 1"),
-    ("flow", {"init": {"coeffs": [[0, 1.0], ["1", 0.5]]}},
+    ("content23", "flow", {"init": {"coeffs": [[0, 1.0], [1, 0.1], [1, 0.2]]}},
+     "coeffs repeats degree 1"),
+    ("content24", "flow", {"init": {"coeffs": [[0, 1.0], ["1", 0.5]]}},
      "coeffs degree '1' is not a non-negative integer"),
-    ("flow", {"init": {"coeffs": {"0": 1.0}}}, "coeffs must be a non-empty list"),
+    ("content25", "flow", {"init": {"coeffs": {"0": 1.0}}}, "coeffs must be a non-empty list"),
     # a list or dict option is a JSON array or object, a grid holds numbers
-    ("scan", {"q_grid": "12"}, "q_grid cannot be read as list: '12'"),
-    ("scan", {"q_grid": {"1.5": 0, "3": 1}}, "q_grid cannot be read as list"),
-    ("flow", {"init": [["family", "one_plus_eps_y1"], ["eps", 0.01]]},
+    ("content26", "scan", {"q_grid": "12"}, "q_grid cannot be read as list: '12'"),
+    ("content27", "scan", {"q_grid": {"1.5": 0, "3": 1}}, "q_grid cannot be read as list"),
+    ("content28", "flow", {"init": [["family", "one_plus_eps_y1"], ["eps", 0.01]]},
      "init cannot be read as dict"),
-    ("scan", {"mode": "s_grid", "s_grid": [0.5, None]}, "s_grid entries must be numbers, got None"),
-    ("scan", {"q_grid": [1.5, None]}, "q_grid entries must be numbers, got None"),
-    ("scan", {"q_grid": [1.5, True]}, "q_grid entries must be numbers, got True"),
+    ("content29", "scan", {"mode": "s_grid", "s_grid": [0.5, None]},
+     "s_grid entries must be numbers, got None"),
+    ("content30", "scan", {"q_grid": [1.5, None]}, "q_grid entries must be numbers, got None"),
+    ("content31", "scan", {"q_grid": [1.5, True]}, "q_grid entries must be numbers, got True"),
     # descriptor values have the types the descriptor names
-    ("flow", {"init": {"coeffs": [5]}}, "init coeffs entry 5 is not a [k, c] pair"),
-    ("flow", {"init": {"coeffs": [[0, None]]}}, "init coeffs value None is not a number"),
-    ("flow", {"init": {"family": "one_plus_eps_y1", "eps": None}},
+    ("content32", "flow", {"init": {"coeffs": [5]}}, "init coeffs entry 5 is not a [k, c] pair"),
+    ("content33", "flow", {"init": {"coeffs": [[0, None]]}},
+     "init coeffs value None is not a number"),
+    ("content34", "flow", {"init": {"family": "one_plus_eps_y1", "eps": None}},
      "init eps must be a number, got None"),
-    ("flow", {"init": {"family": "random_band_limited", "kmax": None, "seed": 1}},
+    ("content35", "flow", {"init": {"family": "random_band_limited", "kmax": None, "seed": 1}},
      "init kmax must be a non-negative integer, got None"),
-    ("flow", {"init": {"family": "random_band_limited", "kmax": 2.5, "seed": 1}},
+    ("content36", "flow", {"init": {"family": "random_band_limited", "kmax": 2.5, "seed": 1}},
      "init kmax must be a non-negative integer, got 2.5"),
-    ("flow", {"init": {"family": "random_band_limited", "kmax": 2, "seed": 1.7}},
+    ("content37", "flow", {"init": {"family": "random_band_limited", "kmax": 2, "seed": 1.7}},
      "init seed must be a non-negative integer, got 1.7"),
     # json writes and reads NaN; a NaN profile is not positive
-    ("flow", {"init": {"family": "one_plus_eps_y1", "eps": float("nan")}},
+    ("content38", "flow", {"init": {"family": "one_plus_eps_y1", "eps": float("nan")}},
      "initial profile must be strictly positive"),
     # a number option takes a JSON number, not a bool, a str option a string
-    ("verify", {"count": True}, "count must be a number, got True"),
-    ("verify", {"count": "3"}, "count must be a number, got '3'"),
-    ("euclid", {"L": "5"}, "L must be a number, got '5'"),
-    ("flow", {"sample_every": "1e3"}, "sample_every must be a number, got '1e3'"),
-    ("constants", {"s": 10 ** 400}, "s cannot be read as float"),
-    ("constants", {"out": 5}, "out cannot be read as str: 5"),
+    ("content39", "verify", {"count": True}, "count must be a number, got True"),
+    ("content40", "verify", {"count": "3"}, "count must be a number, got '3'"),
+    ("content41", "euclid", {"L": "5"}, "L must be a number, got '5'"),
+    ("content42", "flow", {"sample_every": "1e3"}, "sample_every must be a number, got '1e3'"),
+    ("content43", "constants", {"s": 10 ** 400}, "s cannot be read as float"),
+    ("content44", "constants", {"out": 5}, "out cannot be read as str: 5"),
     # every exponent of the scan lies in the family: finite and >= 1
-    ("scan", {"q_grid": [0.5, 1.5]}, "the scan needs finite exponents q >= 1, got 0.5"),
-    ("scan", {"q_grid": [1.5, float("inf")]}, "the scan needs finite exponents q >= 1, got inf"),
-    ("scan", {"q_grid": [-1, 1.5]}, "the scan needs finite exponents q >= 1, got -1.0"),
-    ("scan", {"q_grid": [0, 1.5]}, "the scan needs finite exponents q >= 1, got 0.0"),
+    ("content45", "scan", {"q_grid": [0.5, 1.5]},
+     "the scan needs finite exponents q >= 1, got 0.5"),
+    ("content46", "scan", {"q_grid": [1.5, float("inf")]},
+     "the scan needs finite exponents q >= 1, got inf"),
+    ("content47", "scan", {"q_grid": [-1, 1.5]},
+     "the scan needs finite exponents q >= 1, got -1.0"),
+    ("content48", "scan", {"q_grid": [0, 1.5]}, "the scan needs finite exponents q >= 1, got 0.0"),
     # an integer dimension too large for a float
-    ("constants", {"rows": [{"n": 10 ** 400, "s": 0.5}]},
+    ("content49", "constants", {"rows": [{"n": 10 ** 400, "s": 0.5}]},
      "dimension n must be a positive integer that fits a float"),
     # a line grid numpy could not allocate, and degrees without end
-    ("euclid", {"N": 10 ** 15}, f"grid size N must be at most {euclid.MAX_N}, got 10"),
-    ("euclid", {"N": euclid.MAX_N + 1}, f"grid size N must be at most {euclid.MAX_N}, got"),
-    ("euclid", {"kmax": 1e15, "N": 64}, "kmax must be >= 0 and at most"),
+    ("content50", "euclid", {"N": 10 ** 15},
+     f"grid size N must be at most {euclid.MAX_N}, got 10"),
+    ("content51", "euclid", {"N": euclid.MAX_N + 1},
+     f"grid size N must be at most {euclid.MAX_N}, got"),
+    ("content52", "euclid", {"kmax": 1e15, "N": 64}, "kmax must be >= 0 and at most"),
     # each scan mode refuses the option only the other mode reads
-    ("scan", {"mode": "s_grid", "n": 2, "kmax": 7}, "kmax is not read by scan --mode s_grid"),
-    ("scan", {"s_grid": [0.5, 1.0]}, "s_grid is not read by scan --mode lemma22"),
+    ("content53", "scan", {"mode": "s_grid", "n": 2, "kmax": 7},
+     "kmax is not read by scan --mode s_grid"),
+    ("content54", "scan", {"s_grid": [0.5, 1.0]}, "s_grid is not read by scan --mode lemma22"),
     # u0 = w0^4 is 5.2e-17 near theta = pi: positive, and below the flow's floor
-    ("flow", {"init": {"coeffs": [[0, 1.0], [1, 0.7071]]}},
+    ("content55", "flow", {"init": {"coeffs": [[0, 1.0], [1, 0.7071]]}},
      "initial profile must be strictly positive and finite, u0 > 1e-12"),
     # w0 is finite, and u0 = w0^4 overflows to inf: refused, with no numpy warning
-    ("flow", {"init": {"coeffs": [[0, 1e100]]}},
+    ("content56", "flow", {"init": {"coeffs": [[0, 1e100]]}},
      "initial profile must be strictly positive and finite, u0 > 1e-12"),
     # a repeated exponent is a zero-width step, not a failed slope lemma
-    ("scan", {"q_grid": [1.5, 3.0, 3.0, 4.0], "n": 2},
+    ("content57", "scan", {"q_grid": [1.5, 3.0, 3.0, 4.0], "n": 2},
      "the scan needs distinct exponents, got 3.0 twice"),
-])
+]
+
+
+@pytest.mark.parametrize("command,content,message", [
+    pytest.param(command, content, message, id=f"{command}-{tag}-{message}")
+    for tag, command, content, message in BAD_CONFIGS])
 def test_bad_config_exits_2_with_one_line(command, content, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     if content is not None:
@@ -757,6 +775,21 @@ def test_euclid_thm16_mode(tmp_path, capsys):
     assert set(summary) == {"deficit", "lhs", "q", "rhs", "s"}
     assert abs(summary["deficit"]) <= 1e-8
     assert summary["q"] == 3.0
+
+
+@pytest.mark.parametrize("deficit,rhs,rc", [
+    (0.9e-12, 1.0, 0), (-0.9e-12, 0.5, 0), (0.9e-11, 10.0, 0), (-0.9e-11, -10.0, 0),
+    (1.1e-12, 1.0, 1), (-1.1e-12, 1.0, 1), (1.1e-11, 10.0, 1), (-1.1e-11, -10.0, 1),
+])
+def test_euclid_optimizer_gate_is_two_sided(deficit, rhs, rc, monkeypatch, tmp_path, capsys):
+    # the optimizer is an equality case: a deficit of either sign beyond
+    # 1e-12 max(1, |rhs|) fails, as a weight of the line deficit 1% off does
+    report = type("Report", (), {"deficit": deficit, "lhs": rhs - deficit, "rhs": rhs})
+    monkeypatch.setattr(cli, "thm16_deficit", lambda *args, **kwargs: report)
+    code, _, err = run(capsys, ["euclid", "--mode", "thm16", "--out", str(tmp_path / "e.json")])
+    assert code == rc
+    assert err == ("" if rc == 0 else f"euclid: FAIL optimizer deficit {deficit:.3e} "
+                   "not within 1e-12 max(1, |rhs|)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -352,6 +352,17 @@ def test_thm16_optimizer_is_equality_case():
     assert rep.lhs == pytest.approx(3.03352966508339587, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99])
+def test_thm16_optimizer_deficit_is_roundoff_across_s_and_q(s):
+    # the floor under euclid's two-sided 1e-12 max(1, |rhs|) gate, from the
+    # entropy end q = 2 to the critical exponent
+    q_star = derive_params(1, s).q_star
+    for q in (2.0, 2.0 + 1e-9, 0.5 * (2.0 + q_star), q_star - 1e-9, q_star):
+        rep = thm16_deficit(lambda x: f_star(s, x), derive_params(1, s, q))
+        assert abs(rep.deficit) <= 1e-14 * max(1.0, abs(rep.rhs)), (q, rep.deficit)
+        assert rep.field is None
+
+
 def test_thm16_perturbed_field_has_positive_deficit():
     ps = derive_params(1, 0.5, 3.0)
     rep = thm16_deficit(

@@ -1,18 +1,23 @@
 """Deficit reports, kernel eigenvalues, probes, Taylor remainder bounds."""
 
+import json
 import re
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracsphere.field import ZonalField, field_from_descriptor, quadratic_form
+import fracsphere.field
+from fracsphere import inequality
+from fracsphere.field import (ZonalField, descriptor_of, field_from_descriptor,
+                              quadratic_form, random_band_limited, shared_bases)
 from fracsphere.inequality import (EQUALITY_CASES, KINDS, RANDOM_CASES,
                                    REPORT_HEADER, InequalityReport, deficit,
                                    deficit_square, equality_suite, random_suite,
                                    report_row, reports_csv)
-from fracsphere.spectrum import derive_params, remainder_sequence
+from fracsphere.spectrum import derive_params, operator_eigenvalue, remainder_sequence
 from reference import (funk_hecke_mu, sharp_quotient, taylor_bounds,
                        taylor_case_constant, taylor_remainder)
 
@@ -56,6 +61,95 @@ def test_suite_covers_every_kind(random_reports):
     kinds = {r.kind for r in random_reports}
     assert kinds == {"interpolation", "sobolev", "hls", "poincare", "logsob",
                      "logsob_critical", "s0_subcritical", "improved", "square"}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123, 2 ** 40])
+def test_random_suite_fields_are_the_descriptor_fields(seed):
+    # the suite draws each field directly, as the random_band_limited
+    # descriptor it once parsed per report: same seeds, draws and scale
+    reports = random_suite(seed, 2 * len(RANDOM_CASES))
+    for i, r in enumerate(reports):
+        desc = {"family": "random_band_limited", "kmax": (4, 8, 16)[i % 3],
+                "seed": seed + i, "scale": 0.4}
+        assert r.field.n == r.n
+        assert r.field.coeffs.tobytes() == field_from_descriptor(desc, r.n).coeffs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# spectra shared per case
+
+
+# every operator of the kinds: L at s > 0, s < 0, s = 0 and s = n, then K,
+# K_inv, K0prime and R
+SPECTRA = [(3, 2.0, 4.0, "L"), (2, -1.0, 1.1, "L"), (2, 0.0, 2.0, "L"), (2, 2.0, 5.0, "L"),
+           (3, 1.5, None, "K"), (1, 0.5, None, "K_inv"), (2, -1.0, 1.1, "K_inv"),
+           (2, 0.0, 1.2, "K0prime"), (2, 1.0, 2.5, "R")]
+
+
+@pytest.mark.parametrize("n,s,q,operator", SPECTRA)
+@pytest.mark.parametrize("degrees", [(0, 1, 4, 16, 127, 400), (400, 127, 16, 4, 1, 0)],
+                         ids=["rising", "falling"])
+def test_shared_spectrum_slices_match_fresh_eigenvalues_bitwise(n, s, q, operator, degrees):
+    ps = derive_params(n, s, q)
+    with shared_bases():
+        for k in degrees:
+            eigs = inequality._spectrum(ps, operator, k)
+            fresh = operator_eigenvalue(ps, operator, k)
+            assert eigs.tobytes() == fresh.tobytes(), k
+            assert not eigs.flags.writeable
+            with pytest.raises(ValueError):
+                eigs[0] = 1.0
+    # outside a block every call is a fresh, writable sequence
+    assert inequality._spectrum(ps, operator, 4).flags.writeable
+
+
+def test_shared_spectra_live_in_the_block_keyed_by_numbers():
+    ps = derive_params(2, 0.0, 2.0)     # NaN constant: equal to no ParameterSet
+    with shared_bases():
+        with shared_bases():        # a nested block shares the outer's tables
+            table = weakref.ref(inequality._spectrum(ps, "K0prime", 20).base)
+        again = derive_params(2, 0.0, 2.0)
+        assert again != ps
+        assert inequality._spectrum(again, "K0prime", 5).base is table()
+        assert fracsphere.field._tables[2, 0.0, 2.0, "K0prime"] is table()
+    assert fracsphere.field._tables is None
+    assert table() is None
+
+
+def test_patched_operator_eigenvalue_reaches_reports_in_a_block(monkeypatch):
+    # the tables are built through the name inequality imports, so a stand-in
+    # there reaches every report, the first (a miss) and the later ones (hits)
+    fld = random_band_limited(2, 8, 3, 0.4)
+    ps = derive_params(2, 1.0, 3.0)
+    plain = deficit(fld, ps, "interpolation").rhs
+    calls = []
+
+    def doubled(ps, kind, kmax):
+        calls.append(kmax)
+        return 2.0 * operator_eigenvalue(ps, kind, kmax)
+
+    monkeypatch.setattr(inequality, "operator_eigenvalue", doubled)
+    with shared_bases():
+        for _ in range(3):
+            assert deficit(fld, ps, "interpolation").rhs == 2.0 * plain
+    assert calls == [8]
+    assert deficit(fld, ps, "interpolation").rhs == 2.0 * plain
+
+
+def test_suites_build_each_spectrum_a_few_times(monkeypatch):
+    # a table grows with the degrees asked (4, 8 and 16 in turn), so each
+    # (n, s, q, operator) is built at most three times however many reports
+    calls = []
+
+    def counted(ps, kind, kmax):
+        calls.append((ps.n, ps.s, ps.q, kind))
+        return operator_eigenvalue(ps, kind, kmax)
+
+    monkeypatch.setattr(inequality, "operator_eigenvalue", counted)
+    with shared_bases():
+        reports = equality_suite() + random_suite(0, 400)
+    assert len(calls) <= 3 * len(set(calls))
+    assert len(calls) < len(reports) / 5
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +491,28 @@ def test_report_csv_shape(equality_reports):
     assert float(fields[4]) == equality_reports[0].lhs
 
 
+def _descriptor_oracle(fld):
+    """The descriptor as every report once formed it, per coefficient."""
+    pairs = [[int(k), float(c)] for k, c in enumerate(fld.coeffs) if c != 0.0]
+    return json.dumps({"coeffs": pairs}, separators=(",", ":"))
+
+
+def test_report_row_writes_the_descriptor_bytes_of_edge_fields():
+    # zeros (dropped), -0.0 (dropped, it equals 0), NaN, +-inf, huge and
+    # subnormal values, among seeded normal draws
+    rng = np.random.default_rng(5)
+    edges = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 5e-324, -5e-324])
+    ps = derive_params(2, 1.0, 3.0)
+    for i in range(300):
+        c = rng.standard_normal(int(rng.integers(1, 20)))
+        spots = rng.random(c.size) < 0.4
+        c[spots] = rng.choice(edges, size=int(spots.sum()))
+        fld = ZonalField(2, c)
+        row = report_row(InequalityReport.from_sides("interpolation", ps, 1.0, 2.0, fld))
+        assert row.split(",", 8)[8] == json.dumps(descriptor_of(fld)) \
+            == json.dumps(_descriptor_oracle(fld)), c
+
+
 def test_poincare_builds_no_rule(monkeypatch):
     # its lhs is the variance of the coefficients; no integral is taken
     def refuse(n, m):
@@ -411,6 +527,14 @@ def test_random_suite_rejects_negative_count():
     assert random_suite(seed=0, count=0) == []
     with pytest.raises(ValueError, match="count must be >= 0"):
         random_suite(seed=0, count=-1)
+
+
+def test_reports_compare_and_hash_by_their_numbers():
+    # the field is carried, not compared (its coefficient array has no truth
+    # value): equal suites give equal, hashable reports
+    a, b = random_suite(seed=3, count=4), random_suite(seed=3, count=4)
+    assert a == b and len({*a, *b}) == 4
+    assert a != random_suite(seed=4, count=4)
 
 
 def test_report_is_frozen(equality_reports):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from fracsphere import cli, euclid, flow, inequality, spectrum
-from fracsphere.euclid import euclid_eigenvalue
+from fracsphere.euclid import euclid_eigenvalue, thm16_coefficients
 from fracsphere.spectrum import (delta_sequence, derive_params, gamma_sequence,
                                  operator_eigenvalue)
 
@@ -33,9 +33,11 @@ COMMANDS = (
 
 # the mutants caught today; a change that catches another one adds it here.
 # euclid's eigen-residual reads lam_k from gamma_sequence, so it catches the
-# shared-source row and its own gamma_sequence name (exit 1) as well
+# shared-source row and its own gamma_sequence name (exit 1) as well; its
+# two-sided optimizer gate catches either weight of the line deficit
 CAUGHT_FLOOR = {"C+", "C-", "delta_1-", "line_lambda+", "line_lambda-",
-                "gamma_source+", "gamma_source-", "line_gamma+", "line_gamma-"}
+                "gamma_source+", "gamma_source-", "line_gamma+", "line_gamma-",
+                "line_a+", "line_a-", "line_b+", "line_b-"}
 BUDGET_S = 10.0
 
 
@@ -67,6 +69,9 @@ def _patches(factor):
     def gammas(n, x, kmax):
         return _scaled(gamma_sequence(n, x, kmax), slice(2, None), factor)
 
+    def line_weights(index):       # a or b of the line deficit
+        return lambda ps: tuple(_scaled(thm16_coefficients(ps), index, factor))
+
     return {
         "C": [(module, "derive_params", params) for module in (inequality, cli, flow)],
         "K": [(inequality, "operator_eigenvalue", eigenvalues("K"))],
@@ -75,6 +80,8 @@ def _patches(factor):
         "delta_k": [(flow, "delta_sequence", deltas(slice(2, None)))],
         "line_lambda": [(euclid, "euclid_eigenvalue", line_lambda)],
         "line_gamma": [(euclid, "gamma_sequence", gammas)],
+        "line_a": [(euclid, "thm16_coefficients", line_weights(0))],
+        "line_b": [(euclid, "thm16_coefficients", line_weights(1))],
         # a wrong formula at the source, which every spectrum shares: K, L,
         # the flow's delta and the line deficit's gamma all move together
         "gamma_source": [(module, "gamma_sequence", gammas)
