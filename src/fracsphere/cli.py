@@ -39,11 +39,12 @@ import numpy as np
 from .euclid import EuclidParams, eigen_residual, f_star, thm16_deficit
 from .field import finite_or_null, is_number, shared_bases
 from .flow import FlowConfig, run_flow
-from .inequality import KINDS, equality_suite, random_suite, reports_csv
+from .inequality import KINDS, equality_suite, random_suite, reports_csv, sobolev_sides
 from .specfun import rule_cache_info
 from .spectrum import (CONSTANTS_HEADER, MAX_DEGREE, constants_row,
                        delta_sequence, derive_params, gamma_sequence,
-                       monotonicity_scan, remainder_sequence)
+                       monotonicity_scan, operator_eigenvalue, remainder_sequence,
+                       slope_sequence)
 
 MAX_SCAN_DIMENSIONS = 1000      # 200 times the default 5, at about 5 ms per dimension
 MAX_VERIFY_COUNT = 20000        # 100 times the default 200, at about 0.06 ms per report
@@ -178,6 +179,7 @@ def cmd_constants(opt):
         raise ValueError(f"kmax must lie in [0, {MAX_DEGREE}], got {kmax}")
     lines = [CONSTANTS_HEADER]
     tables = ["n,s,q,k,gamma,delta,eps"]
+    gaps = []
     for row in rows:
         ps = derive_params(row["n"], row["s"], row.get("q"))
         lines.append(constants_row(ps))
@@ -186,8 +188,25 @@ def cmd_constants(opt):
             tables.append("%d,%s,%s,%d,%.17g,%.17g,%.17g"
                           % (ps.n, repr(ps.s), repr(ps.q), k,
                              gamma[k], delta[k], eps[k]))
+        if ps.s != 0.0 and ps.s < ps.n and kmax >= 1:   # C is NaN at s = 0, q* inf at s = n
+            gaps.append((ps, *_slope_identity(ps, kmax)))
     _write(opt["out"], "\n".join(lines) + "\n\n" + "\n".join(tables) + "\n")
-    return True
+    ok = True
+    for ps, gap, bound in gaps:
+        ok &= gate("constants", gap, bound, f"C L_k against slope_k(q_star) at n={ps.n} "
+                   f"s={ps.s}: relative gap {gap:.3e} above {bound:.3e}")
+    return ok
+
+
+def _slope_identity(ps, kmax):
+    """max over k = 1..kmax of |C L_k / slope_k(q*) - 1|, and its bound: 8
+    ulps per term of the kernel's product and sum, and per unit of the
+    |log| of C and kappa (gamma_ratio; at most 745 in doubles), plus 16."""
+    with np.errstate(all="ignore"):     # values that leave the doubles read NaN and fail
+        slope = slope_sequence(ps.n, ps.q_star, kmax)[1:]
+        gap = np.max(np.abs(ps.constant * operator_eigenvalue(ps, "L", kmax)[1:] / slope - 1.0))
+        logs = np.minimum(np.abs(np.log([ps.kappa, ps.constant])), 745.0).sum()
+    return float(gap), float(8.0 * np.finfo(float).eps * (kmax + 16.0 + logs))
 
 
 def _check_row(i, row):
@@ -211,9 +230,10 @@ def cmd_verify(opt):
         if opt[key] < 0:
             raise ValueError(f"{key} must be a non-negative integer, got {opt[key]}")
     before = rule_cache_info()
-    with shared_bases():        # both suites share their basis and spectrum tables
+    with shared_bases():        # both suites and the identity share their basis and spectrum tables
         equality = equality_suite()
         reports = equality + random_suite(opt["seed"], opt["count"])
+        identity = [(r, *sobolev_sides(r)) for r in reports if r.kind == "sobolev"]
     after = rule_cache_info()
     _write(opt["out"], reports_csv(reports))
     ok = True
@@ -224,6 +244,10 @@ def cmd_verify(opt):
         if i < len(equality):
             ok &= gate("verify", abs(r.deficit), 1e-10,
                        f"equality case {r.kind} n={r.n} s={r.s} deficit {r.deficit:.3e}")
+    for r, kf, rhs in identity:
+        ok &= gate("verify", abs(kf - rhs), 1e-12 * max(1.0, abs(kf)),
+                   f"sobolev n={r.n} s={r.s}: <F,KF> {kf:.17g} against "
+                   f"||F||_2^2 + (q*-2) C <F,LF> {rhs:.17g}, not within 1e-12 max(1, |<F,KF>|)")
     worst = min(r.relative_deficit for r in reports)
     print(f"verify: {len(reports)} reports, min relative deficit {worst:.3e}, "
           f"quadrature rules {after.misses - before.misses} built, "

@@ -9,8 +9,8 @@ eigenfunction residual check for the explicit diagonalization
     f_k = T_k(z) (1 + |x|^2)^(-mu),  z = (1-|x|^2)/(1+|x|^2),
     lam_k = 2^s Gamma(k + (1+s)/2) / Gamma(k + (1-s)/2) = lam_0 gamma_k((1-s)/2),
 
-with gamma_k from spectrum.gamma_sequence, the circle's spectrum that every
-other module reads, and the two-endpoint interpolation deficit on the line,
+with gamma_k from spectrum.gamma_sequence, on the one spectral kernel that
+every other module reads, and the two-endpoint interpolation deficit on the line,
 the n = 1 case only: its sphere area is TWO_PI and its weight exponent
 beta = 2(1 - q/q_star), so the module has no Gamma formula of its own.
 

@@ -165,6 +165,14 @@ def deficit(fld, ps, kind):
     return InequalityReport.from_sides(kind, ps, lhs, rhs, fld)
 
 
+def sobolev_sides(r):
+    """<F,KF> and ||F||_2^2 + (q* - 2) C <F,LF> of a sobolev report, in
+    coefficients: equal, since kappa = (q* - 2) C and K = Id + kappa L."""
+    ps, fld = derive_params(r.n, r.s, r.q), r.field
+    rhs = quadratic_form(fld, _spectrum(ps, "L", fld.kmax)) * (ps.q_star - 2.0) * ps.constant
+    return quadratic_form(fld, _spectrum(ps, "K", fld.kmax)), float((fld.coeffs ** 2).sum()) + rhs
+
+
 def deficit_square(fld, ps):
     """The squared-deficit comparison at the critical exponent."""
     return deficit(fld, ps, "square")

@@ -6,10 +6,14 @@ sequence indexed by the degree k.  The building block is
 
     gamma_k(x) = Gamma(x) Gamma(n - x + k) / (Gamma(n - x) Gamma(x + k)),
 
-computed by the product recurrence gamma_k / gamma_{k-1}
-= (n - x + k - 1) / (x + k - 1), which is exact up to roundoff and free
-of large intermediate values.  The slopes (gamma_k(n/q) - 1)/(q - 2)
-come from one formula for every q >= 1, q = 2 included (slope_sequence).
+computed by the product recurrence gamma_{j+1} / gamma_j
+= (n - x + j) / (x + j), free of large intermediate values.  One kernel
+(_kernel) returns it with e_k(x) = sum_{j<k} gamma_j / (x + j), which is
+(gamma_k - 1) / (n - 2x) without the cancellation as gamma_k -> 1: its
+terms share one sign, and at x = n/2 it is its own limit.  Every sequence
+reads the kernel: delta_k = s e_k / kappa at x = (n - s)/2, the slope
+(gamma_k(n/q) - 1)/(q - 2) = (n/q) e_k(n/q) for every q >= 1, and
+K0prime = e_k(n/2), the s -> 0 end of (2/n) C delta_k.
 """
 
 from dataclasses import dataclass
@@ -100,22 +104,26 @@ def derive_params(n, s, q=None):
                         kappa=kappa, x_crit=x_crit, constant=constant)
 
 
-def gamma_sequence(n, x, kmax):
-    """gamma_k(x) for k = 0..kmax via the product recurrence; x > 0."""
+def _kernel(n, x, kmax):
+    """gamma_k(x) and e_k(x) for k = 0..kmax; x > 0."""
     if x <= 0.0:
         raise ValueError("gamma_sequence needs x > 0")
-    k = np.arange(1, kmax + 1, dtype=float)
-    ratios = (n - x + k - 1.0) / (x + k - 1.0)
-    out = np.empty(kmax + 1)
-    out[0] = 1.0
-    out[1:] = np.cumprod(ratios)
-    return out
+    j = np.arange(kmax, dtype=float)
+    gamma, e = np.ones(kmax + 1), np.zeros(kmax + 1)
+    gamma[1:] = np.cumprod(((n - x) + j) / (x + j))
+    e[1:] = np.cumsum(gamma[:-1] / (x + j))
+    return gamma, e
+
+
+def gamma_sequence(n, x, kmax):
+    """gamma_k(x) for k = 0..kmax via the product recurrence; x > 0."""
+    return _kernel(n, x, kmax)[0]
 
 
 def delta_sequence(n, s, kmax):
-    """Eigenvalues delta_k = (gamma_k((n-s)/2) - 1) / kappa of the
-    Dirichlet-form operator; the s = n endpoint is taken in the limit,
-    delta_k = Gamma(n+k)/Gamma(k).
+    """Eigenvalues delta_k = (gamma_k((n-s)/2) - 1) / kappa = s e_k / kappa
+    of the Dirichlet-form operator; the s = n endpoint is taken in the
+    limit, delta_k = Gamma(n+k)/Gamma(k).
     """
     if s == n:
         out = np.zeros(kmax + 1)
@@ -126,22 +134,13 @@ def delta_sequence(n, s, kmax):
     x = 0.5 * (n - s)
     inv_kappa = gamma_ratio(0.5 * (n + s), x, s)
     with np.errstate(invalid="ignore"):     # inf * 0 where 1/kappa overflows
-        return (gamma_sequence(n, x, kmax) - 1.0) * inv_kappa
+        return s * inv_kappa * _kernel(n, x, kmax)[1]
 
 
 def slope_sequence(n, q, kmax):
-    """(gamma_k(n/q) - 1)/(q - 2) for k = 0..kmax and every q >= 1.
-
-    With d = q - 2 and u_j = n/(n + q j), gamma_k(n/q) = prod_{j<k}
-    (1 + d u_j), so the slope is expm1(sum_{j<k} log1p(d u_j)) / d, with
-    no cancellation near q = 2; at d = 0 it is its limit sum_{j<k} u_j.
-    """
-    d = q - 2.0
-    u = n / (n + q * np.arange(kmax, dtype=float))
-    out = np.zeros(kmax + 1)
-    with np.errstate(divide="ignore"):      # log1p(-1) = -inf at q = 1, j = 0
-        out[1:] = np.cumsum(u) if d == 0.0 else np.expm1(np.cumsum(np.log1p(d * u))) / d
-    return out
+    """(gamma_k(n/q) - 1)/(q - 2) = (n/q) e_k(n/q) for k = 0..kmax and
+    every q >= 1, its limit at q = 2 included."""
+    return n / q * _kernel(n, n / q, kmax)[1]
 
 
 def remainder_sequence(ps, kmax):
@@ -164,8 +163,7 @@ def operator_eigenvalue(ps, kind, kmax):
                 mirror (1 - gamma_k)/kappa for s < 0, zero at s = 0)
       'K'       conformally normalized kernel operator, gamma_k((n-s)/2)
       'K_inv'   its inverse, gamma_k((n+s)/2)
-      'K0prime' derivative of K in s at s = 0: (2/n) times the q = 2
-                slope, sum_{j<k} 2/(n + 2j)
+      'K0prime' derivative of K in s at s = 0: e_k(n/2) = sum_{j<k} 2/(n + 2j)
       'R'       remainder operator, eps_k for k >= 2
     """
     n, s = ps.n, ps.s
@@ -179,7 +177,7 @@ def operator_eigenvalue(ps, kind, kmax):
     if kind == "K_inv":
         return gamma_sequence(n, 0.5 * (n + s), kmax)
     if kind == "K0prime":
-        return 2.0 / n * slope_sequence(n, 2.0, kmax)
+        return _kernel(n, 0.5 * n, kmax)[1]
     if kind == "R":
         return remainder_sequence(ps, kmax)
     raise ValueError(f"unknown operator kind {kind!r}")

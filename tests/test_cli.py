@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import fracsphere.field
-from fracsphere import cli, euclid, flow, specfun
+from fracsphere import cli, euclid, flow, inequality, specfun, spectrum
 from fracsphere.cli import main
 from fracsphere.flow import FlowResult
 from fracsphere.inequality import REPORT_HEADER, equality_suite
@@ -95,6 +95,56 @@ def test_constants_rejects_bad_exponent(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("fracsphere constants:")
+
+
+@pytest.mark.parametrize("factor", [1.01, 0.99, 1.0 + 1e-9, 1.0 - 1e-9])
+def test_constants_slope_identity_is_two_sided(factor, monkeypatch, capsys):
+    # C L_k = slope_k(q*): a constant off by 1% (the C mutant) or by 1e-9
+    # either way fails the row, and the clean row passes
+    argv = ["constants", "--n", "3", "--s", "2", "--kmax", "10"]
+    assert run(capsys, argv)[::2] == (0, "")
+
+    def params(*args, **kwargs):
+        ps = spectrum.derive_params(*args, **kwargs)
+        return dataclasses.replace(ps, constant=ps.constant * factor)
+    monkeypatch.setattr(cli, "derive_params", params)
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out.startswith(spectrum.CONSTANTS_HEADER)
+    assert re.fullmatch(r"constants: FAIL C L_k against slope_k\(q_star\) at n=3 s=2\.0: "
+                        r"relative gap \S+ above \S+\n", err), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "2", "--s", "1e-9", "--kmax", "200"],
+    ["--n", "2", "--s=-1e-9", "--q", "1.5", "--kmax", "200"],
+    ["--n", "7", "--s", "6.999", "--kmax", "10000"],
+    ["--n", "1", "--s", "-0.999", "--q", "1", "--kmax", "10000"],
+    ["--n", "100", "--s", "76.5", "--kmax", "8"],
+    ["--n", "2", "--s", "0", "--kmax", "5"],        # no C at s = 0: no gate
+    ["--n", "2", "--s", "2", "--q", "3", "--kmax", "5"],       # q* = inf: no gate
+    ["--n", "3", "--s", "2", "--kmax", "0"],        # no degree k >= 1 to compare
+])
+def test_constants_slope_identity_holds_toward_the_ends(argv, tmp_path, capsys):
+    assert run(capsys, ["constants", *argv, "--out", str(tmp_path / "c.csv")]) == (0, "", "")
+
+
+def test_constants_slope_identity_bound_clears_its_floor():
+    # the bound is 8 ulps per degree and per unit of |log C| + |log kappa|,
+    # plus 16 (1.8e-11 at kmax 10^4); on n in {1, 2, 3, 5, 7}, 20 orders
+    # each and kmax 10^4 the gap reads at most 5.8e-15, and a sweep of 4000
+    # seeded rows (n up to 10^4, kmax up to 10^4) read at most 0.14 of it
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 5, 7):
+        for s in (1e-9, 1e-6, 1e-3, 0.1, 0.3 * n, 0.5 * n, 0.7 * n, n - 0.1, n - 0.01, n - 0.001):
+            for order in (s, -s):
+                gap, bound = cli._slope_identity(spectrum.derive_params(n, order, 1.0), 10 ** 4)
+                assert gap <= 1e-14 and gap <= 0.01 * bound, (n, order, gap, bound)
+    for _ in range(200):
+        n = int(rng.integers(1, 200))
+        ps = spectrum.derive_params(n, rng.uniform(-n, n), 1.0)
+        kmax = int(rng.choice([1, 2, 8, 100, 2000]))
+        gap, bound = cli._slope_identity(ps, kmax)     # inf or NaN where a spectrum overflows
+        assert gap <= 0.5 * bound or not math.isfinite(gap), (n, ps.s, kmax, gap, bound)
 
 
 @pytest.mark.parametrize("argv", [
@@ -535,6 +585,29 @@ def test_verify_nan_deficit_fails(patch, message, tmp_path, capsys, monkeypatch)
     rc, _, err = run(capsys, ["verify", "--count", "0", "--out", str(tmp_path / "r.csv")])
     assert rc == 1
     assert err == message + "\n"
+
+
+@pytest.mark.parametrize("kind", ["K", "L"])
+@pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_verify_sobolev_identity_is_two_sided(kind, factor, monkeypatch, tmp_path, capsys):
+    # <F,KF> = ||F||_2^2 + (q* - 2) C <F,LF> on every sobolev field: K or L
+    # off by 1e-9 either way at k >= 2 fails the random sobolev fields
+    argv = ["verify", "--count", "30", "--out", str(tmp_path / "r.csv")]
+    assert run(capsys, argv)[::2] == (0, "")
+    clean = (tmp_path / "r.csv").read_bytes()
+
+    def scaled(ps, op, kmax):
+        eigs = spectrum.operator_eigenvalue(ps, op, kmax).copy()
+        eigs[2:] *= factor if op == kind else 1.0
+        return eigs
+    monkeypatch.setattr(inequality, "operator_eigenvalue", scaled)
+    rc, _, err = run(capsys, argv)
+    assert rc == 1
+    lines = err.splitlines()
+    assert len(lines) == 4 and all(re.fullmatch(
+        r"verify: FAIL sobolev n=\d s=\S+: <F,KF> \S+ against \|\|F\|\|_2\^2 \+ \(q\*-2\) C "
+        r"<F,LF> \S+, not within 1e-12 max\(1, \|<F,KF>\|\)", line) for line in lines), err
+    assert (tmp_path / "r.csv").read_bytes() != clean
 
 
 def test_verify_deterministic_bytes(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 Each mutant scales one quantity by 1.01 or by 0.99, in-process, by
 patching the name that the module using it imported (for gamma_source,
-the name in every module that holds it, the defining one included).
+spectrum's private kernel, which every spectral sequence reads).
 Then the README commands run through cli.main, and a mutant counts as
 caught when one of them exits 1.  The caught set is asserted as a floor: a change may catch
 more mutants, never fewer.  The survivors are printed, not asserted.
@@ -15,7 +15,7 @@ import numpy as np
 
 from fracsphere import cli, euclid, flow, inequality, spectrum
 from fracsphere.euclid import euclid_eigenvalue, thm16_coefficients
-from fracsphere.spectrum import (delta_sequence, derive_params, gamma_sequence,
+from fracsphere.spectrum import (_kernel, delta_sequence, derive_params, gamma_sequence,
                                  operator_eigenvalue)
 
 # flow runs to t = 1, not the README's 6: RK4 steps dominate its cost (a
@@ -34,8 +34,10 @@ COMMANDS = (
 # the mutants caught today; a change that catches another one adds it here.
 # euclid's eigen-residual reads lam_k from gamma_sequence, so it catches the
 # shared-source row and its own gamma_sequence name (exit 1) as well; its
-# two-sided optimizer gate catches either weight of the line deficit
-CAUGHT_FLOOR = {"C+", "C-", "delta_1-", "line_lambda+", "line_lambda-",
+# two-sided optimizer gate catches either weight of the line deficit, and
+# verify's sobolev identity <F,KF> = ||F||^2 + (q*-2) C <F,LF> catches K and L
+CAUGHT_FLOOR = {"C+", "C-", "K+", "K-", "L+", "L-", "delta_1-",
+                "line_lambda+", "line_lambda-",
                 "gamma_source+", "gamma_source-", "line_gamma+", "line_gamma-",
                 "line_a+", "line_a-", "line_b+", "line_b-"}
 BUDGET_S = 10.0
@@ -69,6 +71,9 @@ def _patches(factor):
     def gammas(n, x, kmax):
         return _scaled(gamma_sequence(n, x, kmax), slice(2, None), factor)
 
+    def kernel(n, x, kmax):         # gamma_k and e_k both, at k >= 2
+        return tuple(_scaled(seq, slice(2, None), factor) for seq in _kernel(n, x, kmax))
+
     def line_weights(index):       # a or b of the line deficit
         return lambda ps: tuple(_scaled(thm16_coefficients(ps), index, factor))
 
@@ -83,9 +88,8 @@ def _patches(factor):
         "line_a": [(euclid, "thm16_coefficients", line_weights(0))],
         "line_b": [(euclid, "thm16_coefficients", line_weights(1))],
         # a wrong formula at the source, which every spectrum shares: K, L,
-        # the flow's delta and the line deficit's gamma all move together
-        "gamma_source": [(module, "gamma_sequence", gammas)
-                         for module in (spectrum, euclid, cli)],
+        # the slopes, the flow's delta and the line's gamma all move together
+        "gamma_source": [(spectrum, "_kernel", kernel)],
     }
 
 
@@ -120,3 +124,21 @@ def test_mutant_scoreboard_keeps_its_caught_floor(tmp_path, monkeypatch, capsys)
     print(f"survivors: {', '.join(survivors)}")
     assert caught >= CAUGHT_FLOOR, sorted(CAUGHT_FLOOR - caught)
     assert elapsed < BUDGET_S, elapsed
+
+
+def test_gamma_source_moves_every_spectrum(monkeypatch):
+    # the row patches the one kernel, so every sequence read from it moves
+    # at k >= 2 (R as a difference of two slopes): K, K_inv, L, K0prime, R,
+    # the slopes, the flow's delta and the line's gamma
+    ps, ps0 = derive_params(2, 1.0, 3.0), derive_params(2, 0.0, 2.0)
+
+    def spectra():
+        return ([operator_eigenvalue(ps, kind, 8) for kind in ("K", "K_inv", "L", "R")]
+                + [operator_eigenvalue(ps0, "K0prime", 8), spectrum.slope_sequence(2, 3.0, 8),
+                   flow.delta_sequence(1, 0.5, 8), euclid.gamma_sequence(1, 0.25, 8)])
+    clean = spectra()
+    (module, name, stand_in), = _patches(1.01)["gamma_source"]
+    monkeypatch.setattr(module, name, stand_in)
+    for before, after in zip(clean, spectra()):
+        np.testing.assert_array_equal(after[:2], before[:2])
+        np.testing.assert_allclose(after[2:], 1.01 * before[2:], rtol=1e-13)

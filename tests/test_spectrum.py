@@ -1,6 +1,7 @@
 """Parameter bookkeeping and the closed-form eigenvalue sequences."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -395,15 +396,83 @@ def _slope_mpmath(n, q, kmax):
 
 def test_slope_matches_mpmath():
     # across the family and through q = 2, where (gamma_k - 1)/(q - 2)
-    # taken literally cancels: 2 +- 10^-e rounds to 2 itself for e >= 16
-    rng = np.random.default_rng(7)
-    qs = ([1.0, 1.01, 1.5, 2.0, 6.0, 11.0, 19.9]
-          + [2.0 + sign * 10.0 ** -e for e in range(1, 17) for sign in (1, -1)]
-          + list(rng.uniform(1.0, 20.0, 30)))
+    # taken literally cancels: 2 +- 10^-e rounds to 2 itself for e >= 16;
+    # up to q = 1000 and at the critical exponent of s = 0.5, k <= 200, to
+    # 1e-14 (2e-14 at the random exponents: 1.1e-14 at n = 3, q = 12.6)
+    drawn = np.random.default_rng(7).uniform(1.0, 20.0, 30)
+    qs = ([1.0, 1.01, 1.5, 2.0, 2.5, 3.0, 6.0, 11.0, 19.9, 100.0, 1000.0]
+          + [2.0 + sign * 10.0 ** -e for e in range(1, 17) for sign in (1, -1)])
     for n in (1, 2, 3, 5, 8):
-        for q in qs:
-            np.testing.assert_allclose(slope_sequence(n, q, 50), _slope_mpmath(n, q, 50),
-                                       rtol=2e-14, atol=0.0, err_msg=f"n={n} q={q}")
+        for q, rtol in ([(q, 1e-14) for q in qs + [derive_params(n, 0.5).q_star]]
+                        + [(q, 2e-14) for q in drawn]):
+            np.testing.assert_allclose(slope_sequence(n, q, 200), _slope_mpmath(n, q, 200),
+                                       rtol=rtol, atol=0.0, err_msg=f"n={n} q={q}")
+
+
+def _kernel_mpmath(n, x, kmax):
+    """gamma_k(x) and e_k(x) = sum_{j<k} gamma_j / (x + j), k = 0..kmax, at
+    50 digits for the mpf x."""
+    gamma, e = [mpmath.mpf(1)], [mpmath.mpf(0)]
+    for j in range(kmax):
+        e.append(e[-1] + gamma[-1] / (x + j))
+        gamma.append(gamma[-1] * (n - x + j) / (x + j))
+    return gamma, e
+
+
+def _assert_close(got, want, rtol, label):
+    want = np.array([float(w) for w in want])
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=label)
+
+
+SMALL_TO_LARGE_ORDERS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5)
+
+
+def test_spectral_sequences_match_mpmath_down_to_s_zero():
+    # gamma, delta, K0prime and the remainder at n <= 5, s from 1e-12 to
+    # n - 0.1 with their negatives, k <= 200: delta = s e_k / kappa has no
+    # cancellation as s -> 0 (as (gamma_k - 1)/kappa it read 1.3e-3 at s = 1e-12)
+    kmax = 200
+    with mpmath.workdps(50):
+        for n in range(1, 6):
+            for s in [v * sign for v in SMALL_TO_LARGE_ORDERS + (n - 0.1,) for sign in (1, -1)]:
+                x = (mpmath.mpf(n) - mpmath.mpf(s)) / 2
+                gamma, e = _kernel_mpmath(n, x, kmax)
+                kappa = mpmath.gamma(x) / mpmath.gamma((mpmath.mpf(n) + mpmath.mpf(s)) / 2)
+                _assert_close(gamma_sequence(n, 0.5 * (n - s), kmax), gamma, 2e-14, f"gamma {n} {s}")
+                _assert_close(delta_sequence(n, s, kmax), [s * v / kappa for v in e], 1e-14,
+                              f"delta n={n} s={s}")
+            _, e = _kernel_mpmath(n, mpmath.mpf(n) / 2, kmax)
+            _assert_close(operator_eigenvalue(derive_params(n, 0.0, 2.0), "K0prime", kmax), e,
+                          1e-14, f"K0prime n={n}")
+            for s in (1e-6, 0.5, n - 0.1):      # R = slope(q*) - slope(q), to 2e-14 of slope(q*)
+                ps = derive_params(n, s, 0.5 * (2.0 + 2.0 * n / (n - s)))
+                top, low = _slope_mpmath(n, ps.q_star, kmax), _slope_mpmath(n, ps.q, kmax)
+                exact = top - low
+                exact[:2] = 0.0
+                assert np.all(np.abs(remainder_sequence(ps, kmax) - exact) <= 2e-14 * top)
+
+
+def test_s_zero_kinds_are_the_continuous_end_of_the_family():
+    # C_s L_k(s) = x e_k(x) at x = (n - s)/2 tends to (n/2) K0prime_k as
+    # s -> 0, linearly: |C L / ((n/2) K0prime) - 1| reads 2.63 |s| at k <= 200
+    for n in range(1, 6):
+        end = 0.5 * n * operator_eigenvalue(derive_params(n, 0.0, 2.0), "K0prime", 200)[1:]
+        for s in (1e-9, -1e-9, 1e-6, -1e-6):
+            ps = derive_params(n, s, 1.0)
+            gap = np.abs(ps.constant * operator_eigenvalue(ps, "L", 200)[1:] / end - 1.0)
+            assert gap.max() <= 3.0 * abs(s), (n, s, gap.max())
+
+
+def test_q_one_and_two_run_through_the_one_formula_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3, 7):
+            at_one = slope_sequence(n, 1.0, 30)       # gamma_k(n) = 0 for k >= 1
+            np.testing.assert_allclose(at_one[1:], 1.0, rtol=2e-16)
+            at_two = slope_sequence(n, 2.0, 30)       # its limit, sum_{j<k} n/(n + 2j)
+            want = np.concatenate([[0.0], np.cumsum(n / (n + 2.0 * np.arange(30)))])
+            np.testing.assert_allclose(at_two, want, rtol=4e-16)
+            assert at_one[0] == at_two[0] == 0.0
 
 
 def test_slope_matches_definition_at_critical():
