@@ -430,7 +430,7 @@ SMALL_TO_LARGE_ORDERS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5)
 def test_spectral_sequences_match_mpmath_down_to_s_zero():
     # gamma, delta, K0prime and the remainder at n <= 5, s from 1e-12 to
     # n - 0.1 with their negatives, k <= 200: delta = s e_k / kappa has no
-    # cancellation as s -> 0 (as (gamma_k - 1)/kappa it read 1.3e-3 at s = 1e-12)
+    # cancellation as s -> 0 (as (gamma_k - 1)/kappa it read 1.5e-3 at s = -1e-12)
     kmax = 200
     with mpmath.workdps(50):
         for n in range(1, 6):
