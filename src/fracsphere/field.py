@@ -13,10 +13,13 @@ has no caller in the package; the benchmark harness traces it.
 
 Inside a shared_bases() block, such as the report suites of verify,
 shared_rows keeps one table per key, zonal bases per (n, rule) and the
-deficit kinds' spectra per (n, s, q, operator), grown to the highest
-degree asked so far, and hands out read-only row slices of it; outside
-one every call builds afresh.  A rule hashes by identity, and the key
-keeps it alive: two builds of one rule get a table each.
+deficit kinds' spectra per (n, s, q, operator), and hands out read-only
+row slices of it; outside one every call builds afresh.  A zonal basis
+is built on first use to its rule's analysis degree len(rule) // 2 - 1
+(or higher if asked), so the rising degrees of a suite's fields do not
+rebuild it; a spectrum is grown to the highest degree asked so far.  A
+rule hashes by identity, and the key keeps it alive: two builds of one
+rule get a table each.
 """
 
 import json
@@ -59,14 +62,15 @@ def shared_bases():
         _tables = outer
 
 
-def shared_rows(key, kmax, build):
+def shared_rows(key, kmax, build, most=0):
     """Rows 0..kmax of build(kmax), whose row k depends on k alone; inside
-    shared_bases() a read-only slice of the table kept under key."""
+    shared_bases() a read-only slice of the table kept under key, built to
+    degree max(kmax, most) and rebuilt only for a higher degree."""
     if _tables is None:
         return build(kmax)
     table = _tables.get(key)
     if table is None or len(table) <= kmax:
-        table = _tables[key] = build(kmax)
+        table = _tables[key] = build(max(kmax, most))
         table.flags.writeable = False
     return table[:kmax + 1]
 
@@ -80,7 +84,7 @@ def zonal_basis(n, kmax, rule):
     Y_k = sqrt(2) cos(k theta).  Inside shared_bases() the matrix is a
     read-only slice of the table kept for (n, rule), the same floats.
     """
-    return shared_rows((n, rule), kmax, lambda k: _basis_table(n, k, rule))
+    return shared_rows((n, rule), kmax, lambda k: _basis_table(n, k, rule), len(rule) // 2 - 1)
 
 
 def _basis_table(n, kmax, rule):

@@ -6,7 +6,9 @@ from the standard library's math.lgamma (and gamma ratios that keep
 their digits for large arguments), Gegenbauer polynomials by their
 three-term recurrence, and Gauss-Jacobi nodes/weights found by Newton
 iteration from asymptotic angles and one extended-precision sweep.
-Symmetric rules (a = b, the latitude weight of every sphere) sweep the
+The latitude weights of the circle and the 3-sphere, a = b = -1/2 and
++1/2, are Chebyshev's, whose Gauss rules have closed forms: those take
+no sweep.  Other symmetric rules (a = b, the other spheres) sweep the
 half-degree recurrence of Szego's quadratic transformation (Orthogonal
 Polynomials, 4.1) on the upper half of the interval and are mirrored,
 so they are exactly symmetric by construction.  Recurrence steps run in
@@ -22,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 BLOCK = 64      # rows or recurrence steps that share one temporary block
+_PI = 4.0 * np.arctan(np.longdouble(1.0))     # pi in extended precision
 
 
 def log_gamma(x):
@@ -169,6 +172,11 @@ def gauss_jacobi(m, a, b):
     caller gets the same object, with read-only nodes and weights.  Bad
     input raises ValueError and never reaches the cache.
 
+    At a = b = -1/2 and +1/2, the sphere rules of n = 1 and 3, the rule
+    is Gauss-Chebyshev's closed form (_chebyshev_rule), with no sweep.
+    Every other (a, b) takes the general builder (_newton_rule) below,
+    which the tests also run at +-1/2 against those forms.
+
     Newton starts from the Gatteschi-Pittaluga angles (Hale & Townsend,
     SIAM J. Sci. Comput. 35, 2013), exact for a = b = +-1/2,
 
@@ -213,6 +221,26 @@ def gauss_jacobi(m, a, b):
 
 @lru_cache(maxsize=None)
 def _build_rule(m, a, b):
+    return _chebyshev_rule(m, a) if a == b and abs(a) == 0.5 else _newton_rule(m, a, b)
+
+
+def _chebyshev_rule(m, a):
+    """Gauss-Chebyshev (Abramowitz & Stegun 25.4): a = b = -1/2, nodes
+    cos((2i - 1) pi / 2m), weights pi / m; a = b = +1/2, nodes cos(i pi / rho),
+    weights (pi / rho) sin^2(i pi / rho), rho = m + a + 1/2 = m + 1.  Nodes
+    are sin(pi j / 2 rho), j = 1 - m, 3 - m, .., m - 1, formed for j >= 0 and
+    mirrored; a weight's angle i pi / rho has i <= rho / 2, whose sine keeps
+    the digits a cosine near pi / 2 would lose.  The sines run in extended
+    precision: a double angle would cost the nodes 1.5e-16."""
+    rho = m + a + 0.5
+    j = np.arange(1 - m % 2, m, 2)
+    t = _PI / (2.0 * rho)
+    w = np.full(j.size, 2.0 * t) if a < 0 else 2.0 * t * np.sin(t * (rho - j)) ** 2
+    return _frozen_rule(a, a, *_mirrored(m, np.sin(t * j).astype(float), w.astype(float)),
+                        np.pi if a < 0 else 0.5 * np.pi)
+
+
+def _newton_rule(m, a, b):
     rho = m + 0.5 * (a + b + 1.0)
     phi = (np.arange(1, m + 1) + 0.5 * a - 0.25) * np.pi / rho
     t = np.tan(0.5 * phi)
@@ -281,13 +309,21 @@ def _build_rule(m, a, b):
     w = 1.0 / ((gap - d * (2.0 * xe + d)) * df * df)
     xe += d
     if h:
-        xe = np.concatenate([-xe[m % 2:][::-1], xe])
-        w = np.concatenate([w[m % 2:][::-1], w])
+        xe, w = _mirrored(m, xe, w)
 
     mu0 = np.exp((a + b + 1.0) * np.log(2.0) + log_gamma(a + 1.0)
                  + log_gamma(b + 1.0) - log_gamma(a + b + 2.0))
     w *= np.longdouble(mu0) / w.sum()
-    nodes, weights = xe.astype(float), w.astype(float)
+    return _frozen_rule(a, b, xe.astype(float), w.astype(float), mu0)
+
+
+def _mirrored(m, x, w):
+    """Nodes and weights of a symmetric m-point rule from its upper half,
+    whose first node is the middle node 0 when m is odd."""
+    return np.concatenate([-x[m % 2:][::-1], x]), np.concatenate([w[m % 2:][::-1], w])
+
+
+def _frozen_rule(a, b, nodes, weights, mu0):
     prob_weights = weights * (1.0 / mu0)
     nodes.flags.writeable = weights.flags.writeable = prob_weights.flags.writeable = False
     return QuadratureRule(a=a, b=b, nodes=nodes, weights=weights, prob_weights=prob_weights)

@@ -110,8 +110,9 @@ def _kernel(n, x, kmax):
         raise ValueError("gamma_sequence needs x > 0")
     j = np.arange(kmax, dtype=float)
     gamma, e = np.ones(kmax + 1), np.zeros(kmax + 1)
-    gamma[1:] = np.cumprod(((n - x) + j) / (x + j))
-    e[1:] = np.cumsum(gamma[:-1] / (x + j))
+    with np.errstate(over="ignore"):    # a product that leaves the doubles reads inf
+        gamma[1:] = np.cumprod(((n - x) + j) / (x + j))
+        e[1:] = np.cumsum(gamma[:-1] / (x + j))
     return gamma, e
 
 
@@ -149,8 +150,9 @@ def remainder_sequence(ps, kmax):
     all k >= 2 whenever q < q_star."""
     if not 0.0 < ps.s < ps.n:
         raise ValueError("remainder operator needs s in (0, n)")
-    eps = (slope_sequence(ps.n, ps.q_star, kmax)
-           - slope_sequence(ps.n, ps.q, kmax))
+    with np.errstate(invalid="ignore"):     # inf - inf where both slopes overflow: NaN
+        eps = (slope_sequence(ps.n, ps.q_star, kmax)
+               - slope_sequence(ps.n, ps.q, kmax))
     eps[:min(2, kmax + 1)] = 0.0
     return eps
 

@@ -128,6 +128,21 @@ def test_constants_slope_identity_holds_toward_the_ends(argv, tmp_path, capsys):
     assert run(capsys, ["constants", *argv, "--out", str(tmp_path / "c.csv")]) == (0, "", "")
 
 
+def test_constants_that_leave_the_doubles_fail_without_a_warning(tmp_path):
+    # at n = 300, s = 200 the kernel's product overflows and both slopes of
+    # the remainder read inf: under -W error the run prints only the gate's
+    # FAIL line and exits 1, with no numpy warning and no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "fracsphere.cli", "constants",
+                           "--n", "300", "--s", "200", "--kmax", "10000",
+                           "--out", str(tmp_path / "c.csv")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert re.fullmatch(r"constants: FAIL C L_k against slope_k\(q_star\) at n=300 s=200\.0: "
+                        r"relative gap nan above \S+\n", proc.stderr), proc.stderr
+
+
 def test_constants_slope_identity_bound_clears_its_floor():
     # the bound is 8 ulps per degree and per unit of |log C| + |log kappa|,
     # plus 16 (1.8e-11 at kmax 10^4); on n in {1, 2, 3, 5, 7}, 20 orders

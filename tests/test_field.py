@@ -16,6 +16,7 @@ from fracsphere.field import (ZonalField, analyze, descriptor_of,
                               difference_quotient, entropy2, field_from_descriptor,
                               lq_norm, lq_quotient, quadratic_form, shared_bases,
                               synthesize, zonal_basis)
+from fracsphere.inequality import deficit, random_suite
 from fracsphere.specfun import sphere_rule
 from fracsphere.spectrum import derive_params, operator_eigenvalue
 from reference import sharp_quotient, zonal_basis_oracle
@@ -184,8 +185,9 @@ def test_shared_basis_keys_each_rule_object_by_identity():
 def test_readme_verify_builds_each_basis_table_once_per_degree_rise(tmp_path, monkeypatch,
                                                                     capsys):
     # without sharing the README verify builds 215 Gegenbauer tables; with
-    # it each (n, rule) is built once, and again only for a higher degree:
-    # 23 builds over 10 distinct (n, rule)
+    # it each (n, rule) is built once, at the rule's analysis degree, and
+    # again only for a higher degree: 10 builds over 10 distinct (n, rule)
+    # (23 when a table was grown to each higher degree asked)
     builds = {}
     gegenbauer_all = fracsphere.field.gegenbauer_all
 
@@ -200,7 +202,28 @@ def test_readme_verify_builds_each_basis_table_once_per_degree_rise(tmp_path, mo
     for key, degrees in builds.items():
         assert degrees == sorted(set(degrees)), (key, degrees)
     assert len(builds) == 10
-    assert sum(map(len, builds.values())) <= 23, builds
+    assert sum(map(len, builds.values())) == 10, builds
+
+
+def test_random_suite_builds_one_basis_table_per_key(monkeypatch):
+    # random_suite(0, 200) asks its 10 (n, rule) keys for degrees 4, 8 and 16,
+    # and square's rules for their analysis degree too: each table is built
+    # once, at len(rule) // 2 - 1, where growing it to each higher degree
+    # asked built 20
+    calls = []
+    gegenbauer_all = fracsphere.field.gegenbauer_all
+
+    def counted(kmax, alpha, z):
+        calls.append((alpha, len(z), kmax))
+        return gegenbauer_all(kmax, alpha, z)
+
+    monkeypatch.setattr(fracsphere.field, "gegenbauer_all", counted)
+    reports = random_suite(0, 200)
+    assert len(calls) == len(set(calls)) == 10, calls
+    assert all(kmax == size // 2 - 1 for _, size, kmax in calls), calls
+    monkeypatch.undo()
+    # the same numbers as reports built one by one, each on fresh tables
+    assert reports == [deficit(r.field, derive_params(r.n, r.s, r.q), r.kind) for r in reports]
 
 
 # ---------------------------------------------------------------------------

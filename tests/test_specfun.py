@@ -338,11 +338,18 @@ def test_low_moments_against_frozen_integrals(m):
         assert got == pytest.approx(exact, rel=1e-13), j
 
 
+# the public rule at a = b = +-1/2 is the closed form; the general builder
+# still runs there, so these tests hold its long-double polish to the same forms
+BUILDERS = (gauss_jacobi, specfun._newton_rule)
+
+
 def test_chebyshev_weights_are_uniform():
     # a = b = -1/2: all weights equal pi/m
     for m in (4, 32, 128):
-        rule = gauss_jacobi(m, -0.5, -0.5)
-        np.testing.assert_allclose(rule.weights, np.pi / m, rtol=2e-15)
+        for build in BUILDERS:
+            rule = build(m, -0.5, -0.5)
+            np.testing.assert_allclose(rule.weights, np.pi / m, rtol=2e-15,
+                                       err_msg=build.__name__)
 
 
 @pytest.mark.parametrize("m", [881, 1500, 2000])
@@ -351,8 +358,9 @@ def test_chebyshev_weights_stay_uniform_at_the_extreme_roots(m):
     # of the end weights: 1.7e-14 at m = 881, 4.1e-14 at m = 1500.  The
     # middle roots, swept in z = 2x^2 - 1 rounded near -1, would cost about
     # k^2 ulps of long double: 2.1e-14 at m = 2000
-    rule = gauss_jacobi(m, -0.5, -0.5)
-    np.testing.assert_allclose(rule.weights, np.pi / m, rtol=5e-15)
+    for build in BUILDERS:
+        rule = build(m, -0.5, -0.5)
+        np.testing.assert_allclose(rule.weights, np.pi / m, rtol=5e-15, err_msg=build.__name__)
 
 
 def test_nodes_match_scipy():
@@ -561,6 +569,9 @@ def test_weights_match_30_digit_reference():
     mp = pytest.importorskip("mpmath").mp
     cases = [(sphere_rule(n, 976), (0, 1, 487, 488, 974, 975)) for n in (2, 3, 4)]
     cases += [(sphere_rule(3, 977), (0, 1, 487, 488, 489, 975, 976))]    # x P_k^(a,1/2), middle root 0
+    # n = 1 and 3 are Chebyshev's closed forms; the n = 3 rows above check the
+    # second kind's sin^2 weights, whose extreme ones a cos^2 would miss
+    cases += [(sphere_rule(1, m), (0, 1, m // 2 - 1, m // 2, m - 2, m - 1)) for m in (976, 977)]
     cases += [(gauss_jacobi(20, -0.25, 0.5), range(20)),   # the Funk-Hecke oracle at (3, 1.5, 8)
               (gauss_jacobi(200, 2.5, -0.5), (0, 1, 100, 198, 199)),
               (gauss_jacobi(300, 0.0, 1.0), (0, 1, 150, 298, 299))]
@@ -585,7 +596,8 @@ def test_symmetric_rules_are_exact_mirrors(m, e):
 
 def test_symmetric_builds_sweep_half_the_points(monkeypatch):
     # a = b and m >= 2: every sweep is the degree-m // 2 recurrence of
-    # Szego's quadratic transformation, on the upper-half roots only
+    # Szego's quadratic transformation, on the upper-half roots only; at
+    # a = b = 1/2 the public rule is closed-form, so the general builder runs
     sizes, degrees = [], []
     original = specfun._jacobi_eval
 
@@ -601,7 +613,7 @@ def test_symmetric_builds_sweep_half_the_points(monkeypatch):
         specfun._build_rule.cache_clear()
         sizes.clear()
         degrees.clear()
-        gauss_jacobi(m, a, b)
+        (specfun._newton_rule if a == b == 0.5 else gauss_jacobi)(m, a, b)
         assert sizes and max(sizes) <= most, (m, a, b, sizes)
         assert set(degrees) == {degree}, (m, a, b, degrees)
 
@@ -613,7 +625,8 @@ def test_symmetric_builds_sweep_half_the_points(monkeypatch):
                                    (200, 2.5, -0.5)])
 def test_cold_build_sweeps_once_in_extended_precision(monkeypatch, m, a, b):
     # the polish is one long-double sweep; the bracket check and the
-    # Newton solve run in double
+    # Newton solve run in double (at a = b = 1/2 in the general builder,
+    # since the public rule is closed-form there)
     dtypes = []
     original = specfun._jacobi_eval
 
@@ -623,7 +636,7 @@ def test_cold_build_sweeps_once_in_extended_precision(monkeypatch, m, a, b):
 
     monkeypatch.setattr(specfun, "_jacobi_eval", recording)
     specfun._build_rule.cache_clear()
-    gauss_jacobi(m, a, b)
+    (specfun._newton_rule if a == b == 0.5 else gauss_jacobi)(m, a, b)
     assert dtypes.count(np.longdouble) == 1, dtypes
     assert dtypes.count(np.float64) == len(dtypes) - 1 >= 2, dtypes
 
@@ -668,8 +681,40 @@ def test_chebyshev_seeds_are_the_exact_nodes(m):
     k = np.arange(1, m + 1)
     first = np.cos((k - 0.5) * np.pi / m)[::-1]
     second = np.cos(k * np.pi / (m + 1))[::-1]
-    np.testing.assert_allclose(gauss_jacobi(m, -0.5, -0.5).nodes, first, atol=2e-16)
-    np.testing.assert_allclose(gauss_jacobi(m, 0.5, 0.5).nodes, second, atol=2e-16)
+    for build in BUILDERS:
+        np.testing.assert_allclose(build(m, -0.5, -0.5).nodes, first, atol=2e-16)
+        np.testing.assert_allclose(build(m, 0.5, 0.5).nodes, second, atol=2e-16)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 9, 64, 160, 161, 976, 977, 2000])
+def test_chebyshev_rules_are_closed_forms_without_a_sweep(monkeypatch, m):
+    # a = b = -1/2: nodes cos((2i - 1) pi / 2m), weights pi / m; a = b = +1/2:
+    # nodes cos(i pi / (m + 1)), weights (pi / (m + 1)) sin^2(i pi / (m + 1))
+    # (Abramowitz & Stegun 25.4), built without one Jacobi recurrence sweep:
+    # nodes within 1e-16 and weights within 2.5e-16 of 30 digits (read 5.6e-17
+    # and 1.1e-16; the sines in double would cost the nodes 1.5e-16), and
+    # within a few ulps of the general builder
+    calls = []
+    monkeypatch.setattr(specfun, "_jacobi_eval", lambda *args: calls.append(args))
+    specfun._build_rule.cache_clear()
+    rules = gauss_jacobi(m, -0.5, -0.5), gauss_jacobi(m, 0.5, 0.5)
+    assert calls == []
+    monkeypatch.undo()
+    mp = mpmath.mp
+    with mp.workdps(30):
+        first = [(mp.cos((2 * i - 1) * mp.pi / (2 * m)), mp.pi / m) for i in range(m, 0, -1)]
+        second = [(mp.cos(i * mp.pi / (m + 1)), mp.pi / (m + 1) * mp.sin(i * mp.pi / (m + 1)) ** 2)
+                  for i in range(m, 0, -1)]
+        for rule, ref, mass in zip(rules, (first, second), (np.pi, 0.5 * np.pi)):
+            assert max(abs(x - r) for x, (r, _) in zip(rule.nodes.tolist(), ref)) <= 1e-16
+            assert max(abs(w / r - 1) for w, (_, r) in zip(rule.weights.tolist(), ref)) <= 2.5e-16
+            np.testing.assert_allclose(rule.prob_weights, rule.weights / mass, rtol=3e-16, atol=0)
+            assert rule.prob_weights.sum() == pytest.approx(1.0, abs=1e-15)
+            general = specfun._newton_rule(m, rule.a, rule.b)
+            np.testing.assert_allclose(rule.nodes, general.nodes, rtol=0, atol=2e-16)
+            np.testing.assert_allclose(rule.weights, general.weights, rtol=2e-15, atol=0)
+            assert not (rule.nodes.flags.writeable or rule.weights.flags.writeable
+                        or rule.prob_weights.flags.writeable)
 
 
 # ---------------------------------------------------------------------------
