@@ -41,9 +41,8 @@ from .field import finite_or_null, is_number, shared_bases
 from .flow import FlowConfig, run_flow
 from .inequality import KINDS, equality_suite, random_suite, reports_csv, sobolev_sides
 from .specfun import rule_cache_info
-from .spectrum import (CONSTANTS_HEADER, MAX_DEGREE, constants_row,
-                       delta_sequence, derive_params, gamma_sequence,
-                       monotonicity_scan, operator_eigenvalue, remainder_sequence,
+from .spectrum import (CONSTANTS_HEADER, MAX_DEGREE, OPERATORS, constants_row,
+                       derive_params, monotonicity_scan, operator_eigenvalue,
                        slope_sequence)
 
 MAX_SCAN_DIMENSIONS = 1000      # 200 times the default 5, at about 5 ms per dimension
@@ -155,12 +154,10 @@ def _typed(key, typ, value):
 
 
 def _spectral_columns(ps, kmax):
-    """gamma/delta/eps sequences, NaN-filled where a column degenerates."""
-    nan = np.full(kmax + 1, np.nan)
-    gamma = nan if ps.s == ps.n else gamma_sequence(ps.n, ps.x_crit, kmax)
-    delta = delta_sequence(ps.n, ps.s, kmax)
-    eps = remainder_sequence(ps, kmax) if 0.0 < ps.s < ps.n else nan
-    return gamma, delta, eps
+    """The gamma/delta/eps columns: the rows K, delta and R of
+    spectrum.OPERATORS, NaN where a row does not admit ps."""
+    return [OPERATORS[kind].sequence(ps, kmax) if OPERATORS[kind].admits(ps)
+            else np.full(kmax + 1, np.nan) for kind in ("K", "delta", "R")]
 
 
 def cmd_constants(opt):

@@ -20,11 +20,12 @@ Discretization: nodal values at the Chebyshev midpoints theta_i =
 pi (i + 1/2) / m of [0, pi] (uniform weights 1/m), classical RK4 in
 time, whose dt must keep dt * delta_(m-1) within its real-axis stability
 limit (RK4_REAL_LIMIT): about any constant the flow linearises to -L_s,
-with eigenvalues -delta_k at every level and q.  Both linear stages
-of the right-hand side are cosine transforms of the m nodal values
-(DCT-II forward, DCT-III back), each one real FFT pair of length m on
-the nodes in Makhoul's order (IEEE TASSP 1980), O(m log m) per
-evaluation.  A sine on the midpoints is a cosine on the mirrored mode,
+with eigenvalues -delta_k at every level and q (the "L" row of
+spectrum.OPERATORS, as the deficits read it).  Both linear stages of the
+right-hand side are cosine transforms of the m nodal values (DCT-II
+forward, DCT-III back), each one real FFT pair of length m on the nodes
+in Makhoul's order (IEEE TASSP 1980), O(m log m) per evaluation.  A sine
+on the midpoints is a cosine on the mirrored mode,
 sin k theta_i = (-1)^i cos (m - k) theta_i, and the two signs (-1)^i
 cancel in the flux, so no stage needs a sine transform.  On every mode
 0 < k < m the grid resolves, w -> d/dtheta psi multiplies cos k theta
@@ -46,7 +47,7 @@ from typing import ClassVar
 import numpy as np
 
 from .field import field_from_descriptor, finite_or_null, lq_quotient
-from .spectrum import delta_sequence, derive_params
+from .spectrum import derive_params, operator_eigenvalue
 
 MAX_STEPS = 10 ** 7     # on the default 128-point grid; 1000 times the default 6000
 MAX_WORK = 128 * MAX_STEPS      # steps times grid points; 19531 steps (< 15 min) at MAX_KMAX
@@ -128,7 +129,7 @@ class FlowOps:
                              f"on {m} grid points, got {cfg.t_max / cfg.dt:.6g}")
         self.cfg = cfg
         self.ps = derive_params(1, cfg.s, cfg.q)
-        self.delta = delta_sequence(1, cfg.s, m - 1)
+        self.delta = operator_eigenvalue(self.ps, "L", m - 1)
         if cfg.dt * self.delta[-1] > RK4_REAL_LIMIT:
             raise ValueError(f"dt must be at most {RK4_REAL_LIMIT / self.delta[-1]:.6g} "
                              f"on {m} grid points at s = {cfg.s}")

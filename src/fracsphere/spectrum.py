@@ -13,9 +13,12 @@ computed by the product recurrence gamma_{j+1} / gamma_j
 terms share one sign, and at x = n/2 it is its own limit.  Every sequence
 reads the kernel: delta_k = s e_k / kappa at x = (n - s)/2, the slope
 (gamma_k(n/q) - 1)/(q - 2) = (n/q) e_k(n/q) for every q >= 1, and
-K0prime = e_k(n/2), the s -> 0 end of (2/n) C delta_k.
+K0prime = e_k(n/2), the s -> 0 end of (2/n) C delta_k.  The operators
+are the rows of one table, OPERATORS, that the deficits, the flow and
+the constants columns read.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +110,7 @@ def derive_params(n, s, q=None):
 def _kernel(n, x, kmax):
     """gamma_k(x) and e_k(x) for k = 0..kmax; x > 0."""
     if x <= 0.0:
-        raise ValueError("gamma_sequence needs x > 0")
+        raise ValueError(f"the spectral kernel needs x > 0, got {x}")
     j = np.arange(kmax, dtype=float)
     gamma, e = np.ones(kmax + 1), np.zeros(kmax + 1)
     with np.errstate(over="ignore"):    # a product that leaves the doubles reads inf
@@ -121,68 +124,65 @@ def gamma_sequence(n, x, kmax):
     return _kernel(n, x, kmax)[0]
 
 
-def delta_sequence(n, s, kmax):
-    """Eigenvalues delta_k = (gamma_k((n-s)/2) - 1) / kappa = s e_k / kappa
-    of the Dirichlet-form operator; the s = n endpoint is taken in the
-    limit, delta_k = Gamma(n+k)/Gamma(k).
-    """
-    if s == n:
-        out = np.zeros(kmax + 1)
-        if kmax >= 1:
-            k = np.arange(1, kmax + 1, dtype=float)
-            out[1:] = np.exp(log_gamma(n + k) - log_gamma(k))
-        return out
-    x = 0.5 * (n - s)
-    inv_kappa = gamma_ratio(0.5 * (n + s), x, s)
-    with np.errstate(invalid="ignore"):     # inf * 0 where 1/kappa overflows
-        return s * inv_kappa * _kernel(n, x, kmax)[1]
-
-
 def slope_sequence(n, q, kmax):
     """(gamma_k(n/q) - 1)/(q - 2) = (n/q) e_k(n/q) for k = 0..kmax and
     every q >= 1, its limit at q = 2 included."""
     return n / q * _kernel(n, n / q, kmax)[1]
 
 
-def remainder_sequence(ps, kmax):
-    """Eigenvalues of the remainder operator: eps_k = slope at the
-    critical exponent minus slope at q, zero for k < 2.  Positive for
-    all k >= 2 whenever q < q_star."""
-    if not 0.0 < ps.s < ps.n:
-        raise ValueError("remainder operator needs s in (0, n)")
+def _delta(ps, kmax):
+    """delta_k = (gamma_k((n-s)/2) - 1) / kappa = s e_k / kappa; the s = n
+    endpoint is taken in the limit, delta_k = Gamma(n+k)/Gamma(k)."""
+    n, s = ps.n, ps.s
+    if s == n:
+        k = np.arange(1.0, kmax + 1)
+        return np.concatenate(([0.0], np.exp(log_gamma(n + k) - log_gamma(k))))
+    inv_kappa = gamma_ratio(0.5 * (n + s), ps.x_crit, s)
+    with np.errstate(invalid="ignore"):     # inf * 0 where 1/kappa overflows
+        return s * inv_kappa * _kernel(n, ps.x_crit, kmax)[1]
+
+
+def _remainder(ps, kmax):
+    """eps_k = slope at the critical exponent minus slope at q, zero for
+    k < 2; positive for all k >= 2 whenever q < q_star."""
     with np.errstate(invalid="ignore"):     # inf - inf where both slopes overflow: NaN
-        eps = (slope_sequence(ps.n, ps.q_star, kmax)
-               - slope_sequence(ps.n, ps.q, kmax))
+        eps = slope_sequence(ps.n, ps.q_star, kmax) - slope_sequence(ps.n, ps.q, kmax)
     eps[:min(2, kmax + 1)] = 0.0
     return eps
 
 
-def operator_eigenvalue(ps, kind, kmax):
-    """Eigenvalue sequence (k = 0..kmax) of one of the diagonal operators.
+# one diagonal operator: its eigenvalues sequence(ps, kmax) for k = 0..kmax
+# where admits(ps) holds, and ValueError(message) elsewhere
+Operator = namedtuple("Operator", "admits message sequence")
 
-    kind:
-      'L'       Dirichlet-form operator (delta_k for s > 0, its positive
-                mirror (1 - gamma_k)/kappa for s < 0, zero at s = 0)
-      'K'       conformally normalized kernel operator, gamma_k((n-s)/2)
-      'K_inv'   its inverse, gamma_k((n+s)/2)
-      'K0prime' derivative of K in s at s = 0: e_k(n/2) = sum_{j<k} 2/(n + 2j)
-      'R'       remainder operator, eps_k for k >= 2
-    """
-    n, s = ps.n, ps.s
-    if kind == "L":
-        d = delta_sequence(n, s, kmax)      # exactly +0.0 at s = 0
-        return d if s >= 0 else -d
-    if kind == "K":
-        if s == n:
-            raise ValueError("kernel operator degenerates at s = n")
-        return gamma_sequence(n, ps.x_crit, kmax)
-    if kind == "K_inv":
-        return gamma_sequence(n, 0.5 * (n + s), kmax)
-    if kind == "K0prime":
-        return _kernel(n, 0.5 * n, kmax)[1]
-    if kind == "R":
-        return remainder_sequence(ps, kmax)
-    raise ValueError(f"unknown operator kind {kind!r}")
+
+OPERATORS = {
+    # delta_k of the Dirichlet form: negative for s < 0, +0.0 at s = 0; L, its mirror for s < 0
+    "delta": Operator(lambda ps: True, "", _delta),
+    "L": Operator(lambda ps: True, "",
+                  lambda ps, kmax: (1.0 if ps.s >= 0.0 else -1.0) * _delta(ps, kmax)),
+    # the conformally normalized kernel operator gamma_k((n-s)/2) and its inverse
+    "K": Operator(lambda ps: ps.s < ps.n, "kernel operator degenerates at s = n",
+                  lambda ps, kmax: gamma_sequence(ps.n, ps.x_crit, kmax)),
+    "K_inv": Operator(lambda ps: True, "",
+                      lambda ps, kmax: gamma_sequence(ps.n, 0.5 * (ps.n + ps.s), kmax)),
+    # the derivative of K in s at s = 0: e_k(n/2) = sum_{j<k} 2/(n + 2j)
+    "K0prime": Operator(lambda ps: True, "", lambda ps, kmax: _kernel(ps.n, 0.5 * ps.n, kmax)[1]),
+    # the remainder operator, eps_k for k >= 2
+    "R": Operator(lambda ps: 0.0 < ps.s < ps.n, "remainder operator needs s in (0, n)",
+                  _remainder),
+}
+
+
+def operator_eigenvalue(ps, kind, kmax):
+    """Eigenvalue sequence (k = 0..kmax) of the operator OPERATORS[kind];
+    raises ValueError for an unknown kind or parameters it does not admit."""
+    op = OPERATORS.get(kind)
+    if op is None:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    if not op.admits(ps):
+        raise ValueError(op.message)
+    return op.sequence(ps, kmax)
 
 
 @dataclass(frozen=True)

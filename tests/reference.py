@@ -48,7 +48,7 @@ from fracsphere.euclid import TWO_PI, EuclidParams
 from fracsphere.field import field_from_descriptor
 from fracsphere.inequality import deficit
 from fracsphere.specfun import gauss_jacobi, gegenbauer_all, log_gamma
-from fracsphere.spectrum import delta_sequence, gamma_sequence
+from fracsphere.spectrum import gamma_sequence, operator_eigenvalue
 
 
 def gamma_ratio(a, b):
@@ -356,7 +356,7 @@ class DenseFlow:
         self.cosb[0] = 1.0
         self.ks = np.arange(1, m)
         self.sinb = basis(np.sin, self.ks)
-        self.delta = delta_sequence(1, ops.cfg.s, m - 1)
+        self.delta = operator_eigenvalue(ops.ps, "delta", m - 1)
         self.grad_mult = -self.q * self.delta[1:] / self.ks
 
     def init_values(self):

@@ -15,9 +15,7 @@ from fracsphere.euclid import (eigen_residual, f_star, thm16_coefficients,
 from fracsphere.field import ZonalField, field_from_descriptor
 from fracsphere.flow import FlowConfig, FlowOps, rk4_step, run_flow
 from fracsphere.inequality import deficit, equality_suite, random_suite
-from fracsphere.spectrum import (delta_sequence, derive_params,
-                                 monotonicity_scan, operator_eigenvalue,
-                                 remainder_sequence)
+from fracsphere.spectrum import derive_params, monotonicity_scan, operator_eigenvalue
 from reference import (DenseFlow, alpha_sequence, funk_hecke_mu, sharp_quotient,
                        taylor_bounds, taylor_remainder)
 
@@ -33,7 +31,7 @@ def test_01_classical_identity():
     t0 = time.perf_counter()
     worst_delta, worst_c = 0.0, 0.0
     for n in (3, 4, 5):
-        d = delta_sequence(n, 2.0, 20)
+        d = operator_eigenvalue(derive_params(n, 2.0, 1.0), "delta", 20)
         k = np.arange(21, dtype=float)
         ref = k * (k + n - 1)
         worst_delta = max(worst_delta,
@@ -117,7 +115,7 @@ def test_06_remainder_improvement():
     for n, s in ((1, 0.5), (2, 1.0), (3, 2.0), (4, 2.0), (5, 2.5)):
         q_star = 2.0 * n / (n - s)
         for q in (1.2, 2.0, 0.5 * (2.0 + q_star), 0.9 * q_star):
-            tail = remainder_sequence(derive_params(n, s, q), 64)[2:]
+            tail = operator_eigenvalue(derive_params(n, s, q), "R", 64)[2:]
             ok &= bool((tail > 0.0).all())
             min_eps = min(min_eps, tail.min())
     gap_min, low_gap = np.inf, 0.0

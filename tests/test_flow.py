@@ -14,7 +14,7 @@ import pytest
 import fracsphere
 from fracsphere.flow import (ENTROPY_FLOOR, MAX_STEPS, RK4_REAL_LIMIT, FlowConfig, FlowOps,
                              fit_rate, rk4_step, run_flow)
-from fracsphere.spectrum import delta_sequence, derive_params
+from fracsphere.spectrum import derive_params, operator_eigenvalue
 from reference import DenseFlow
 
 
@@ -235,7 +235,8 @@ def test_single_mode_decay_at_q_one(s, k):
     for _ in range(500):
         u = rk4_step(ops, u, 1e-3)
     decay = ref.cos_coeffs(u)[k] / a0
-    assert decay == pytest.approx(math.exp(-delta_sequence(1, s, k)[k] * 0.5), rel=1e-4)
+    delta = operator_eigenvalue(ops.ps, "delta", k)
+    assert decay == pytest.approx(math.exp(-delta[k] * 0.5), rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,7 @@ def test_far_from_constant_data_meet_the_bound(s, q, init, mode):
     # mode j: mode 1 from 2 * 5 - 9, only even modes from degree 2
     res = run_flow(FlowConfig(s=s, q=q, init={"coeffs": init}))
     assert np.all(res.entropy <= res.bound * (1.0 + 1e-9) + 1e-10)
-    delta = delta_sequence(1, s, mode)
+    delta = operator_eigenvalue(derive_params(1, s, q), "delta", mode)
     assert res.ratio == pytest.approx(delta[mode] / delta[1], rel=5e-3)
 
 

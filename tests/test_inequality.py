@@ -17,7 +17,7 @@ from fracsphere.inequality import (EQUALITY_CASES, KINDS, RANDOM_CASES,
                                    REPORT_HEADER, InequalityReport, deficit,
                                    deficit_square, equality_suite, random_suite,
                                    report_row, reports_csv)
-from fracsphere.spectrum import derive_params, operator_eigenvalue, remainder_sequence
+from fracsphere.spectrum import derive_params, operator_eigenvalue
 from reference import (funk_hecke_mu, sharp_quotient, taylor_bounds,
                        taylor_case_constant, taylor_remainder)
 
@@ -282,7 +282,7 @@ def test_improved_difference_is_remainder_form():
         {"family": "random_band_limited", "kmax": 8, "seed": 5, "scale": 0.4}, 3)
     d_int = deficit(fld, ps, "interpolation").deficit
     d_imp = deficit(fld, ps, "improved").deficit
-    gap = quadratic_form(fld, remainder_sequence(ps, fld.kmax))
+    gap = quadratic_form(fld, operator_eigenvalue(ps, "R", fld.kmax))
     assert gap > 0.0
     assert d_int - d_imp == pytest.approx(gap, rel=1e-12)
     assert d_imp <= d_int

@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsphere.spectrum import (CONSTANTS_HEADER, ParameterSet, ScanReport,
-                                 constants_row, delta_sequence,
-                                 derive_params, gamma_sequence, monotonicity_scan,
-                                 operator_eigenvalue, remainder_sequence,
-                                 slope_sequence)
+                                 constants_row, derive_params, gamma_sequence,
+                                 monotonicity_scan, operator_eigenvalue, slope_sequence)
 from fracsphere import specfun
 from fracsphere.field import ZonalField
 from fracsphere.inequality import deficit
@@ -101,7 +99,7 @@ def test_kappa_and_constant_keep_their_bytes_up_to_n_18():
 
 
 def test_kappa_and_constant_keep_their_digits_for_large_n():
-    # kappa, C and 1/kappa (the factor of delta_sequence) come from one gamma
+    # kappa, C and 1/kappa (the factor of the delta row) come from one gamma
     # ratio that does not cancel as n grows, wherever the value is a double
     # (C overflows at s < 0 for the largest n); exp of its log still leaves
     # |log| ulps, up to ~470 here
@@ -204,29 +202,34 @@ def test_gamma_strict_convexity_on_grid():
 # delta_k / alpha_k
 
 
+def _delta(n, s, kmax):
+    """The "delta" row of the operator table; q = 1 is admissible for every s."""
+    return operator_eigenvalue(derive_params(n, s, 1.0), "delta", kmax)
+
+
 def test_delta_is_polynomial_for_s_two():
     for n in (3, 4, 5):
         for k in range(21):
-            assert delta_sequence(n, 2.0, k)[k] == pytest.approx(k * (k + n - 1.0),
-                                                                 rel=1e-12, abs=1e-12)
+            assert _delta(n, 2.0, k)[k] == pytest.approx(k * (k + n - 1.0),
+                                                         rel=1e-12, abs=1e-12)
 
 
 def test_delta_frozen_fractional():
     # Gamma(1.75)/Gamma(1.25) - Gamma(0.75)/Gamma(0.25), frozen from mpmath
-    assert delta_sequence(1, 0.5, 1)[1] == pytest.approx(0.67597824006728473, rel=1e-13)
-    assert delta_sequence(1, 0.5, 2)[2] == pytest.approx(1.0815651841076556, rel=1e-13)
+    assert _delta(1, 0.5, 1)[1] == pytest.approx(0.67597824006728473, rel=1e-13)
+    assert _delta(1, 0.5, 2)[2] == pytest.approx(1.0815651841076556, rel=1e-13)
 
 
 def test_delta_endpoint_s_equals_n():
     # limit delta_k = Gamma(n+k)/Gamma(k)
-    assert delta_sequence(1, 1.0, 3)[3] == pytest.approx(3.0, rel=1e-14)
-    assert delta_sequence(2, 2.0, 4)[4] == pytest.approx(20.0, rel=1e-13)
-    assert delta_sequence(3, 3.0, 2)[0] == 0.0
+    assert _delta(1, 1.0, 3)[3] == pytest.approx(3.0, rel=1e-14)
+    assert _delta(2, 2.0, 4)[4] == pytest.approx(20.0, rel=1e-13)
+    assert _delta(3, 3.0, 2)[0] == 0.0
 
 
 def test_delta_zero_at_degree_zero():
     for n, s in [(1, 0.5), (2, 1.0), (3, 2.0), (3, 3.0)]:
-        assert delta_sequence(n, s, 0)[0] == 0.0
+        assert _delta(n, s, 0)[0] == 0.0
 
 
 def test_alpha_single_term():
@@ -346,7 +349,7 @@ def test_spectral_gap_identity(n, frac):
     # delta_1(x_crit) * C = 1 for every admissible order
     s = frac * n
     c = derive_params(n, s, 1.0).constant
-    assert delta_sequence(n, s, 1)[1] * c == pytest.approx(1.0, rel=1e-12)
+    assert _delta(n, s, 1)[1] * c == pytest.approx(1.0, rel=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=5),
@@ -439,7 +442,7 @@ def test_spectral_sequences_match_mpmath_down_to_s_zero():
                 gamma, e = _kernel_mpmath(n, x, kmax)
                 kappa = mpmath.gamma(x) / mpmath.gamma((mpmath.mpf(n) + mpmath.mpf(s)) / 2)
                 _assert_close(gamma_sequence(n, 0.5 * (n - s), kmax), gamma, 2e-14, f"gamma {n} {s}")
-                _assert_close(delta_sequence(n, s, kmax), [s * v / kappa for v in e], 1e-14,
+                _assert_close(_delta(n, s, kmax), [s * v / kappa for v in e], 1e-14,
                               f"delta n={n} s={s}")
             _, e = _kernel_mpmath(n, mpmath.mpf(n) / 2, kmax)
             _assert_close(operator_eigenvalue(derive_params(n, 0.0, 2.0), "K0prime", kmax), e,
@@ -449,7 +452,7 @@ def test_spectral_sequences_match_mpmath_down_to_s_zero():
                 top, low = _slope_mpmath(n, ps.q_star, kmax), _slope_mpmath(n, ps.q, kmax)
                 exact = top - low
                 exact[:2] = 0.0
-                assert np.all(np.abs(remainder_sequence(ps, kmax) - exact) <= 2e-14 * top)
+                assert np.all(np.abs(operator_eigenvalue(ps, "R", kmax) - exact) <= 2e-14 * top)
 
 
 def test_s_zero_kinds_are_the_continuous_end_of_the_family():
@@ -496,14 +499,14 @@ def test_slope_increases_between_four_and_six():
 
 def test_remainder_positive_and_zero_below_two():
     ps = derive_params(3, 1.5, 2.5)
-    eps = remainder_sequence(ps, 64)
+    eps = operator_eigenvalue(ps, "R", 64)
     assert eps[0] == 0.0 and eps[1] == 0.0
     assert np.all(eps[2:] > 0.0)
 
 
 def test_remainder_needs_interior_order():
     with pytest.raises(ValueError):
-        remainder_sequence(derive_params(1, -0.5, 1.2), 8)
+        operator_eigenvalue(derive_params(1, -0.5, 1.2), "R", 8)
 
 
 def test_monotonicity_scan_rejects_scans_that_check_nothing():
