@@ -22,7 +22,8 @@ residual is taken on mean-corrected combinations insensitive to the DC
 loss, whose profiles T_j(z) come from the Chebyshev recurrence on three
 rotating buffers; its grid factors and symbol are memoised per (s, L, N).
 The deficit at the optimizer, which needs roundoff accuracy, is computed
-by exact transport to the circle.
+by exact transport to the circle, its Dirichlet form read from the power
+spectrum of the transported profile.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ import numpy as np
 
 from .field import is_number
 from .inequality import InequalityReport
-from .specfun import gamma_ratio, midpoint_phase
+from .specfun import gamma_ratio
 from .spectrum import gamma_sequence
 
 TWO_PI = 2.0 * np.pi
@@ -214,10 +215,10 @@ def thm16_deficit(f, ps):
 
     beta = 2(1 - q/q_star) (n = 1), with (a, b) from thm16_coefficients,
     evaluated by exact transport to the circle: F = |J|^(-1/q*) f(x(theta))
-    on LINE_NODES uniform midpoints, Fourier analysis of F, and the diagonal
-    form of the Dirichlet integral.  All three terms are circle-side
-    integrals of smooth functions, so the optimizer comes out with a
-    deficit at roundoff level rather than at the 1e-3 level of the
+    on LINE_NODES uniform midpoints, and the diagonal form of the Dirichlet
+    integral read from the power spectrum |rfft(F)|^2.  All three terms
+    are circle-side integrals of smooth functions, so the optimizer comes
+    out with a deficit at roundoff level rather than at the 1e-3 level of the
     periodized |xi|^s multiplier on the line.
 
     f must be a vectorized callable on the line.  Returns an
@@ -236,14 +237,14 @@ def thm16_deficit(f, ps):
     fv = np.asarray(f(x), dtype=float)
     big_f = fv * jacobian(x) ** (-1.0 / q_star)
 
-    # midpoint samples -> coefficients on sqrt(2) cos k theta, sqrt(2) sin k theta
+    # on 1, sqrt(2) cos k theta, sqrt(2) sin k theta, F has c_0 = R_0 / M and
+    # c_k - i d_k = (sqrt(2)/M) exp(-i pi k/M) R_k, R = rfft(F): the phase has modulus 1,
+    # so the Dirichlet form c_0^2 + sum_k gamma_k (c_k^2 + d_k^2) reads |R_k|^2 alone
     kmax = M // 2 - 1
-    hat = np.fft.rfft(big_f)[1:kmax + 1] * midpoint_phase(kmax, M)
-    c0 = float(big_f.mean())
-    ck, dk = hat.real, -hat.imag
-
+    spec = np.fft.rfft(big_f)[:kmax + 1]
+    power = spec.real ** 2 + spec.imag ** 2
     gam = gamma_sequence(1, ps.x_crit, kmax)
-    hdot = TWO_PI / ps.kappa * (c0 ** 2 + float((gam[1:] * (ck ** 2 + dk ** 2)).sum()))
+    hdot = TWO_PI / ps.kappa * float(power[0] + 2.0 * (gam[1:] * power[1:]).sum()) / M ** 2
     w2 = 2.0 ** (2.0 / q_star - 1.0) * TWO_PI * float((big_f ** 2).mean())
     lhs = (2.0 ** (2.0 * (1.0 / q_star - 1.0 / q)) * TWO_PI ** (2.0 / q)
            * float((np.abs(big_f) ** q).mean()) ** (2.0 / q))

@@ -67,14 +67,6 @@ def gamma_ratio(a, b, d):
         return float(np.exp(log_ratio))
 
 
-def midpoint_phase(kmax, M):
-    """Factors that turn rfft(F)[k], k = 1..kmax, of F at the M midpoints
-    2 pi (i + 1/2) / M into its coefficients on sqrt(2) exp(i k theta):
-    the half-step phase exp(-i pi k / M) times sqrt(2)/M."""
-    k = np.arange(1, kmax + 1)
-    return np.sqrt(2.0) / M * np.exp(-1j * np.pi * k / M)
-
-
 def gegenbauer_all(kmax, alpha, z):
     """All Gegenbauer polynomials C_0 .. C_kmax at z, shape (kmax+1, len(z)).
 

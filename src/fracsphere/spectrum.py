@@ -13,9 +13,11 @@ computed by the product recurrence gamma_{j+1} / gamma_j
 terms share one sign, and at x = n/2 it is its own limit.  Every sequence
 reads the kernel: delta_k = s e_k / kappa at x = (n - s)/2, the slope
 (gamma_k(n/q) - 1)/(q - 2) = (n/q) e_k(n/q) for every q >= 1, and
-K0prime = e_k(n/2), the s -> 0 end of (2/n) C delta_k.  The operators
-are the rows of one table, OPERATORS, that the deficits, the flow and
-the constants columns read.
+K0prime = e_k(n/2), the s -> 0 end of (2/n) C delta_k; L = |delta|.  The
+operators are the rows of one table, OPERATORS, that the deficits, the
+flow and the constants columns read.  One rule admits the exponent:
+1 <= q <= q_star = 2n/(n - s), strict for s < 0, so s = 0 is q_star = 2
+and s = n is q_star = inf, with no case of their own.
 """
 
 from collections import namedtuple
@@ -33,8 +35,9 @@ MAX_DEGREE = 10 ** 4    # constants and scan kmax: 3 us per row, 60 ms per scann
 class ParameterSet:
     """Admissible parameter triple plus everything derived from it.
 
-    q_star is the critical exponent 2n/(n-s) (inf when s = n), p its
-    dual 2n/(n+s), lam = n - s the kernel order, kappa the ratio
+    q is the exponent, 1 <= q <= q_star (strictly below for s < 0),
+    q_star the critical exponent 2n/(n-s) (2 at s = 0, inf at s = n), p
+    its dual 2n/(n+s), lam = n - s the kernel order, kappa the ratio
     Gamma((n-s)/2)/Gamma((n+s)/2), x_crit = (n-s)/2, and constant the
     sharp proportionality constant (NaN when s = 0, where the sharp
     inequality is stated through the derivative operator instead).
@@ -54,9 +57,9 @@ class ParameterSet:
 def derive_params(n, s, q=None):
     """Validate (n, s, q) and fill in the derived quantities.
 
-    q = None picks the natural exponent where one exists: the critical
-    q_star for s in (0, n), and 2 for s = 0.  For s = n and s < 0 there
-    is no finite default and q must be given.
+    One rule admits q: 1 <= q <= q_star, strict for s < 0.  q = None
+    picks q_star for s in [0, n), exactly 2.0 at s = 0; s = n and s < 0
+    have no finite admissible default, and q must be given.
     """
     try:
         whole = float(n).is_integer()
@@ -71,27 +74,13 @@ def derive_params(n, s, q=None):
 
     q_star = _INF if s == n else 2.0 * n / (n - s)
     if q is None:
-        if 0.0 < s < n:
-            q = q_star
-        elif s == 0.0:
-            q = 2.0
-        else:
+        if not 0.0 <= s < n:
             raise ValueError("q has no default for s = n or s < 0")
+        q = q_star
     q = float(q)
-
-    if not q >= 1.0:        # NaN fails too
-        raise ValueError(f"exponent q must be >= 1, got {q}")
-    if s < 0.0:
-        if q >= q_star:
-            raise ValueError(
-                f"for s < 0 the exponent must satisfy q < {q_star}, got {q}")
-    elif s == 0.0:
-        if q > 2.0:
-            raise ValueError(f"for s = 0 the exponent must satisfy q <= 2, got {q}")
-    elif s < n:
-        if q > q_star:
-            raise ValueError(f"q exceeds the critical exponent {q_star}: {q}")
-    # s = n imposes no ceiling: any finite q >= 1 is admissible
+    if not 1.0 <= q <= q_star or (s < 0.0 and q == q_star):     # NaN fails too
+        raise ValueError(f"exponent q must satisfy 1 <= q {'<' if s < 0.0 else '<='} "
+                         f"q_star = {q_star}, got {q}")
     p = 2.0 * n / (n + s)
     lam = n - s
     if s == n:
@@ -157,10 +146,9 @@ Operator = namedtuple("Operator", "admits message sequence")
 
 
 OPERATORS = {
-    # delta_k of the Dirichlet form: negative for s < 0, +0.0 at s = 0; L, its mirror for s < 0
+    # delta_k of the Dirichlet form, of the sign of s (+0.0 at s = 0); L = |delta|
     "delta": Operator(lambda ps: True, "", _delta),
-    "L": Operator(lambda ps: True, "",
-                  lambda ps, kmax: (1.0 if ps.s >= 0.0 else -1.0) * _delta(ps, kmax)),
+    "L": Operator(lambda ps: True, "", lambda ps, kmax: np.abs(_delta(ps, kmax))),
     # the conformally normalized kernel operator gamma_k((n-s)/2) and its inverse
     "K": Operator(lambda ps: ps.s < ps.n, "kernel operator degenerates at s = n",
                   lambda ps, kmax: gamma_sequence(ps.n, ps.x_crit, kmax)),

@@ -14,7 +14,9 @@ from the repository root
 
     PYTHONPATH=src python tests/golden_outputs.py
 
-and record the movement table it prints in CHANGES.md.
+and record the movement table it prints in CHANGES.md.  It refuses, with
+a non-zero exit and no file written, when a README command exits
+non-zero or writes to stderr.
 """
 
 import contextlib
@@ -188,10 +190,16 @@ def compare(manifest, golden, runs):
 
 
 def rewrite(scratch):
-    """Run every README command in scratch and write the goldens from it."""
+    """Run every README command in scratch and write the goldens from it;
+    exits non-zero and writes nothing when one of them exits non-zero or
+    writes to stderr, since a golden records a passing run."""
     commands = readme_commands()
     runs = [run_command(argv, scratch / command_dir(i, argv))
             for i, argv in enumerate(commands)]
+    failed = [f"fracsphere {shlex.join(argv)}: exit {rc}, stderr {files['stderr'].decode()!r}"
+              for argv, (rc, files) in zip(commands, runs) if rc != 0 or files["stderr"]]
+    if failed:
+        raise SystemExit("a README command failed, no golden written:\n" + "\n".join(failed))
     old = read_golden() if (GOLDEN / "manifest.json").exists() else None
     shutil.rmtree(GOLDEN, ignore_errors=True)
     manifest = {"numpy": np.__version__, "python": platform.python_version(),

@@ -28,6 +28,9 @@ identity of the paper checked with the package's primitives:
 - eigen_residual_oracle: the line eigen-residual as it stood before its
   factors were memoised and its recurrence ran in place, a fresh array
   per operation; the package's must give the same floats
+- midpoint_phase, thm16_rhs_oracle: the rhs of the line deficit as it
+  stood before its Dirichlet form was read from the power spectrum, on
+  cosine and sine coefficients by the half-step phase of the midpoints
 - weighted_norm: line integrals with an algebraic tail correction,
   against circle-side norms under the stereographic transport
 - taylor_remainder, taylor_case_constant, taylor_bounds: the pointwise
@@ -229,6 +232,34 @@ def eigen_residual_oracle(s, k, L=EuclidParams.L, N=EuclidParams.N):
     lhs = _apply_multiplier(g, eu.h, s)
     rhs0 = rhs - rhs.mean()
     return float(np.linalg.norm(lhs - lhs.mean() - rhs0) / np.linalg.norm(rhs0))
+
+
+def midpoint_phase(kmax, M):
+    """Factors that turn rfft(F)[k], k = 1..kmax, of F at the M midpoints
+    2 pi (i + 1/2) / M into its coefficients on sqrt(2) exp(i k theta):
+    the half-step phase exp(-i pi k / M) times sqrt(2)/M."""
+    k = np.arange(1, kmax + 1)
+    return np.sqrt(2.0) / M * np.exp(-1j * np.pi * k / M)
+
+
+def thm16_rhs_oracle(f, ps):
+    """rhs of euclid.thm16_deficit as it stood before the Dirichlet form
+    was read from the power spectrum: the mean c_0 and the cosine and
+    sine coefficients (c_k, d_k) of F by the half-step phase, then
+    c_0^2 + sum_k gamma_k (c_k^2 + d_k^2)."""
+    M = euclid.LINE_NODES
+    theta = TWO_PI * (np.arange(M) + 0.5) / M
+    x = euclid.stereo_inverse(np.pi - theta)
+    big_f = np.asarray(f(x), dtype=float) * euclid.jacobian(x) ** (-1.0 / ps.q_star)
+    kmax = M // 2 - 1
+    hat = np.fft.rfft(big_f)[1:kmax + 1] * midpoint_phase(kmax, M)
+    c0 = float(big_f.mean())
+    ck, dk = hat.real, -hat.imag
+    gam = gamma_sequence(1, ps.x_crit, kmax)
+    hdot = TWO_PI / ps.kappa * (c0 ** 2 + float((gam[1:] * (ck ** 2 + dk ** 2)).sum()))
+    w2 = 2.0 ** (2.0 / ps.q_star - 1.0) * TWO_PI * float((big_f ** 2).mean())
+    a, b = euclid.thm16_coefficients(ps)
+    return a * hdot + b * w2
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fracsphere.field import ZonalField, lq_norm
 from fracsphere.specfun import sphere_rule
 from fracsphere.spectrum import derive_params, gamma_sequence
 from reference import (GridField, eigen_residual_oracle, frac_laplacian_oracle, grid_field,
-                       weighted_norm)
+                       thm16_rhs_oracle, weighted_norm)
 
 
 def eigen_profile(s, k, x):
@@ -361,6 +361,33 @@ def test_thm16_optimizer_deficit_is_roundoff_across_s_and_q(s):
         rep = thm16_deficit(lambda x: f_star(s, x), derive_params(1, s, q))
         assert abs(rep.deficit) <= 1e-14 * max(1.0, abs(rep.rhs)), (q, rep.deficit)
         assert rep.field is None
+
+
+def _circle_profile(seed):
+    """1 + a seeded trigonometric polynomial of degrees 1..6, amplitude 0.1 each."""
+    c = np.random.default_rng(seed).normal(scale=0.1, size=(2, 6, 1))
+    k = np.arange(1, 7)[:, None]
+    return lambda theta: 1.0 + (c[0] * np.cos(k * theta) + c[1] * np.sin(k * theta)).sum(axis=0)
+
+
+def test_thm16_rhs_matches_the_coefficient_pair_oracle():
+    # the Dirichlet form from |rfft(F)|^2 against the cosine and sine
+    # coefficients of the half-step phase: 7 orders x 3 exponents x 4 profiles
+    for s in (1e-3, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99):
+        q_star = derive_params(1, s).q_star
+        for q in (2.0, 0.5 * (2.0 + q_star), q_star):
+            ps = derive_params(1, s, q)
+            profiles = [lambda x: f_star(s, x)] + [
+                lambda x, sphere=_circle_profile(seed): pushforward(sphere, ps, x)
+                for seed in range(3)]
+            for i, f in enumerate(profiles):
+                got, want = thm16_deficit(f, ps).rhs, thm16_rhs_oracle(f, ps)
+                assert abs(got - want) <= 4e-16 * abs(want), (s, q, i, got, want)
+    # the optimizer deficit keeps its value: 0 at q = 2 and 3, one ulp of lhs at 4
+    for q in (2.0, 3.0, 4.0):
+        ps = derive_params(1, 0.5, q)
+        rep = thm16_deficit(lambda x: f_star(0.5, x), ps)
+        assert rep.deficit == thm16_rhs_oracle(lambda x: f_star(0.5, x), ps) - rep.lhs, q
 
 
 def test_thm16_perturbed_field_has_positive_deficit():

@@ -14,6 +14,7 @@ different BLAS or libm can move the last digits.
 import numpy as np
 import pytest
 
+import golden_outputs
 from golden_outputs import (command_dir, compare, movement, read_golden, readme_commands,
                             run_command)
 
@@ -31,6 +32,25 @@ def test_readme_outputs_match_their_goldens(tmp_path):
             report.append(f"(goldens written with numpy {manifest['numpy']}, "
                           f"this run has numpy {np.__version__})")
         pytest.fail("README outputs moved:\n" + "\n".join(report), pytrace=False)
+
+
+def test_readme_goldens_record_clean_runs():
+    # every documented command passes its own gates: exit 0, nothing on
+    # stderr (golden_outputs.py refuses to write goldens that record otherwise)
+    manifest, golden = read_golden()
+    for command, files in zip(manifest["commands"], golden):
+        assert (command["exit"], files["stderr"]) == (0, b""), command["dir"]
+
+
+def test_rewrite_refuses_a_failing_command(tmp_path, monkeypatch):
+    # a bad exponent exits 2 with a message on stderr: no golden is written
+    golden = tmp_path / "golden"
+    monkeypatch.setattr(golden_outputs, "GOLDEN", golden)
+    monkeypatch.setattr(golden_outputs, "readme_commands",
+                        lambda: [["constants", "--n", "3", "--s", "2", "--q", "10"]])
+    with pytest.raises(SystemExit, match="exit 2, stderr 'fracsphere constants:"):
+        golden_outputs.rewrite(tmp_path / "runs")
+    assert not golden.exists()
 
 
 def test_movement_table_names_column_row_and_size():

@@ -19,7 +19,7 @@ from fracsphere.inequality import deficit, equality_suite, random_suite
 from fracsphere.specfun import (QuadratureRule, gauss_jacobi, gegenbauer_all,
                                 log_gamma, rule_cache_info, sphere_rule)
 from fracsphere.spectrum import derive_params
-from reference import gamma_ratio, gegenbauer_all_oracle, jacobi_eval_oracle
+from reference import gamma_ratio, gegenbauer_all_oracle, jacobi_eval_oracle, midpoint_phase
 
 # ---------------------------------------------------------------------------
 # log_gamma
@@ -157,6 +157,7 @@ def test_gamma_ratio_overflow_is_inf_without_a_warning():
 
 
 def test_midpoint_phase_gives_cosine_and_sine_coefficients():
+    # the half-step phase of the line deficit's oracle (reference.thm16_rhs_oracle):
     # F = c_0 + sqrt(2) sum_k (a_k cos k theta + b_k sin k theta) at the M midpoints
     # has coefficients a_k - i b_k
     rng = np.random.default_rng(3)
@@ -167,7 +168,7 @@ def test_midpoint_phase_gives_cosine_and_sine_coefficients():
     k = np.arange(1, kmax + 1)[:, None]
     f = coef[0].real + np.sqrt(2.0) * (coef[1:, None].real * np.cos(k * theta)
                                        - coef[1:, None].imag * np.sin(k * theta)).sum(axis=0)
-    got = np.fft.rfft(f)[1:kmax + 1] * specfun.midpoint_phase(kmax, M)
+    got = np.fft.rfft(f)[1:kmax + 1] * midpoint_phase(kmax, M)
     np.testing.assert_allclose(got, coef[1:], rtol=0.0, atol=1e-14)
 
 

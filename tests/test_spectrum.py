@@ -72,6 +72,56 @@ def test_rejected_combinations(n, s, q):
         derive_params(n, s, q)
 
 
+def _case_rule(n, s, q):
+    """The exponents of the family case by case: (admitted, default q).
+    s < 0: 1 <= q < q*; s = 0: 1 <= q <= 2; 0 < s < n: 1 <= q <= q*;
+    s = n: every q >= 1.  The default is q* on (0, n) and 2 at s = 0."""
+    q_star = 2.0 * n / (n - s) if s < n else math.inf
+    default = q_star if 0.0 < s < n else 2.0 if s == 0.0 else None
+    if q is None:
+        return default is not None, default
+    if s < 0.0:
+        return 1.0 <= q < q_star, q
+    if s == 0.0:
+        return 1.0 <= q <= 2.0, q
+    return 1.0 <= q and (s == n or q <= q_star), q
+
+
+def test_one_rule_admits_the_exponent_of_every_case():
+    # 4 dimensions x 10 orders from just above -n through 0 to n x 13 exponents
+    # around 1, 2 and q* (one ulp either side), inf and NaN: 520 cases
+    cases = 0
+    for n in (1, 2, 3, 5):
+        for s in (math.nextafter(-n, 0.0), -0.5 * n, -0.1, -1e-300, 0.0, 1e-300, n / 3, 0.5 * n,
+                  math.nextafter(n, 0.0), n):
+            q_star = 2.0 * n / (n - s) if s < n else math.inf
+            for q in (None, 0.5, math.nextafter(1.0, 0.0), 1.0, 2.0 - 1e-12, 2.0,
+                      2.0 + 1e-12, math.nextafter(q_star, 0.0), q_star,
+                      math.nextafter(q_star, math.inf), math.inf, -math.inf, math.nan):
+                cases += 1
+                admitted, want = _case_rule(n, s, q)
+                if not admitted:
+                    with pytest.raises(ValueError):
+                        derive_params(n, s, q)
+                    continue
+                ps = derive_params(n, s, q)
+                assert ps.q_star == q_star, (n, s)
+                if q is None:       # the default is q*, bit for bit
+                    assert ps.q == q_star == want, (n, s)
+                else:
+                    assert ps.q == q, (n, s, q)
+    assert cases == 520
+    assert derive_params(3, 0.0).q == 2.0
+    assert derive_params(2, 2.0, math.inf).q == math.inf
+    for s, bound in ((-1.0, "q < q_star = 1.3333333333333333"), (1.0, "q <= q_star = 4.0")):
+        with pytest.raises(ValueError, match=f"^exponent q must satisfy 1 <= {bound}, got "):
+            derive_params(2, s, 5.0)
+    with pytest.raises(ValueError, match="got nan"):
+        derive_params(2, 1.0, math.nan)
+    with pytest.raises(ValueError):     # the dual critical exponent itself
+        derive_params(2, -1.0, 4.0 / 3.0)
+
+
 def test_kappa_and_constant_match_mpmath():
     # every half-integer order s != 0 of n = 1..6
     worst = 0.0
